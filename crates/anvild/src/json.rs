@@ -6,11 +6,24 @@
 //! (including `\uXXXX` with surrogate pairs), numbers as `f64` with
 //! integral values serialized without a fractional part, and objects
 //! kept in a `BTreeMap` so serialization is deterministic.
+//!
+//! Strings are scanned in linear time: each run of bytes up to the
+//! next `"`, `\` or control byte is copied with one slice push (every
+//! run ends at an ASCII byte, so it is whole UTF-8 of the `&str`
+//! input), and unescaped control characters are rejected. Arrays and
+//! objects may nest at most [`MAX_DEPTH`] levels; the parser recurses
+//! once per level, so a deeper document is a [`JsonError`] rather than
+//! a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use anvil_syntax::json_escape_into;
+
+/// How deep arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, so this bounds its stack use well
+/// below what a 2 MiB thread stack holds.
+const MAX_DEPTH: usize = 512;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -98,11 +111,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with a byte offset on malformed input.
+    /// Returns a [`JsonError`] with a byte offset on malformed input,
+    /// including arrays and objects nested more than 512 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -179,8 +195,11 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -225,12 +244,26 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -317,6 +350,15 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one push: it ends at an ASCII byte, so it is whole
+            // UTF-8.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -362,17 +404,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -392,6 +424,8 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn roundtrip(text: &str) -> String {
@@ -456,6 +490,118 @@ mod tests {
         }
         let err = Json::parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
+        let err = Json::parse("\"ab\u{1f}\"").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("unescaped control character", 3)
+        );
+    }
+
+    #[test]
+    fn nesting_deeper_than_max_depth_is_an_error() {
+        let nest =
+            |open: &str, close: &str, n: usize| format!("{}1{}", open.repeat(n), close.repeat(n));
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(Json::parse(&nest(open, close, MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{err}");
+        }
+        // Depth counts arrays and objects together.
+        let mixed = nest("[{\"k\":", "}]", MAX_DEPTH / 2 + 1);
+        assert!(Json::parse(&mixed).is_err());
+    }
+
+    /// Serializations pinned byte for byte: the wire format clients see.
+    #[test]
+    fn serializer_matches_golden_bytes() {
+        let golden = [
+            (Json::str("plain"), r#""plain""#),
+            (
+                Json::str("q\"b\\s/ n\n r\r t\t b\u{8} f\u{c}"),
+                r#""q\"b\\s/ n\n r\r t\t b\b f\f""#,
+            ),
+            (
+                Json::str("\u{0}\u{1}\u{1f}\u{7f}"),
+                "\"\\u0000\\u0001\\u001f\u{7f}\"",
+            ),
+            (Json::str("é→\u{1F600}"), "\"é→\u{1F600}\""),
+            (
+                Json::obj([
+                    (
+                        "k\"ey",
+                        Json::Arr(vec![
+                            Json::Null,
+                            Json::Bool(true),
+                            Json::Num(-0.5),
+                            Json::int(1 << 53),
+                            Json::Num(f64::NAN),
+                        ]),
+                    ),
+                    ("a", Json::obj([])),
+                ]),
+                r#"{"a":{},"k\"ey":[null,true,-0.5,9007199254740992,null]}"#,
+            ),
+        ];
+        for (value, bytes) in golden {
+            assert_eq!(value.to_string(), bytes);
+        }
+    }
+
+    /// One piece of a generated string: a long plain run, a character
+    /// with a short escape, a control character, or multi-byte UTF-8.
+    fn piece() -> impl Strategy<Value = String> {
+        let scalar =
+            |lo: u32, hi: u32| (lo..hi).prop_map(|c| char::from_u32(c).unwrap().to_string());
+        prop_oneof![
+            prop::collection::vec(0x20u8..0x7f, 0..300)
+                .prop_map(|run| String::from_utf8(run).unwrap()),
+            (0usize..8)
+                .prop_map(|i| ["\"", "\\", "/", "\n", "\r", "\t", "\u{8}", "\u{c}"][i].to_string()),
+            scalar(0, 0x20),
+            scalar(0x80, 0x800),
+            scalar(0x800, 0xd800),
+            scalar(0xe000, 0x1_0000),
+            scalar(0x1_0000, 0x11_0000),
+        ]
+    }
+
+    /// `s` as a JSON string literal with every character outside
+    /// printable ASCII written as `\uXXXX` (astral ones as surrogate
+    /// pairs), and `/` as `\/`.
+    fn u_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' | '\\' => {
+                    out.push('\\');
+                    out.push(c);
+                }
+                '/' => out.push_str("\\/"),
+                ' '..='~' => out.push(c),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        out.push_str(&format!("\\u{unit:04X}"));
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn strings_roundtrip_through_both_escape_forms(
+            pieces in prop::collection::vec(piece(), 0..24),
+        ) {
+            let s = pieces.concat();
+            let text = Json::Str(s.clone()).to_string();
+            prop_assert_eq!(Json::parse(&text), Ok(Json::Str(s.clone())));
+            prop_assert_eq!(Json::parse(&u_escaped(&s)), Ok(Json::Str(s)));
+        }
     }
 
     #[test]

@@ -57,8 +57,8 @@ use crate::gate::{Admission, AdmissionGate, ServiceConfig, ServiceCounters, Serv
 use crate::json::Json;
 use crate::proto::{
     self, error_response, notification, parse_incoming, Incoming, RpcError, COMPILE_FAILED,
-    DEADLINE_EXCEEDED, FILE_NOT_OPEN, INTERNAL_ERROR, METHOD_NOT_FOUND, OVERLOADED, PROVE_FAILED,
-    REQUEST_CANCELLED,
+    DEADLINE_EXCEEDED, FILE_NOT_OPEN, INTERNAL_ERROR, METHOD_NOT_FOUND, OVERLOADED, PARSE_ERROR,
+    PROVE_FAILED, REQUEST_CANCELLED,
 };
 
 /// Wire-protocol version reported by `ping`.
@@ -979,6 +979,12 @@ impl CompileService {
     /// Serves one connection: newline-delimited JSON-RPC frames from
     /// `reader`, responses and notifications to `writer`.
     ///
+    /// Each outgoing frame is serialized first and handed to `writer`
+    /// in one `write_all` plus `flush`, so an unbuffered socket sees one
+    /// write per frame. A frame that is not UTF-8 or not JSON (including
+    /// one nested too deeply) is answered with `PARSE_ERROR` and `id:
+    /// null`, and the loop keeps reading.
+    ///
     /// Registry and control methods (`open`, `update`, `close`,
     /// `cancel`, `cacheStats`, `health`, `ping`, `shutdown`) are handled
     /// inline on the read loop — they are cheap and their order matters,
@@ -1002,15 +1008,16 @@ impl CompileService {
     ///
     /// Propagates read errors from the transport; write failures are
     /// swallowed (a vanished client is not a server error).
-    pub fn serve<R, W>(&self, reader: R, writer: W) -> std::io::Result<()>
+    pub fn serve<R, W>(&self, mut reader: R, writer: W) -> std::io::Result<()>
     where
         R: BufRead,
         W: Write + Send,
     {
         let out = Mutex::new(writer);
         let send = |frame: &Json| {
+            let line = format!("{frame}\n");
             let mut w = out.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = writeln!(w, "{frame}");
+            let _ = w.write_all(line.as_bytes());
             let _ = w.flush();
         };
         let conn_done = AtomicBool::new(false);
@@ -1022,12 +1029,28 @@ impl CompileService {
                 }
             });
             let result = (|| -> std::io::Result<()> {
-                for line in reader.lines() {
-                    let line = line?;
+                let mut buf = Vec::new();
+                loop {
+                    buf.clear();
+                    if reader.read_until(b'\n', &mut buf)? == 0 {
+                        break;
+                    }
+                    let bytes = match buf.strip_suffix(b"\n") {
+                        Some(bytes) => bytes.strip_suffix(b"\r").unwrap_or(bytes),
+                        None => &buf,
+                    };
+                    let line = match std::str::from_utf8(bytes) {
+                        Ok(line) => line,
+                        Err(e) => {
+                            let message = format!("invalid UTF-8 at byte {}", e.valid_up_to());
+                            send(&error_response(None, &RpcError::new(PARSE_ERROR, message)));
+                            continue;
+                        }
+                    };
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let msg = match parse_incoming(&line) {
+                    let msg = match parse_incoming(line) {
                         Ok(msg) => msg,
                         Err(e) => {
                             send(&error_response(None, &e));

@@ -106,6 +106,40 @@ impl Responses {
     }
 }
 
+/// Frames that are not JSON-RPC at all — bytes that are not UTF-8, and
+/// JSON nested far past the parser's depth limit — are answered with a
+/// parse error, and the connection keeps serving.
+#[test]
+fn hostile_frames_get_parse_errors_and_the_connection_keeps_serving() {
+    let service = CompileService::new();
+    std::thread::scope(|scope| {
+        let mut client = serve_pair(scope, &service);
+        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let mut next_frame = || {
+            let mut line = String::new();
+            assert!(
+                reader.read_line(&mut line).expect("read") > 0,
+                "server hung up"
+            );
+            Json::parse(line.trim()).expect("valid JSON from server")
+        };
+        let not_utf8 =
+            b"{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"ping\",\"params\":{\"x\":\"\xFF\"}}\n"
+                .to_vec();
+        let too_deep = format!("{}\n", "[".repeat(200_000)).into_bytes();
+        for (id, hostile) in [(1, not_utf8), (2, too_deep)] {
+            client.write_all(&hostile).expect("write");
+            let resp = next_frame();
+            assert_eq!(error_code(&resp), anvild::PARSE_ERROR, "{resp}");
+            assert_eq!(resp.get("id"), Some(&Json::Null), "{resp}");
+            writeln!(client, r#"{{"jsonrpc":"2.0","id":{id},"method":"ping"}}"#).expect("write");
+            let resp = next_frame();
+            assert_eq!(resp.get("id").and_then(Json::as_i64), Some(id), "{resp}");
+            assert!(resp.get("result").is_some(), "{resp}");
+        }
+    });
+}
+
 #[test]
 fn expired_deadline_fails_fast_and_the_service_keeps_serving() {
     let service = CompileService::new();

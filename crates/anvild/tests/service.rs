@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::Mutex;
 
 use anvild::{parse_incoming, CompileService, Incoming, Json, RpcError};
 
@@ -427,6 +428,70 @@ fn serve_loop_shares_one_warm_session_across_two_clients() {
         assert!(service.is_shut_down());
         drop((c1, c2));
     });
+}
+
+/// A transport that records each `write` call it receives.
+struct WriteLog<'a>(&'a Mutex<Vec<Vec<u8>>>);
+
+impl Write for WriteLog<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The serve loop hands each frame to the transport in one `write`, so
+/// an unbuffered socket sends it in one piece and the client wakes once.
+#[test]
+fn serve_writes_each_frame_in_one_call() {
+    let service = CompileService::new();
+    let fifo = anvil_designs::fifo::anvil_source();
+    let open = Incoming::request(
+        1,
+        "open",
+        Json::obj([("uri", Json::str("f.anv")), ("text", Json::str(fifo))]),
+    );
+    let compile = Incoming::request(2, "compile", Json::obj([("uri", Json::str("f.anv"))]));
+    let input = format!("{}\n{}\n", open.to_frame(), compile.to_frame());
+    let writes = Mutex::new(Vec::new());
+    service
+        .serve(input.as_bytes(), WriteLog(&writes))
+        .expect("serve");
+
+    let frames: Vec<Json> = writes
+        .into_inner()
+        .unwrap()
+        .iter()
+        .map(|call| {
+            let text = std::str::from_utf8(call).expect("UTF-8");
+            assert!(
+                text.ends_with('\n') && text.matches('\n').count() == 1,
+                "a write that is not exactly one frame: {text:?}"
+            );
+            Json::parse(text).expect("a whole frame")
+        })
+        .collect();
+    // The open response, then the compile's diagnostics notification
+    // and its response.
+    assert_eq!(frames.len(), 3, "{frames:?}");
+    let notes = frames.iter().filter(|f| f.get("method").is_some());
+    assert_eq!(
+        notes
+            .map(|f| f.get("method").and_then(Json::as_str))
+            .collect::<Vec<_>>(),
+        [Some("diagnostics")]
+    );
+    let compiled = frames
+        .iter()
+        .find(|f| f.get("id").and_then(Json::as_i64) == Some(2));
+    assert!(
+        compiled.is_some_and(|f| result(f, "systemverilog").as_str().is_some()),
+        "{frames:?}"
+    );
 }
 
 #[test]
