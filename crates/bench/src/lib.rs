@@ -197,7 +197,8 @@ pub mod simload {
         }
 
         /// One pass in scalar mode: each stimulus schedule on its own
-        /// scalar tape engine. Returns the fingerprint fold.
+        /// compiled-backend `Sim` (the tape executor at one lane).
+        /// Returns the fingerprint fold.
         pub fn run_scalar(&self, sims: &mut [Vec<Sim>], seed: u64) -> u64 {
             let mut acc = 0u64;
             for (d, lanes) in sims.iter_mut().enumerate() {

@@ -20,8 +20,9 @@
 //! inputs ([`SimBatch::poke`]), outputs ([`SimBatch::peek`]), debug-print
 //! log ([`SimBatch::log`]), toggle counters, and state fingerprint, and
 //! every observable is bit-identical to running the same stimulus on a
-//! scalar `Sim` (differentially property-tested over the paper's
-//! ten-design evaluation suite in `tests/batch_differential.rs`).
+//! `Sim` (differentially property-tested against the tree-walking
+//! reference engine over the paper's ten-design evaluation suite in
+//! `tests/batch_differential.rs`).
 //!
 //! Unlike [`Sim`](crate::Sim) — which settles eagerly after every poke so
 //! reads can take `&self` — `SimBatch` settles *lazily*: pokes only mark

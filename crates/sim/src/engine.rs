@@ -13,9 +13,11 @@
 //!
 //! * [`Backend::Tree`] — the reference engine in this module, which
 //!   re-walks the recursive [`Expr`] trees every cycle, and
-//! * [`Backend::Compiled`] — the instruction-tape engine in
-//!   [`crate::tape`], a one-time lowering to topologically scheduled
-//!   word-level ops over a flat `u64` arena.
+//! * [`Backend::Compiled`] — the instruction-tape executor in
+//!   [`crate::tape`] (a one-time lowering to topologically scheduled
+//!   word-level ops over a flat `u64` arena) run at one lane: the same
+//!   executor `SimBatch` runs at 4 to 32 lanes, dirty-region settle
+//!   skipping included.
 //!
 //! Both engines are driven through the same facade, produce bit-identical
 //! signal values, debug prints, toggle counts, and state fingerprints, and
@@ -29,7 +31,7 @@ use std::sync::Arc;
 
 use anvil_rtl::{ArrayId, BinaryOp, Bits, Expr, Module, SignalId, SignalKind, UnaryOp};
 
-use crate::tape::{Tape, TapeEngine};
+use crate::tape::{LaneEngine, Tape};
 
 /// Errors raised when preparing or running a simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,7 +125,9 @@ pub enum Backend {
     /// The reference engine: walks the recursive `Expr` trees every cycle.
     Tree,
     /// The compiled engine: a one-time lowering to a linear instruction
-    /// tape with pre-resolved slot indices and word-packed storage.
+    /// tape with pre-resolved slot indices and word-packed storage, run
+    /// by the tape executor at one lane (settles skip regions whose
+    /// inputs did not change).
     #[default]
     Compiled,
 }
@@ -637,7 +641,7 @@ impl Sim {
             Backend::Tree => Box::new(TreeEngine::new(Arc::clone(&module))?),
             Backend::Compiled => {
                 let tape = Tape::compile(Arc::clone(&module))?;
-                Box::new(TapeEngine::new(Arc::new(tape)))
+                Box::new(LaneEngine::<1>::new(Arc::new(tape)))
             }
         };
         backend.settle();
@@ -914,6 +918,54 @@ mod tests {
             s.poke("raddr", Bits::from_u64(2, 2)).unwrap();
             assert_eq!(s.peek("q").unwrap().to_u64(), 0xAB);
         }
+    }
+
+    #[test]
+    fn poke_array_resettles_combinational_reads() {
+        // An input selects a combinational read of a memory: a direct
+        // element write must reach the read port (the tape executor
+        // re-settles only the regions reading the memory), and reset must
+        // bring the init image back.
+        let mut m = Module::new("rom");
+        let raddr = m.input("raddr", 2);
+        let q = m.output("q", 8);
+        let init = [0x11, 0x22, 0x33, 0x44].map(|v| Bits::from_u64(v, 8));
+        let arr = m.array_init("mem", 8, 4, init.to_vec());
+        m.assign(
+            q,
+            Expr::ArrayRead {
+                array: arr,
+                index: Box::new(Expr::Signal(raddr)),
+            },
+        );
+        let addr = Bits::from_u64(2, 2);
+        let new = Bits::from_u64(0xAB, 8);
+        for mut s in both(&m) {
+            let kind = s.backend_kind();
+            s.poke("raddr", addr.clone()).unwrap();
+            assert_eq!(s.peek("q").unwrap().to_u64(), 0x33, "{kind}");
+            s.poke_array(arr, 2, new.clone());
+            assert_eq!(s.peek("q").unwrap().to_u64(), 0xAB, "{kind}");
+            s.reset();
+            assert_eq!(s.peek_array(arr, 2).to_u64(), 0x33, "{kind}");
+            assert_eq!(s.peek("q").unwrap().to_u64(), 0x11, "{kind}");
+            s.poke("raddr", addr.clone()).unwrap();
+            assert_eq!(s.peek("q").unwrap().to_u64(), 0x33, "{kind}");
+        }
+
+        // One batch lane, beside a lane that reads element 0.
+        let mut b = crate::SimBatch::new(&m, 3).unwrap();
+        b.poke(1, "raddr", addr.clone()).unwrap();
+        assert_eq!(b.peek(1, "q").unwrap().to_u64(), 0x33);
+        b.poke_array(1, arr, 2, new);
+        assert_eq!(b.peek(1, "q").unwrap().to_u64(), 0xAB);
+        assert_eq!(b.peek(0, "q").unwrap().to_u64(), 0x11);
+        assert_eq!(b.peek_array(0, arr, 2).to_u64(), 0x33);
+        b.reset();
+        assert_eq!(b.peek_array(1, arr, 2).to_u64(), 0x33);
+        assert_eq!(b.peek(1, "q").unwrap().to_u64(), 0x11);
+        b.poke(1, "raddr", addr).unwrap();
+        assert_eq!(b.peek(1, "q").unwrap().to_u64(), 0x33);
     }
 
     #[test]

@@ -25,14 +25,18 @@
 //!   module into a linear instruction tape: combinational ops
 //!   topologically scheduled, all signal/array references pre-resolved to
 //!   word offsets in a flat `u64` arena, executed by a tight non-recursive
-//!   loop with no per-cycle allocation. Several times faster per cycle
-//!   (see the `sim_suite_*` benches and the README speedup table), which
-//!   is what makes brute-forcing many stimulus schedules practical.
+//!   loop with no per-cycle allocation. It is the multi-lane executor
+//!   behind [`SimBatch`] run at one lane, so a settle skips every region
+//!   whose inputs did not change. Several times faster per cycle (see the
+//!   `sim_suite_*` benches and the README speedup table), which is what
+//!   makes brute-forcing many stimulus schedules practical.
 //!
 //! The two engines produce bit-identical values, debug prints, toggle
 //! counts, and [`Sim::state_fingerprint`]s; a differential property test
 //! drives both over the paper's ten-design evaluation suite with random
-//! stimulus every run.
+//! stimulus every run. The tree engine is the only semantics independent
+//! of the tape executor, so the batch differential tests compare against
+//! it too.
 
 //! # Multi-lane batch simulation
 //!
@@ -44,11 +48,12 @@
 //! covers a compile-time-known row over contiguous memory. A
 //! superinstruction fusion pass and dirty-region settle-skipping
 //! ([`TapeOptions`]) cut the op count and the per-cycle work further —
-//! all bit-identical to the scalar engines.
+//! all bit-identical to the tree engine.
 //! [`TapeProgram`] shares the one-time lowering across threads, and
 //! [`sweep_chunks`] spreads lane-chunks over `std::thread::scope` workers
 //! — the substrate for `anvil-verify`'s `bmc_sweep` and bulk differential
-//! fuzzing. Per-lane observables are bit-identical to scalar [`Sim`]s.
+//! fuzzing. Per-lane observables are bit-identical to [`Sim`]s on either
+//! backend.
 
 #![warn(missing_docs)]
 

@@ -6,11 +6,12 @@
 //! recursive [`Expr`] tree into word-level ops over a flat `u64` arena:
 //! every signal, register next-value, debug-print operand, array-write
 //! operand, constant, and intermediate gets a pre-resolved *slot* (word
-//! offset + width). [`TapeEngine`] then executes one settle as a single
+//! offset + width). [`LaneEngine`] then executes one settle as a single
 //! non-recursive pass over the op list — no name lookups, no `HashMap`
 //! probes, no per-node heap allocation — which is what makes brute-forcing
-//! many stimulus schedules (BMC, differential fuzzing, the scenario sweeps
-//! the ROADMAP asks for) practical.
+//! many stimulus schedules (BMC, differential fuzzing, scenario sweeps)
+//! practical. It is the only tape executor: `SimBatch` runs it at a lane
+//! stride of 4 to 32, and `Sim`'s compiled backend runs it at one lane.
 //!
 //! Lowering re-derives every expression width while allocating slots, so
 //! it enforces the same driver width discipline as the facade's shared
@@ -391,14 +392,15 @@ struct TapeArray {
 /// (everything on, auto stride) are what
 /// [`TapeProgram::compile`](crate::TapeProgram::compile) and `Sim` use;
 /// the differential test matrix exercises every combination against the
-/// scalar engines.
+/// tree-walking reference engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TapeOptions {
     /// Run the superinstruction fusion pass (slice/resize folds,
     /// add-ladder fusion, mux-chain fusion, copy coalescing).
     pub fuse: bool,
-    /// Partition the tape into input-cone regions and let the lane
-    /// engines skip settling regions whose inputs did not change.
+    /// Partition the tape into input-cone regions and let the tape
+    /// executor skip settling regions whose inputs did not change — in
+    /// `SimBatch` lane groups and in `Sim`'s compiled backend alike.
     pub dirty_regions: bool,
     /// Lane-engine stride override. `None` consults `ANVIL_SIM_LANES`
     /// and falls back to the default stride; `Some(w)` must be one of
@@ -448,7 +450,7 @@ pub(crate) fn lane_width_from_env() -> Result<Option<usize>, SimError> {
 }
 
 /// The immutable compiled program: share one `Arc<Tape>` across as many
-/// [`TapeEngine`] instances (and threads) as needed — e.g. the bounded
+/// [`LaneEngine`] instances (and threads) as needed — e.g. the bounded
 /// model checker lowers once and replays thousands of traces.
 pub(crate) struct Tape {
     /// The settle program: region-contiguous, and topologically ordered
@@ -1318,529 +1320,28 @@ fn partition_regions(tape: &mut Tape, enabled: bool, coalesce: bool) {
     tape.array_regions = array_regions;
 }
 
-// ---- word-level helpers -------------------------------------------------
-
-fn any_set(arena: &[u64], s: Slot) -> bool {
-    arena[s.range()].iter().any(|w| *w != 0)
-}
-
-fn zero_slot(arena: &mut [u64], s: Slot) {
-    arena[s.range()].fill(0);
-}
-
-fn copy_slot(arena: &mut [u64], dst: Slot, src: Slot) {
-    let (d, s) = (dst.off(), src.off());
-    for k in 0..dst.words() {
-        arena[d + k] = arena[s + k];
-    }
-}
-
-/// Reads `n` (≤ 64) bits of `s` starting at bit `lo`; bits past the slot's
-/// storage are zero (slot values keep their high bits masked).
-fn read_chunk(arena: &[u64], s: Slot, lo: usize, n: usize) -> u64 {
-    let total = s.words() * 64;
-    if lo >= total {
-        return 0;
-    }
-    let wi = lo / 64;
-    let sh = lo % 64;
-    let mut v = arena[s.off() + wi] >> sh;
-    if sh != 0 && wi + 1 < s.words() {
-        v |= arena[s.off() + wi + 1] << (64 - sh);
-    }
-    if n < 64 {
-        v &= (1u64 << n) - 1;
-    }
-    v
-}
-
-/// ORs `n` (≤ 64) bits into `s` starting at bit `lo`. The target bits must
-/// currently be zero (callers zero the destination first).
-fn or_chunk(arena: &mut [u64], s: Slot, lo: usize, n: usize, val: u64) {
-    let wi = lo / 64;
-    let sh = lo % 64;
-    let v = if n < 64 { val & ((1u64 << n) - 1) } else { val };
-    arena[s.off() + wi] |= v << sh;
-    if sh != 0 && sh + n > 64 {
-        arena[s.off() + wi + 1] |= v >> (64 - sh);
-    }
-}
-
-/// ORs `n` bits of `src` (starting at `src_lo`) into `dst` at `dst_lo`.
-fn or_bits(arena: &mut [u64], dst: Slot, dst_lo: usize, src: Slot, src_lo: usize, n: usize) {
-    let mut k = 0;
-    while k < n {
-        let step = (n - k).min(64);
-        let v = read_chunk(arena, src, src_lo + k, step);
-        or_chunk(arena, dst, dst_lo + k, step, v);
-        k += step;
-    }
-}
-
-fn unsigned_lt(arena: &[u64], a: Slot, b: Slot) -> bool {
-    for k in (0..a.words()).rev() {
-        let (x, y) = (arena[a.off() + k], arena[b.off() + k]);
-        if x != y {
-            return x < y;
-        }
-    }
-    false
-}
-
-fn words_eq(arena: &[u64], a: Slot, b: Slot) -> bool {
-    (0..a.words()).all(|k| arena[a.off() + k] == arena[b.off() + k])
-}
-
-/// The executor: one arena of current values, one snapshot for toggle
-/// counting, word-packed memories, and a scratch buffer for
-/// multiplications. All per-cycle work is allocation-free.
-pub(crate) struct TapeEngine {
-    tape: Arc<Tape>,
-    arena: Vec<u64>,
-    /// Previous settled arena (toggle counting).
-    prev_arena: Vec<u64>,
-    arrays: Vec<Vec<u64>>,
-    toggles: Vec<u64>,
-    scratch: Vec<u64>,
-    dirty: bool,
-}
-
-impl TapeEngine {
-    pub(crate) fn new(tape: Arc<Tape>) -> Self {
-        let arena = tape.init_arena.clone();
-        let arrays = tape.arrays.iter().map(|a| a.init.clone()).collect();
-        let n = tape.sig_slots.len();
-        let max_words = tape
-            .sig_slots
-            .iter()
-            .map(|s| s.words())
-            .max()
-            .unwrap_or(1)
-            .max(
-                tape.ops
-                    .iter()
-                    .map(|op| match op {
-                        Op::Mul { dst, .. } => dst.words(),
-                        _ => 1,
-                    })
-                    .max()
-                    .unwrap_or(1),
-            );
-        TapeEngine {
-            prev_arena: arena.clone(),
-            arena,
-            arrays,
-            toggles: vec![0; n],
-            scratch: vec![0; max_words],
-            tape: Arc::clone(&tape),
-            dirty: true,
-        }
-    }
-
-    fn slot_bits(&self, s: Slot) -> Bits {
-        Bits::from_words(s.width(), &self.arena[s.range()])
-    }
-}
-
-/// Executes one op. `arrays` is read-only here: memories are only written
-/// at the clock edge, never during a settle pass.
-fn exec_op(
-    op: &Op,
-    arena: &mut [u64],
-    scratch: &mut [u64],
-    arrays: &[Vec<u64>],
-    metas: &[TapeArray],
-) {
-    match op {
-        Op::Copy { dst, src } => copy_slot(arena, *dst, *src),
-        Op::Not { dst, a } => {
-            for k in 0..dst.words() {
-                arena[dst.off() + k] = !arena[a.off() + k];
-            }
-            arena[dst.off() + dst.words() - 1] &= dst.top_mask();
-        }
-        Op::Neg { dst, a } => {
-            let mut borrow = 0u64;
-            for k in 0..dst.words() {
-                let y = arena[a.off() + k];
-                let (d1, b1) = 0u64.overflowing_sub(y);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                arena[dst.off() + k] = d2;
-                borrow = u64::from(b1) | u64::from(b2);
-            }
-            arena[dst.off() + dst.words() - 1] &= dst.top_mask();
-        }
-        Op::Add { dst, a, b } => {
-            let mut carry = 0u64;
-            for k in 0..dst.words() {
-                let (s1, c1) = arena[a.off() + k].overflowing_add(arena[b.off() + k]);
-                let (s2, c2) = s1.overflowing_add(carry);
-                arena[dst.off() + k] = s2;
-                carry = u64::from(c1) | u64::from(c2);
-            }
-            arena[dst.off() + dst.words() - 1] &= dst.top_mask();
-        }
-        Op::Sub { dst, a, b } => {
-            let mut borrow = 0u64;
-            for k in 0..dst.words() {
-                let (d1, b1) = arena[a.off() + k].overflowing_sub(arena[b.off() + k]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                arena[dst.off() + k] = d2;
-                borrow = u64::from(b1) | u64::from(b2);
-            }
-            arena[dst.off() + dst.words() - 1] &= dst.top_mask();
-        }
-        Op::Mul { dst, a, b } => {
-            let w = dst.words();
-            let scratch = &mut scratch[..w];
-            scratch.fill(0);
-            for i in 0..w {
-                let ai = arena[a.off() + i];
-                if ai == 0 {
-                    continue;
-                }
-                let mut carry: u128 = 0;
-                for j in 0..w - i {
-                    let cur = scratch[i + j] as u128
-                        + (ai as u128) * (arena[b.off() + j] as u128)
-                        + carry;
-                    scratch[i + j] = cur as u64;
-                    carry = cur >> 64;
-                }
-            }
-            arena[dst.range()].copy_from_slice(scratch);
-            arena[dst.off() + dst.words() - 1] &= dst.top_mask();
-        }
-        Op::And { dst, a, b } => {
-            for k in 0..dst.words() {
-                arena[dst.off() + k] = arena[a.off() + k] & arena[b.off() + k];
-            }
-        }
-        Op::Or { dst, a, b } => {
-            for k in 0..dst.words() {
-                arena[dst.off() + k] = arena[a.off() + k] | arena[b.off() + k];
-            }
-        }
-        Op::Xor { dst, a, b } => {
-            for k in 0..dst.words() {
-                arena[dst.off() + k] = arena[a.off() + k] ^ arena[b.off() + k];
-            }
-        }
-        Op::Cmp { dst, a, b, kind } => {
-            let r = match kind {
-                CmpKind::Eq => words_eq(arena, *a, *b),
-                CmpKind::Ne => !words_eq(arena, *a, *b),
-                CmpKind::Lt => unsigned_lt(arena, *a, *b),
-                CmpKind::Le => !unsigned_lt(arena, *b, *a),
-                CmpKind::Gt => unsigned_lt(arena, *b, *a),
-                CmpKind::Ge => !unsigned_lt(arena, *a, *b),
-            };
-            arena[dst.off()] = u64::from(r);
-        }
-        Op::Red { dst, a, kind } => {
-            let r = match kind {
-                RedKind::And => {
-                    (0..a.words() - 1).all(|k| arena[a.off() + k] == u64::MAX)
-                        && arena[a.off() + a.words() - 1] == a.top_mask()
-                }
-                RedKind::Or => any_set(arena, *a),
-                RedKind::Xor => {
-                    arena[a.range()]
-                        .iter()
-                        .fold(0u32, |acc, w| acc ^ w.count_ones())
-                        % 2
-                        == 1
-                }
-                RedKind::LogicNot => !any_set(arena, *a),
-            };
-            arena[dst.off()] = u64::from(r);
-        }
-        Op::Shift { dst, a, amt, left } => {
-            let n = arena[amt.off()].min(u64::from(u32::MAX)) as usize;
-            let width = dst.width();
-            zero_slot(arena, *dst);
-            if n < width {
-                if *left {
-                    or_bits(arena, *dst, n, *a, 0, width - n);
-                } else {
-                    or_bits(arena, *dst, 0, *a, n, width - n);
-                }
-            }
-        }
-        Op::Mux { dst, cond, t, e } => {
-            let src = if any_set(arena, *cond) { *t } else { *e };
-            copy_slot(arena, *dst, src);
-        }
-        Op::Slice { dst, src, lo } => {
-            zero_slot(arena, *dst);
-            or_bits(arena, *dst, 0, *src, *lo as usize, dst.width());
-        }
-        Op::Concat { dst, parts } => {
-            zero_slot(arena, *dst);
-            for (part, lo) in parts.iter() {
-                or_bits(arena, *dst, *lo as usize, *part, 0, part.width());
-            }
-        }
-        Op::Resize { dst, src } => {
-            zero_slot(arena, *dst);
-            let n = dst.width().min(src.width());
-            or_bits(arena, *dst, 0, *src, 0, n);
-        }
-        Op::Gather { dst, parts } => {
-            zero_slot(arena, *dst);
-            for p in parts.iter() {
-                or_bits(
-                    arena,
-                    *dst,
-                    p.dst_lo as usize,
-                    p.src,
-                    p.src_lo as usize,
-                    p.width as usize,
-                );
-            }
-        }
-        Op::ArrayRead { dst, array, index } => {
-            let meta = &metas[*array as usize];
-            let idx = arena[index.off()] as usize;
-            if idx < meta.depth as usize {
-                let wpe = meta.wpe as usize;
-                let elem = &arrays[*array as usize][idx * wpe..(idx + 1) * wpe];
-                arena[dst.range()].copy_from_slice(elem);
-            } else {
-                zero_slot(arena, *dst);
-            }
-        }
-        Op::Add3 { dst, a, b, c } => {
-            let mut carry: u128 = 0;
-            for k in 0..dst.words() {
-                let cur = arena[a.off() + k] as u128
-                    + arena[b.off() + k] as u128
-                    + arena[c.off() + k] as u128
-                    + carry;
-                arena[dst.off() + k] = cur as u64;
-                carry = cur >> 64;
-            }
-            arena[dst.off() + dst.words() - 1] &= dst.top_mask();
-        }
-        Op::Logic3 {
-            dst,
-            a,
-            b,
-            c,
-            first,
-            second,
-        } => {
-            for k in 0..dst.words() {
-                let t = bw(arena[a.off() + k], arena[b.off() + k], *first);
-                arena[dst.off() + k] = bw(t, arena[c.off() + k], *second);
-            }
-        }
-        Op::MuxChain {
-            dst,
-            cases,
-            default,
-        } => {
-            let mut src = *default;
-            for (c, v) in cases.iter() {
-                if any_set(arena, *c) {
-                    src = *v;
-                    break;
-                }
-            }
-            copy_slot(arena, *dst, src);
-        }
-        Op::CopyRange {
-            dst_off,
-            src_off,
-            words,
-        } => {
-            let (d, s, w) = (*dst_off as usize, *src_off as usize, *words as usize);
-            arena.copy_within(s..s + w, d);
-        }
-    }
-}
-
-impl ValueSource for TapeEngine {
-    fn signal(&self, id: SignalId) -> Bits {
-        self.slot_bits(self.tape.sig_slots[id.0])
-    }
-
-    fn array_read(&self, array: ArrayId, index: usize) -> Bits {
-        let meta = &self.tape.arrays[array.0];
-        if index < meta.depth as usize {
-            let wpe = meta.wpe as usize;
-            Bits::from_words(
-                meta.width as usize,
-                &self.arrays[array.0][index * wpe..(index + 1) * wpe],
-            )
-        } else {
-            Bits::zero(meta.width as usize)
-        }
-    }
-}
-
-impl SimBackend for TapeEngine {
-    fn kind(&self) -> Backend {
-        Backend::Compiled
-    }
-
-    fn settle(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        // Opened only when there is work: the settle-skip early return
-        // above stays untraced and pays nothing.
-        let _sp = anvil_trace::span("sim", "settle");
-        let tape = Arc::clone(&self.tape);
-        for op in &tape.ops {
-            exec_op(
-                op,
-                &mut self.arena,
-                &mut self.scratch,
-                &self.arrays,
-                &tape.arrays,
-            );
-        }
-        self.dirty = false;
-    }
-
-    fn commit(&mut self, cycle: u64, log: &mut Vec<(u64, String)>) {
-        self.settle();
-        let tape = Arc::clone(&self.tape);
-
-        for p in &tape.prints {
-            if any_set(&self.arena, p.enable) {
-                let msg = match p.value {
-                    Some(v) => format!("{}: {:x}", p.label, self.slot_bits(v)),
-                    None => p.label.clone(),
-                };
-                log.push((cycle, msg));
-            }
-        }
-
-        for (i, s) in tape.sig_slots.iter().enumerate() {
-            let mut t = 0u32;
-            for k in s.range() {
-                t += (self.arena[k] ^ self.prev_arena[k]).count_ones();
-            }
-            self.toggles[i] += u64::from(t);
-        }
-        self.prev_arena.copy_from_slice(&self.arena);
-
-        // Array writes read the pre-edge arena (their operand slots may
-        // alias register current-value slots), so they commit first; the
-        // written memories are only read back at the next settle.
-        for w in &tape.writes {
-            if any_set(&self.arena, w.enable) {
-                let meta = &tape.arrays[w.array as usize];
-                let idx = self.arena[w.index.off()] as usize;
-                if idx < meta.depth as usize {
-                    let wpe = meta.wpe as usize;
-                    self.arrays[w.array as usize][idx * wpe..(idx + 1) * wpe]
-                        .copy_from_slice(&self.arena[w.data.range()]);
-                }
-            }
-        }
-        for (cur, next) in &tape.reg_commits {
-            copy_slot(&mut self.arena, *cur, *next);
-        }
-        self.dirty = true;
-    }
-
-    fn peek_id(&self, id: SignalId) -> Bits {
-        self.slot_bits(self.tape.sig_slots[id.0])
-    }
-
-    fn poke_id(&mut self, id: SignalId, value: Bits) {
-        let s = self.tape.sig_slots[id.0];
-        // Skip the dirty flag (and thus the eager re-settle) when the
-        // poked value is already the current one — testbenches re-drive
-        // constant handshake lines every cycle.
-        if self.arena[s.range()] == *value.as_words() {
-            return;
-        }
-        self.arena[s.range()].copy_from_slice(value.as_words());
-        self.dirty = true;
-    }
-
-    fn peek_array(&self, array: ArrayId, index: usize) -> Bits {
-        let meta = &self.tape.arrays[array.0];
-        assert!(
-            index < meta.depth as usize,
-            "array index {index} out of range for depth {}",
-            meta.depth
-        );
-        let wpe = meta.wpe as usize;
-        Bits::from_words(
-            meta.width as usize,
-            &self.arrays[array.0][index * wpe..(index + 1) * wpe],
-        )
-    }
-
-    fn poke_array(&mut self, array: ArrayId, index: usize, value: Bits) {
-        let meta = &self.tape.arrays[array.0];
-        assert!(
-            index < meta.depth as usize,
-            "array index {index} out of range for depth {}",
-            meta.depth
-        );
-        let wpe = meta.wpe as usize;
-        self.arrays[array.0][index * wpe..(index + 1) * wpe].copy_from_slice(value.as_words());
-        self.dirty = true;
-    }
-
-    fn eval(&self, e: &Expr) -> Bits {
-        eval_expr(e, self)
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = StateHasher::new();
-        for s in &self.tape.reg_fp {
-            h.add(s.width(), &self.arena[s.range()]);
-        }
-        for (i, meta) in self.tape.arrays.iter().enumerate() {
-            let wpe = meta.wpe as usize;
-            for e in 0..meta.depth as usize {
-                h.add(meta.width as usize, &self.arrays[i][e * wpe..(e + 1) * wpe]);
-            }
-        }
-        h.finish()
-    }
-
-    fn toggle_counts(&self) -> &[u64] {
-        &self.toggles
-    }
-
-    fn reset(&mut self) {
-        self.arena.copy_from_slice(&self.tape.init_arena);
-        self.prev_arena.copy_from_slice(&self.arena);
-        for (store, meta) in self.arrays.iter_mut().zip(&self.tape.arrays) {
-            store.copy_from_slice(&meta.init);
-        }
-        self.toggles.fill(0);
-        self.dirty = true;
-    }
-}
-
-// ---- multi-lane execution ----------------------------------------------
+// ---- execution ------------------------------------------------------------
 //
-// The same tape, executed across `L` independent stimulus lanes at once.
-// The state arena becomes a structure-of-arrays at word granularity:
-// logical arena word `w` of lane `l` lives at `arena[w * L + l]`, so a
-// slot's storage is the contiguous range `s.off()*L .. (s.off() +
-// s.words())*L`. Every op decodes once and its inner loop runs across
-// all lanes over contiguous memory — the dispatch cost is amortized
-// `L`-fold and the lane loops auto-vectorize.
+// The one tape executor, running `L` independent stimulus lanes at once.
+// The state arena is a structure-of-arrays at word granularity: logical
+// arena word `w` of lane `l` lives at `arena[w * L + l]`, so a slot's
+// storage is the contiguous range `s.off()*L .. (s.off() + s.words())*L`.
+// Every op decodes once and its inner loop runs across all lanes over
+// contiguous memory — the dispatch cost is amortized `L`-fold and the
+// lane loops auto-vectorize.
 //
 // `L` is a const generic, monomorphized for every width in
 // [`LANE_WIDTHS`] (4 · u64 = one AVX2 register, 8 = one AVX-512
 // register, 16/32 = unrolled multiples that amortize the decode
 // further). The [`LaneGroup`] trait object erases the width so
 // `SimBatch` can mix strides — full-width groups plus a narrower tail.
+// `L = 1` is `Sim`'s compiled backend: at one lane the laned layout is
+// the flat scalar one.
 //
 // Lane-divergent behaviour (mux selects, shift amounts, memory indices,
-// print enables, toggle counts, fingerprints) is handled per lane; the
-// result is bit-identical to running `L` scalar [`TapeEngine`]s.
+// print enables, toggle counts, fingerprints) is handled per lane, so
+// every lane observes exactly what a one-lane engine fed the same
+// stimulus does.
 //
 // Settle-skipping: the tape's regions (see [`Tape::regions`]) each carry
 // a dirty bit. A poke that changes an input dirties the region reading
@@ -1879,8 +1380,9 @@ fn any_set_lane<const L: usize>(arena: &[u64], s: Slot, l: usize) -> bool {
     (0..s.words()).any(|k| arena[lane_base::<L>(s, k) + l] != 0)
 }
 
-/// Lane-indexed [`read_chunk`]: `n` (≤ 64) bits of lane `l` of `s`
-/// starting at bit `lo`.
+/// Reads `n` (≤ 64) bits of lane `l` of `s` starting at bit `lo`; bits
+/// past the slot's storage are zero (slot values keep their high bits
+/// masked).
 fn read_chunk_lane<const L: usize>(arena: &[u64], s: Slot, lo: usize, n: usize, l: usize) -> u64 {
     let total = s.words() * 64;
     if lo >= total {
@@ -1898,7 +1400,8 @@ fn read_chunk_lane<const L: usize>(arena: &[u64], s: Slot, lo: usize, n: usize, 
     v
 }
 
-/// Lane-indexed [`or_chunk`]; target bits must currently be zero.
+/// ORs `n` (≤ 64) bits into lane `l` of `s` starting at bit `lo`; the
+/// target bits must currently be zero.
 fn or_chunk_lane<const L: usize>(
     arena: &mut [u64],
     s: Slot,
@@ -1916,8 +1419,9 @@ fn or_chunk_lane<const L: usize>(
     }
 }
 
-/// Per-lane [`or_bits`] (used where the bit offset differs per lane, i.e.
-/// run-time shifts).
+/// ORs `n` bits of lane `l` of `src` (from `src_lo`) into `dst` at
+/// `dst_lo` (used where the bit offset differs per lane, i.e. run-time
+/// shifts).
 fn or_bits_lane<const L: usize>(
     arena: &mut [u64],
     dst: Slot,
@@ -2552,10 +2056,12 @@ fn exec_op_lanes<const L: usize>(
     }
 }
 
-/// The multi-lane executor: one laned arena holding [`L`] independent
-/// copies of the design's state, all advanced by a single pass over the
-/// op list per settle. Bit-identical to `L` scalar [`TapeEngine`]s
-/// (differentially property-tested over the whole evaluation suite).
+/// The tape executor: one laned arena holding [`L`] independent copies
+/// of the design's state, all advanced by a single pass over the op list
+/// per settle. `SimBatch` groups run at `L` ∈ [`LANE_WIDTHS`]; `Sim`'s
+/// compiled backend is `LaneEngine<1>` (see its [`SimBackend`] impl).
+/// Every lane is differentially property-tested against the tree-walking
+/// reference engine over the whole evaluation suite.
 pub(crate) struct LaneEngine<const L: usize> {
     tape: Arc<Tape>,
     /// Laned arena: logical word `w`, lane `l` ↦ `arena[w * L + l]`.
@@ -2634,9 +2140,12 @@ impl<const L: usize> LaneEngine<L> {
         }
         // Opened only when there is work — the settle-skip early return
         // stays untraced — and the per-region children gate on one
-        // enabled() check for the whole pass.
+        // enabled() check for the whole pass. Region children are batch
+        // detail only: `Sim` (`L = 1`) settles on every poke and step, so
+        // its traced requests keep one span per settle. `L` is a
+        // constant, so the check folds away.
         let _sp = anvil_trace::span("sim", "settle");
-        let traced = anvil_trace::enabled();
+        let traced = L > 1 && anvil_trace::enabled();
         let tape = Arc::clone(&self.tape);
         for (ri, (s, e)) in tape.regions.iter().enumerate() {
             if !self.region_dirty[ri] {
@@ -2682,8 +2191,7 @@ impl<const L: usize> LaneEngine<L> {
 
         // One fused pass: count toggles against the previous edge and
         // refresh the per-signal snapshot in place. Only signal slots are
-        // touched — temp slots never enter the toggle observables, so the
-        // full-arena copy the scalar engine does is unnecessary here.
+        // touched — temp slots never enter the toggle observables.
         for (i, s) in tape.sig_slots.iter().enumerate() {
             let tg = row_mut::<L>(&mut self.toggles, i * L);
             for k in 0..s.words() {
@@ -2697,9 +2205,10 @@ impl<const L: usize> LaneEngine<L> {
             }
         }
 
-        // As in the scalar engine: array writes read the pre-edge arena,
-        // so they commit before the register next-values land. A write
-        // that actually lands dirties every region reading the array.
+        // Array writes read the pre-edge arena (their operand slots may
+        // alias register current-value slots), so they commit before the
+        // register next-values land. A write that actually lands dirties
+        // every region reading the array.
         for w in &tape.writes {
             let meta = &tape.arrays[w.array as usize];
             let wpe = meta.wpe as usize;
@@ -2849,10 +2358,9 @@ impl<const L: usize> LaneEngine<L> {
         eval_expr(e, &LaneView { engine: self, lane })
     }
 
-    /// Canonical architectural-state hash of one lane — equal to the
-    /// scalar backends' [`SimBackend::state_fingerprint`] for equal
-    /// states. Reuses the engine's pre-sized gather scratch, so the call
-    /// is allocation-free.
+    /// Canonical architectural-state hash of one lane — equal to
+    /// [`SimBackend::state_fingerprint`] for equal states. Reuses the
+    /// engine's pre-sized gather scratch, so the call is allocation-free.
     pub(crate) fn state_fingerprint_lane(&mut self, lane: usize) -> u64 {
         let tape = Arc::clone(&self.tape);
         let mut h = StateHasher::new();
@@ -2999,6 +2507,64 @@ pub(crate) fn tail_width(lanes: usize) -> usize {
     LANE_WIDTHS[LANE_WIDTHS.len() - 1]
 }
 
+/// `Backend::Compiled`: `Sim` drives the executor at one lane. At
+/// `L = 1` the laned arena, memories and toggle counters have the flat
+/// scalar layout, so the slice-returning observables read them directly.
+impl SimBackend for LaneEngine<1> {
+    fn kind(&self) -> Backend {
+        Backend::Compiled
+    }
+
+    fn settle(&mut self) {
+        LaneEngine::settle(self)
+    }
+
+    fn commit(&mut self, cycle: u64, log: &mut Vec<(u64, String)>) {
+        LaneEngine::commit(self, &mut |_, msg| log.push((cycle, msg)))
+    }
+
+    fn peek_id(&self, id: SignalId) -> Bits {
+        self.peek_lane(id, 0)
+    }
+
+    fn poke_id(&mut self, id: SignalId, value: Bits) {
+        self.poke_lane(id, &value, 0)
+    }
+
+    fn peek_array(&self, array: ArrayId, index: usize) -> Bits {
+        self.peek_array_lane(array, index, 0)
+    }
+
+    fn poke_array(&mut self, array: ArrayId, index: usize, value: Bits) {
+        self.poke_array_lane(array, index, &value, 0)
+    }
+
+    fn eval(&self, e: &Expr) -> Bits {
+        self.eval_lane(e, 0)
+    }
+
+    fn state_fingerprint(&self) -> u64 {
+        let mut h = StateHasher::new();
+        for s in &self.tape.reg_fp {
+            h.add(s.width(), &self.arena[s.range()]);
+        }
+        for (store, meta) in self.arrays.iter().zip(&self.tape.arrays) {
+            for elem in store.chunks_exact(meta.wpe as usize) {
+                h.add(meta.width as usize, elem);
+            }
+        }
+        h.finish()
+    }
+
+    fn toggle_counts(&self) -> &[u64] {
+        &self.toggles
+    }
+
+    fn reset(&mut self) {
+        LaneEngine::reset(self)
+    }
+}
+
 /// Read view of one lane, backing [`LaneEngine::eval_lane`] through the
 /// shared expression evaluator.
 struct LaneView<'a, const L: usize> {
@@ -3033,7 +2599,7 @@ impl<const L: usize> ValueSource for LaneView<'_, L> {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Tape>();
-    assert_send_sync::<TapeEngine>();
+    assert_send_sync::<LaneEngine<1>>();
     assert_send_sync::<LaneEngine<8>>();
 };
 

@@ -1,9 +1,10 @@
 //! Differential matrix over the tape optimization layer: the paper's
 //! ten-design evaluation suite runs under **every** (lane width ×
 //! fusion on/off × dirty-region skipping on/off) configuration, against
-//! per-lane scalar [`Sim`]s consuming bit-identical stimulus. Outputs,
-//! state fingerprints, debug prints, and toggle counts must match
-//! bit-for-bit — the optimizations are pure speedups, never observable.
+//! per-lane tree-engine [`Sim`]s consuming bit-identical stimulus.
+//! Outputs, state fingerprints, debug prints, and toggle counts must
+//! match bit-for-bit — the optimizations are pure speedups, never
+//! observable, and the executor agrees with the reference semantics.
 
 use anvil_designs::tb::{input_ports, xorshift64};
 use anvil_rtl::{Bits, SignalKind};
@@ -59,11 +60,12 @@ fn every_optimization_config_matches_scalar_sims() {
             .map(|(_, s)| s.name.clone())
             .collect();
 
-        // Scalar reference: one compiled-tape `Sim` per lane (itself
-        // differentially tested against the tree engine).
+        // Reference: one tree-walking `Sim` per lane. Not the compiled
+        // backend — that is the same tape executor at one lane, so an
+        // executor bug would show on both sides of the comparison.
         let reference: Vec<Observed> = (0..LANES)
             .map(|l| {
-                let mut sim = Sim::with_backend(&m, Backend::Compiled).expect("suite simulates");
+                let mut sim = Sim::with_backend(&m, Backend::Tree).expect("suite simulates");
                 let mut rng = stream_seed(d, l);
                 for _ in 0..CYCLES {
                     for (name, width) in &inputs {

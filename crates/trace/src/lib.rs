@@ -45,6 +45,6 @@ mod span;
 pub use chrome::{build_forest, chrome_trace, render_tree, subtree, SpanNode};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use span::{
-    current_span, enabled, instant, now_ns, record_manual, span, span_under, Capture, SpanGuard,
-    SpanRecord,
+    current_span, enabled, instant, now_ns, record_manual, registered_buffers_for_tests, span,
+    span_under, Capture, SpanGuard, SpanRecord,
 };

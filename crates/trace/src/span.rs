@@ -72,9 +72,9 @@ pub fn enabled() -> bool {
 
 type SharedBuf = Arc<Mutex<Vec<SpanRecord>>>;
 
-/// All per-thread buffers ever registered. Buffers are kept alive by
-/// this registry even after their thread exits so a capture can still
-/// drain them.
+/// The registered per-thread buffers. A buffer stays registered after
+/// its thread exits, so an open capture can still drain it; the last
+/// capture out drops it (see [`Capture`]).
 fn collector() -> &'static Mutex<Vec<SharedBuf>> {
     static BUFS: OnceLock<Mutex<Vec<SharedBuf>>> = OnceLock::new();
     BUFS.get_or_init(|| Mutex::new(Vec::new()))
@@ -275,7 +275,8 @@ pub fn record_manual(
 /// Enables tracing for its lifetime and collects the spans recorded
 /// while active. Captures are refcounted: concurrent captures each see
 /// all records produced while they were open, and buffers are only
-/// cleared when the last capture finishes.
+/// cleared when the last capture finishes — which also drops the
+/// buffers of threads that have exited since they were registered.
 pub struct Capture {
     /// First span id that belongs to this capture. Ids are allocated
     /// monotonically at open/record time, so filtering on id (rather
@@ -321,13 +322,26 @@ impl Capture {
     fn release(&self) {
         if ENABLED.fetch_sub(1, Ordering::SeqCst) == 1 {
             // Last capture out clears the buffers so long-lived
-            // processes do not accumulate records between requests.
-            let bufs: Vec<SharedBuf> = lock_poisoned(collector()).clone();
-            for buf in &bufs {
+            // processes do not accumulate records between requests, and
+            // drops those of exited threads: a buffer only the collector
+            // still holds has lost its thread-local owner. Nothing takes
+            // a buffer lock before the collector lock, so nesting them
+            // here cannot deadlock.
+            let mut bufs = lock_poisoned(collector());
+            for buf in bufs.iter() {
                 lock_poisoned(buf).clear();
             }
+            bufs.retain(|buf| Arc::strong_count(buf) > 1);
         }
     }
+}
+
+/// Test support: how many per-thread span buffers the collector holds.
+/// Hidden — exists so the buffer-pruning regression test can observe
+/// the registry from outside the crate.
+#[doc(hidden)]
+pub fn registered_buffers_for_tests() -> usize {
+    lock_poisoned(collector()).len()
 }
 
 impl Drop for Capture {

@@ -1,14 +1,17 @@
 //! Differential property tests between the multi-lane batch executor and
-//! independent scalar simulations.
+//! independent reference simulations.
 //!
 //! [`SimBatch`] runs L stimulus lanes in lockstep over one laned arena;
-//! every lane must be observationally identical to a scalar [`Sim`] fed
-//! the same stimulus: settled outputs, state fingerprints, debug prints,
-//! and toggle counts — cycle for cycle, bit for bit, for arbitrary lane
-//! counts (including counts that straddle the fixed 8-lane engine
-//! stride). The whole evaluation suite (Anvil-compiled designs *and*
-//! handwritten baselines) plus the motivating-example systems are driven
-//! with lane-divergent random stimulus every run.
+//! every lane must be observationally identical to a [`Sim`] on the
+//! tree-walking reference engine fed the same stimulus: settled outputs,
+//! state fingerprints, debug prints, and toggle counts — cycle for cycle,
+//! bit for bit, for arbitrary lane counts (including counts that straddle
+//! the engine stride). The reference is `Backend::Tree` because
+//! `Backend::Compiled` runs the same tape executor as the batch, so it
+//! could not catch an executor bug. The whole evaluation suite
+//! (Anvil-compiled designs *and* handwritten baselines) plus the
+//! motivating-example systems are driven with lane-divergent random
+//! stimulus every run.
 //!
 //! The same property extends to the sweep drivers: `bmc_sweep` must
 //! return exactly what sequential `bmc` returns — verdict, trace, and
@@ -35,8 +38,8 @@ fn lane_seeds(seed: u64, lanes: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Drives a `lanes`-wide batch and `lanes` scalar sims with identical
-/// per-lane random stimulus, asserting per-cycle agreement.
+/// Drives a `lanes`-wide batch and `lanes` tree-engine sims with
+/// identical per-lane random stimulus, asserting per-cycle agreement.
 fn assert_batch_agrees(
     module: &Module,
     seed: u64,
@@ -47,8 +50,8 @@ fn assert_batch_agrees(
         .unwrap_or_else(|e| panic!("batch rejects `{}`: {e}", module.name));
     let mut scalars: Vec<Sim> = (0..lanes)
         .map(|_| {
-            Sim::with_backend(module, Backend::Compiled)
-                .unwrap_or_else(|e| panic!("scalar backend rejects `{}`: {e}", module.name))
+            Sim::with_backend(module, Backend::Tree)
+                .unwrap_or_else(|e| panic!("tree backend rejects `{}`: {e}", module.name))
         })
         .collect();
     let inputs = input_ports(module);
