@@ -741,10 +741,11 @@ impl CompileService {
             }
         };
 
-        let circuit = self
+        let flat = self
             .session
             .compile_flat_aig(&text, &top)
             .map_err(|e| compile_failure(&e, &text, uri, version, notify))?;
+        let circuit = &flat.circuit;
         let module = circuit.module();
         let Some(sig) = module.find(signal) else {
             return Err(RpcError::invalid_params(format!(
@@ -763,10 +764,10 @@ impl CompileService {
         // incremental SAT session — no invariant search, no optimization
         // pipeline) rather than trusted blindly; a certificate that fails
         // its check falls through to the cold path below.
-        let proof_key = self.session.proof_key(&text, &top, signal).ok().flatten();
+        let proof_key = flat.proof_key(signal);
         if let Some(key) = proof_key {
             if let Some(cert) = self.session.cached_proof(key) {
-                if let Ok(Some(result)) = revalidate_certificate(&circuit, &assertion, &cert) {
+                if let Ok(Some(result)) = revalidate_certificate(circuit, &assertion, &cert) {
                     return Ok(prove_response(
                         uri,
                         version,
@@ -783,17 +784,8 @@ impl CompileService {
         }
 
         // ---- Cold path: the cooperating portfolio. ----
-        let out = prove_portfolio(
-            circuit.module(),
-            &assertion,
-            max_k,
-            max_k.max(8),
-            100_000,
-            3,
-            stop.map(Arc::clone),
-            deadline,
-        )
-        .map_err(|e| RpcError::new(PROVE_FAILED, e.to_string()))?;
+        let out = prove_portfolio(module, &assertion, max_k, stop.map(Arc::clone), deadline)
+            .map_err(|e| RpcError::new(PROVE_FAILED, e.to_string()))?;
         // An expired deadline wins over a raised stop flag: the watchdog
         // raises flags *because* deadlines expired, and the client should
         // see -32003 with partial progress, not a bare cancellation.
@@ -828,7 +820,6 @@ impl CompileService {
         let engine = match out.winner {
             Some(Prover::Symbolic) => "symbolic",
             Some(Prover::Pdr) => "pdr",
-            Some(Prover::ExplicitState) => "explicit",
             None => "none",
         };
         let stats = match out.winner {
@@ -1144,7 +1135,7 @@ fn int_param(params: &Json, key: &str) -> Result<Option<i64>, RpcError> {
 }
 
 /// Builds the `anvil/prove` response object. `engine` names who settled
-/// the property (`symbolic` / `pdr` / `explicit` / `cache` / `none`);
+/// the property (`symbolic` / `pdr` / `cache` / `none`);
 /// `cached_engine` names the certificate's original producer on cache
 /// hits. `stats` is absent on cache hits — revalidation does not rerun
 /// the optimization pipeline, so node counts would be stale guesses.

@@ -262,10 +262,7 @@ fn prove_falsifies_a_failing_property_over_the_wire() {
     assert!(result(&resp, "trace").as_str().is_some(), "{resp}");
     // A cold prove names its winning engine and reports both AIG sizes.
     assert!(
-        matches!(
-            result(&resp, "engine").as_str(),
-            Some("symbolic" | "pdr" | "explicit")
-        ),
+        matches!(result(&resp, "engine").as_str(), Some("symbolic" | "pdr")),
         "{resp}"
     );
     assert!(result(&resp, "aigNodes").as_i64().is_some());
@@ -305,11 +302,11 @@ fn warm_reprove_is_a_proof_cache_hit_across_whitespace_edits() {
     let (warm, _) = call(&service, 2, "prove", params);
     assert_eq!(result(&warm, "engine").as_str(), Some("cache"), "{warm}");
     // The certificate remembers its producer by proof style: "bmc" /
-    // "k-induction" / "pdr" / "explicit".
+    // "k-induction" / "pdr".
     assert!(
         matches!(
             result(&warm, "cachedEngine").as_str(),
-            Some("bmc" | "k-induction" | "pdr" | "explicit")
+            Some("bmc" | "k-induction" | "pdr")
         ),
         "{warm}"
     );
@@ -322,6 +319,72 @@ fn warm_reprove_is_a_proof_cache_hit_across_whitespace_edits() {
     let proof = result(&stats, "proof");
     assert_eq!(proof.get("hits").and_then(Json::as_i64), Some(1), "{stats}");
     assert_eq!(proof.get("misses").and_then(Json::as_i64), Some(1));
+}
+
+/// An 8-bit counter wrapping at 100 whose registered `ok` drops one
+/// cycle after `c` reaches `bad`: first violated at depth `bad + 2`.
+fn late_counter(bad: u64) -> String {
+    format!(
+        "proc late() {{
+            reg c : logic[8];
+            reg ok : logic := 1;
+            loop {{
+                set ok := *c != {bad} ;
+                if *c == 100 {{ set c := 0 }} else {{ set c := *c + 1 }}
+            }}
+        }}"
+    )
+}
+
+#[test]
+fn pdr_frame_budget_is_max_k_floored_at_8_plus_2() {
+    // (bad value, maxK, expected falsification depth): the symbolic
+    // engine reaches depth maxK + 1, PDR `maxK.max(8) + 2` frames, so
+    // depth 10 is PDR's alone under maxK 8 and 7, and depth 11 is past
+    // every engine under maxK 8.
+    for (bad, max_k, falsified_at) in [(8, 8, Some(10)), (8, 7, Some(10)), (9, 8, None)] {
+        let src = late_counter(bad);
+        // The violation depth, independently: the explicit-state search
+        // of an input-free design is a plain simulation.
+        let module = anvil_core::Session::new()
+            .compile_flat(&src, "late")
+            .expect("compiles");
+        let ok = anvil_rtl::Expr::Signal(module.find("ok").expect("ok register"));
+        let (simulated, _) = anvil_verify::bmc(&module, &ok, 16, 1_000).expect("simulates");
+        assert!(
+            matches!(simulated, anvil_verify::BmcResult::Violation { depth, .. } if depth as u64 == bad + 2),
+            "{simulated:?}"
+        );
+
+        let service = CompileService::new();
+        open(&service, "late.anv", &src);
+        let (resp, _) = call(
+            &service,
+            1,
+            "prove",
+            Json::obj([
+                ("uri", Json::str("late.anv")),
+                ("signal", Json::str("ok")),
+                ("maxK", Json::int(max_k)),
+            ]),
+        );
+        match falsified_at {
+            Some(depth) => {
+                assert_eq!(
+                    result(&resp, "verdict").as_str(),
+                    Some("falsified"),
+                    "{resp}"
+                );
+                assert_eq!(result(&resp, "depth").as_i64(), Some(depth), "{resp}");
+                assert_eq!(result(&resp, "engine").as_str(), Some("pdr"), "{resp}");
+            }
+            None => {
+                assert_eq!(result(&resp, "verdict").as_str(), Some("unknown"), "{resp}");
+                // PDR's last clean frame: 10 levels checked.
+                assert_eq!(result(&resp, "depth").as_i64(), Some(10), "{resp}");
+            }
+        }
+    }
 }
 
 #[test]

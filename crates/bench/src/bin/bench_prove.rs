@@ -12,7 +12,8 @@
 //!   return *proved for all time*,
 //! * `pdr` — the IC3/PDR engine ([`anvil_verify::prove_pdr()`]),
 //! * `portfolio_cold` / `warm_cache` — the proof-cache pair: a cold
-//!   cooperating-portfolio run that yields a certificate, then the
+//!   run of the two-engine portfolio (k-induction racing PDR, the
+//!   `anvild` cold path) that yields a certificate, then the
 //!   certificate *revalidated* against the circuit — the exact work a
 //!   warm `anvild` re-prove performs. The record's `warm_speedup` is
 //!   total cold over total warm wall time.
@@ -134,17 +135,8 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
     // The proof-cache pair: a cold portfolio run leaves a certificate;
     // revalidating that certificate is the warm `anvild` re-prove path.
     let t = Instant::now();
-    let out = prove_portfolio(
-        &prop.module,
-        &prop.assertion,
-        MAX_K,
-        DEPTH,
-        MAX_STATES,
-        3,
-        None,
-        Deadline::none(),
-    )
-    .expect("portfolio runs");
+    let out = prove_portfolio(&prop.module, &prop.assertion, MAX_K, None, Deadline::none())
+        .expect("portfolio runs");
     let cold = t.elapsed().as_secs_f64() * 1e3;
     rows.push(Row {
         design: prop.design.to_string(),

@@ -181,6 +181,33 @@ impl CompileOutput {
     }
 }
 
+/// One flattened, bit-blasted process from [`Session::compile_flat_aig`],
+/// with the fingerprint its proof certificates are cached under.
+#[derive(Clone, Debug)]
+pub struct FlatAig {
+    /// The circuit, shared with the query cache.
+    pub circuit: Arc<anvil_smt::AigCircuit>,
+    /// The top unit's lower-stage fingerprint; `None` when the top is an
+    /// extern module rather than a compilation unit.
+    unit_key: Option<u64>,
+}
+
+impl FlatAig {
+    /// Fingerprint key for the proof artifact of `(top unit, property)`:
+    /// the unit's lower-stage fingerprint — covering the proc's content,
+    /// tracked dependencies, codegen options, transitive children, and
+    /// the extern-library generation — crossed with the property text.
+    /// Whitespace and comment edits key identically, so a re-prove after
+    /// a formatting change is a pure [`Stage::Proof`] cache hit; any
+    /// semantic edit or a different property misses.
+    ///
+    /// Returns `None` when the top is not a compilation unit (extern
+    /// modules have no unit fingerprint to key on).
+    pub fn proof_key(&self, property: &str) -> Option<u64> {
+        self.unit_key.map(|k| units::proof_key(k, property))
+    }
+}
+
 /// A code-generation diagnostic with an optional source location.
 #[derive(Clone, Debug)]
 pub struct CodegenDiag {
@@ -812,17 +839,15 @@ impl Session {
     /// content, tracked dependencies, codegen options, transitive
     /// children, and the extern-library generation), so re-proving an
     /// unchanged design skips elaboration and blasting entirely — watch
-    /// the `aig` row of [`CacheStats`].
+    /// the `aig` row of [`CacheStats`]. The result also carries the
+    /// unit's proof-cache keys ([`FlatAig::proof_key`]), so one compile
+    /// serves the whole prove.
     ///
     /// # Errors
     ///
     /// As [`Session::compile_flat`], plus blasting failures (reported as
     /// codegen diagnostics).
-    pub fn compile_flat_aig(
-        &self,
-        source: &str,
-        top: &str,
-    ) -> Result<Arc<anvil_smt::AigCircuit>, CompileError> {
+    pub fn compile_flat_aig(&self, source: &str, top: &str) -> Result<FlatAig, CompileError> {
         let mut sp = anvil_trace::span("core", "flat_aig");
         let out = self.compile(source)?;
         let items = ItemGraph::new(&out.program);
@@ -831,11 +856,12 @@ impl Session {
         let keys = items.unit_keys(&order, options_fingerprint(&self.options), self.extern_gen);
         // Tops that are not compilation units (extern modules) are built
         // uncached; elaboration rejects unknown names below either way.
-        let key = keys.get(top).map(|k| units::aig_key(k.lower));
-        if let Some(key) = key {
+        let unit_key = keys.get(top).map(|k| k.lower);
+        let aig_key = unit_key.map(units::aig_key);
+        if let Some(key) = aig_key {
             if let Some(Artifact::Aig(circuit)) = self.cache.get(Stage::Aig, key) {
                 sp.set_detail_with(|| format!("{top} hit"));
-                return Ok(circuit);
+                return Ok(FlatAig { circuit, unit_key });
             }
         }
         sp.set_detail_with(|| format!("{top} miss"));
@@ -852,43 +878,14 @@ impl Session {
             })
         })?;
         let circuit = Arc::new(circuit);
-        if let Some(key) = key {
+        if let Some(key) = aig_key {
             self.cache
                 .insert(Stage::Aig, key, Artifact::Aig(Arc::clone(&circuit)));
         }
-        Ok(circuit)
+        Ok(FlatAig { circuit, unit_key })
     }
 
-    /// Fingerprint key for the proof artifact of `(top unit, property)`:
-    /// the unit's lower-stage fingerprint — covering the proc's content,
-    /// tracked dependencies, codegen options, transitive children, and
-    /// the extern-library generation — crossed with the property text.
-    /// Whitespace and comment edits key identically, so a re-prove after
-    /// a formatting change is a pure [`Stage::Proof`] cache hit; any
-    /// semantic edit or a different property misses.
-    ///
-    /// Returns `Ok(None)` when `top` is not a compilation unit (extern
-    /// modules have no unit fingerprint to key on).
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::compile`] (the key is derived from the compiled
-    /// program's item graph).
-    pub fn proof_key(
-        &self,
-        source: &str,
-        top: &str,
-        property: &str,
-    ) -> Result<Option<u64>, CompileError> {
-        let out = self.compile(source)?;
-        let items = ItemGraph::new(&out.program);
-        let order =
-            proc_order(&out.program, &self.externs).map_err(|e| codegen_error(&out.program, e))?;
-        let keys = items.unit_keys(&order, options_fingerprint(&self.options), self.extern_gen);
-        Ok(keys.get(top).map(|k| units::proof_key(k.lower, property)))
-    }
-
-    /// Looks up a cached proof certificate by [`Session::proof_key`],
+    /// Looks up a cached proof certificate by [`FlatAig::proof_key`],
     /// counting a `proof`-stage hit or miss in [`CacheStats`]. The caller
     /// is expected to *revalidate* the certificate against the current
     /// circuit (one incremental SAT session) rather than trust it blindly.
@@ -899,7 +896,7 @@ impl Session {
         }
     }
 
-    /// Stores a proof certificate under a [`Session::proof_key`].
+    /// Stores a proof certificate under a [`FlatAig::proof_key`].
     pub fn store_proof(&self, key: u64, cert: Arc<anvil_smt::ProofCert>) {
         self.cache.insert(Stage::Proof, key, Artifact::Proof(cert));
     }
@@ -1120,27 +1117,8 @@ impl Compiler {
     /// # Errors
     ///
     /// See [`Session::compile_flat_aig`].
-    pub fn compile_flat_aig(
-        &self,
-        source: &str,
-        top: &str,
-    ) -> Result<Arc<anvil_smt::AigCircuit>, CompileError> {
+    pub fn compile_flat_aig(&self, source: &str, top: &str) -> Result<FlatAig, CompileError> {
         self.session.compile_flat_aig(source, top)
-    }
-
-    /// Fingerprint key for a `(top unit, property)` proof artifact; see
-    /// [`Session::proof_key`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::proof_key`].
-    pub fn proof_key(
-        &self,
-        source: &str,
-        top: &str,
-        property: &str,
-    ) -> Result<Option<u64>, CompileError> {
-        self.session.proof_key(source, top, property)
     }
 
     /// Cached proof certificate lookup; see [`Session::cached_proof`].
@@ -1278,14 +1256,14 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
     fn aig_blasting_is_cached_per_unit_fingerprint() {
         let compiler = Compiler::new();
         let src = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
-        let a1 = compiler.compile_flat_aig(src, "p").unwrap();
+        let a1 = compiler.compile_flat_aig(src, "p").unwrap().circuit;
         let cold = compiler.cache_stats();
         assert_eq!(cold.aig.misses, 1);
         assert_eq!(cold.aig.hits, 0);
 
         // Warm re-blast of the identical source: a pure cache hit, same
         // shared circuit.
-        let a2 = compiler.compile_flat_aig(src, "p").unwrap();
+        let a2 = compiler.compile_flat_aig(src, "p").unwrap().circuit;
         let warm = compiler.cache_stats() - cold;
         assert_eq!((warm.aig.hits, warm.aig.misses), (1, 0));
         assert!(Arc::ptr_eq(&a1, &a2));
@@ -1293,14 +1271,14 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         // Whitespace/comment edits fingerprint identically: still a hit.
         let reformatted =
             "proc p() {\n  reg r : logic[8]; // counter\n  loop { set r := *r + 1 >> cycle 1 }\n}";
-        let a3 = compiler.compile_flat_aig(reformatted, "p").unwrap();
+        let a3 = compiler.compile_flat_aig(reformatted, "p").unwrap().circuit;
         let ws = compiler.cache_stats() - cold - warm;
         assert_eq!((ws.aig.hits, ws.aig.misses), (1, 0));
         assert!(Arc::ptr_eq(&a1, &a3));
 
         // A real edit (wider register) misses and rebuilds.
         let edited = "proc p() { reg r : logic[9]; loop { set r := *r + 1 >> cycle 1 } }";
-        let a4 = compiler.compile_flat_aig(edited, "p").unwrap();
+        let a4 = compiler.compile_flat_aig(edited, "p").unwrap().circuit;
         let miss = compiler.cache_stats() - cold - warm - ws;
         assert_eq!(miss.aig.misses, 1);
         // One extra register bit on top of the unchanged FSM latches.
@@ -1312,7 +1290,14 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         let compiler = Compiler::new();
         let src = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
         let prop = "r < 255";
-        let key = compiler.proof_key(src, "p", prop).unwrap().expect("unit");
+        let proof_key = |src: &str, prop: &str| {
+            compiler
+                .compile_flat_aig(src, "p")
+                .unwrap()
+                .proof_key(prop)
+                .expect("unit")
+        };
+        let key = proof_key(src, prop);
 
         // Cold: a proof-stage miss, then the prover's certificate lands.
         assert!(compiler.cached_proof(key).is_none());
@@ -1328,10 +1313,7 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         // on the same shared certificate.
         let reformatted =
             "proc p() {\n  reg r : logic[8]; // counter\n  loop { set r := *r + 1 >> cycle 1 }\n}";
-        let warm_key = compiler
-            .proof_key(reformatted, "p", prop)
-            .unwrap()
-            .expect("unit");
+        let warm_key = proof_key(reformatted, prop);
         assert_eq!(warm_key, key);
         let got = compiler.cached_proof(warm_key).expect("warm hit");
         assert!(Arc::ptr_eq(&got, &cert));
@@ -1339,12 +1321,9 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         assert_eq!((warm.proof.hits, warm.proof.misses), (1, 0));
 
         // A different property or a semantic edit keys elsewhere.
-        assert_ne!(
-            compiler.proof_key(src, "p", "r < 128").unwrap().unwrap(),
-            key
-        );
+        assert_ne!(proof_key(src, "r < 128"), key);
         let edited = "proc p() { reg r : logic[9]; loop { set r := *r + 1 >> cycle 1 } }";
-        assert_ne!(compiler.proof_key(edited, "p", prop).unwrap().unwrap(), key);
+        assert_ne!(proof_key(edited, prop), key);
     }
 
     #[test]

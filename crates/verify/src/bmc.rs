@@ -14,7 +14,6 @@
 //! rejects the source immediately.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use anvil_rtl::{Bits, Expr, Module, SignalKind};
 use anvil_sim::{sweep_chunks, Backend, Sim, SimBatch, SimError, TapeProgram};
@@ -89,33 +88,6 @@ pub fn bmc_with_backend(
     max_states: usize,
     backend: Backend,
 ) -> Result<(BmcResult, BmcStats), SimError> {
-    Ok(bmc_impl(
-        module,
-        assertion,
-        depth,
-        max_states,
-        backend,
-        None,
-        anvil_smt::Deadline::none(),
-    )?
-    .expect("search without a stop flag always concludes"))
-}
-
-/// The explicit-state search loop behind [`bmc_with_backend`], with an
-/// optional cooperative stop flag and wall-clock deadline (both polled
-/// once per candidate trace). Returns `Ok(None)` when stopped or expired
-/// early — used by [`crate::prove::prove_portfolio`] to cancel the
-/// explicit engine once the symbolic one concludes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bmc_impl(
-    module: &Module,
-    assertion: &Expr,
-    depth: usize,
-    max_states: usize,
-    backend: Backend,
-    stop: Option<&AtomicBool>,
-    deadline: anvil_smt::Deadline,
-) -> Result<Option<(BmcResult, BmcStats)>, SimError> {
     let (inputs, choices) = input_corners(module);
     let mut stats = BmcStats::default();
     // Frontier of (input trace so far). Replaying each path from reset
@@ -130,9 +102,6 @@ pub(crate) fn bmc_impl(
         let mut next = Vec::new();
         for prefix in &frontier {
             for combo in cartesian(&choices) {
-                if stop.is_some_and(|s| s.load(Ordering::Relaxed)) || deadline.expired() {
-                    return Ok(None);
-                }
                 let mut trace = prefix.clone();
                 trace.push(combo);
                 // Replay the trace.
@@ -151,17 +120,17 @@ pub(crate) fn bmc_impl(
                 stats.states_visited += 1;
                 if violated {
                     stats.depth_reached = d + 1;
-                    return Ok(Some((
+                    return Ok((
                         BmcResult::Violation {
                             depth: trace.len(),
                             trace,
                         },
                         stats,
-                    )));
+                    ));
                 }
                 if stats.states_visited >= max_states {
                     stats.depth_reached = d;
-                    return Ok(Some((BmcResult::ExhaustedStates { depth: d }, stats)));
+                    return Ok((BmcResult::ExhaustedStates { depth: d }, stats));
                 }
                 // Prune states we have seen at any depth.
                 let h = sim.state_fingerprint();
@@ -176,12 +145,12 @@ pub(crate) fn bmc_impl(
         }
         frontier = next;
     }
-    Ok(Some((
+    Ok((
         BmcResult::ExhaustedDepth {
             states: stats.states_visited,
         },
         stats,
-    )))
+    ))
 }
 
 /// The input enumeration both checkers share: `(name, width)` per input

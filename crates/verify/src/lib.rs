@@ -19,9 +19,12 @@
 //!   explicit-state checker they reason about all inputs at once and can
 //!   return *proved for all time*, with SAT counterexamples reconstructed
 //!   into the explicit checker's replayable trace format and confirmed on
-//!   the simulator. [`prove_portfolio`] runs all engines as a
-//!   clause-sharing cooperative portfolio and emits proof certificates
-//!   for caching ([`revalidate_certificate`]).
+//!   the simulator. [`prove_portfolio`] runs the symbolic engine and
+//!   PDR as a clause-sharing two-engine portfolio and emits proof
+//!   certificates for caching ([`revalidate_certificate`]); the
+//!   explicit-state checker stays out of it, as the Appendix A
+//!   reproduction and the reference the symbolic engines are
+//!   differentially tested against.
 
 #![warn(missing_docs)]
 

@@ -34,28 +34,31 @@
 //! exactly the bounded guarantee the explicit-state checker gives, which
 //! is the comparison the paper's Appendix A draws.
 //!
-//! [`prove_portfolio`] runs symbolic BMC + k-induction, PDR, and the
-//! explicit-state sweep as a *cooperating* portfolio on scoped threads:
-//! besides the shared stop flag, the SAT-based engines exchange learnt
-//! clauses through a bounded [`ClauseExchange`] — PDR publishes its frame
-//! clauses as reachability facts the BMC session asserts at its unrolled
-//! frames, and the induction-step session publishes assumption-widened
-//! learnt clauses any engine may use — and the winner's evidence is
-//! packaged as a [`ProofCert`] that [`revalidate_certificate`] can check
-//! later in a single incremental SAT session (the proof-cache warm path).
+//! [`prove_portfolio`] runs symbolic BMC + k-induction and PDR as a
+//! *cooperating* two-engine portfolio: besides the shared stop flag, the
+//! engines exchange learnt clauses through a bounded [`ClauseExchange`] —
+//! PDR publishes its frame clauses as reachability facts the BMC session
+//! asserts at its unrolled frames, and the induction-step session
+//! publishes assumption-widened learnt clauses either engine may use —
+//! and the winner's evidence is packaged as a [`ProofCert`] that
+//! [`revalidate_certificate`] can check later in a single incremental SAT
+//! session (the proof-cache warm path). The explicit-state [`crate::bmc()`]
+//! is not part of the portfolio: within PDR's frame budget PDR finds
+//! every violation at its minimal depth over all inputs, not only the
+//! corner samples the explicit search enumerates. It stays as the
+//! Appendix A reproduction and as the reference
+//! `tests/prove_differential.rs` checks the portfolio against.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use anvil_rtl::{Bits, BlastError, Expr, Module, SignalId, SignalKind};
-use anvil_sim::{run_indexed, Backend, Sim, SimError};
+use anvil_sim::{Backend, Sim, SimError};
 use anvil_smt::{
     optimize, rewrite, Aig, AigCircuit, CertKind, ClauseExchange, ClauseKind, CnfEncoder, Deadline,
     ExchangeStats, LatchLit, Lit, Node, Pdr, PdrOptions, PdrOutcome, ProofCert, Rewritten, SLit,
     SharedClause, SolveResult, Solver, Unroller,
 };
-
-use crate::bmc::{bmc_impl, BmcResult, BmcStats};
 
 /// Outcome of a symbolic verification run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -979,15 +982,13 @@ pub enum Prover {
     Symbolic,
     /// The IC3/PDR engine.
     Pdr,
-    /// The explicit-state search of [`crate::bmc()`].
-    ExplicitState,
 }
 
-/// Outcome of a cooperating portfolio run across the symbolic, PDR, and
-/// explicit-state engines.
+/// Outcome of a cooperating portfolio run across the symbolic and PDR
+/// engines.
 #[derive(Clone, Debug)]
 pub struct PortfolioOutcome {
-    /// The combined verdict (symbolic verdicts win ties, then PDR).
+    /// The combined verdict (symbolic verdicts win ties).
     pub result: ProveResult,
     /// The engine that produced [`PortfolioOutcome::result`], when it is
     /// conclusive.
@@ -996,9 +997,6 @@ pub struct PortfolioOutcome {
     pub symbolic_stats: ProveStats,
     /// Statistics of the PDR side.
     pub pdr_stats: ProveStats,
-    /// What the explicit-state engine reported (`None` when it was
-    /// stopped before finishing).
-    pub explicit: Option<(BmcResult, BmcStats)>,
     /// The winner's evidence, checkable later by
     /// [`revalidate_certificate`] (proof caching); `None` when no engine
     /// concluded or the winner left no certificate.
@@ -1007,27 +1005,81 @@ pub struct PortfolioOutcome {
     pub shared: ExchangeStats,
 }
 
-/// Runs the symbolic engine (BMC + k-induction up to `max_k`), the
-/// IC3/PDR engine, and the explicit-state bounded search (depth/state
-/// budgets as in [`crate::bmc()`]) as a cooperating portfolio on up to
-/// `workers` scoped threads.
+/// PDR's frame budget in a [`prove_portfolio`] run with window `max_k`.
+/// PDR hunts counterexamples level by level, so it checks at least one
+/// cycle past the symbolic engine's `max_k + 1`, and never fewer than 10
+/// cycles from reset.
+fn pdr_frame_budget(max_k: usize) -> usize {
+    max_k.max(8).saturating_add(2).min(256)
+}
+
+fn conclusive(r: &ProveResult) -> bool {
+    matches!(
+        r,
+        ProveResult::Proved { .. } | ProveResult::Falsified { .. }
+    )
+}
+
+/// Closes one portfolio engine's run: a conclusive verdict or an error
+/// raises the shared stop flag so the other engine winds down, and the
+/// engine span records the engine's own outcome and solver counters.
+fn finish_engine(
+    sp: &mut anvil_trace::SpanGuard,
+    outcome: Result<(&ProveResult, &ProveStats), &ProveError>,
+    stop: &AtomicBool,
+    deadline: Deadline,
+) {
+    let (result, stats) = match outcome {
+        Ok(done) => done,
+        Err(e) => {
+            stop.store(true, Ordering::Relaxed);
+            sp.set_detail_with(|| format!("error: {e}"));
+            return;
+        }
+    };
+    if conclusive(result) {
+        stop.store(true, Ordering::Relaxed);
+    }
+    let stopped = stop.load(Ordering::Relaxed) || deadline.expired();
+    sp.set_detail_with(|| {
+        let verdict = match result {
+            ProveResult::Proved { k } => format!("proved k={k}"),
+            ProveResult::Falsified { depth, .. } => format!("falsified d={depth}"),
+            ProveResult::Unknown { .. } if stopped => "stopped".to_string(),
+            ProveResult::Unknown { depth } => format!("unknown d={depth}"),
+        };
+        format!(
+            "{verdict} conflicts={} decisions={} propagations={}",
+            stats.conflicts, stats.decisions, stats.propagations
+        )
+    });
+}
+
+/// Runs the symbolic engine (BMC + k-induction up to window `max_k`) on
+/// the calling thread and the IC3/PDR engine on one scoped thread, as a
+/// cooperating portfolio. PDR explores up to `max_k.max(8) + 2` frame
+/// levels (at most 256), so it finds counterexamples past the symbolic
+/// engine's `max_k + 1` frames.
 ///
 /// Cooperation is two-fold: a shared stop flag lets the first conclusive
-/// verdict cancel the others, and the two SAT engines exchange learnt
+/// verdict cancel the other engine, and the two engines exchange learnt
 /// clauses through a bounded buffer (PDR's frame clauses as reachability
 /// facts, the induction step's widened learnt clauses as
 /// transition-relation facts — see [`anvil_smt::ClauseExchange`] for the
 /// soundness rules).
 ///
 /// A conclusive verdict is a proof or a confirmed counterexample. When
-/// several engines conclude, the symbolic verdict is preferred, then
-/// PDR's (the combined result stays deterministic); the other sides' raw
-/// reports are returned alongside either way, and the winner's evidence
-/// is packaged as a [`ProofCert`] for proof caching.
+/// both engines conclude, the symbolic verdict is preferred (the
+/// combined result stays deterministic); both sides' counters are
+/// returned either way, and the winner's evidence is packaged as a
+/// [`ProofCert`] for proof caching. Each engine's `prove.symbolic` /
+/// `prove.pdr` span carries its own outcome (`proved k=…`,
+/// `falsified d=…`, `unknown d=…` or `stopped`) and its conflict,
+/// decision and propagation counts.
 ///
 /// `stop` is an *external* cancellation flag (e.g. a service request's):
-/// raising it makes every engine wind down to `Unknown`. The portfolio
-/// also raises it internally when a worker concludes, so after a
+/// raising it makes both engines wind down to `Unknown`. The portfolio
+/// also raises it internally when an engine concludes, so after a
 /// conclusive result the flag being set does not mean cancellation.
 ///
 /// `deadline` is a wall-clock bound polled in every engine loop (and
@@ -1039,139 +1091,70 @@ pub struct PortfolioOutcome {
 /// # Errors
 ///
 /// See [`ProveError`].
-#[allow(clippy::too_many_arguments)]
 pub fn prove_portfolio(
     module: &Module,
     assertion: &Expr,
     max_k: usize,
-    depth: usize,
-    max_states: usize,
-    workers: usize,
     stop: Option<Arc<AtomicBool>>,
     deadline: Deadline,
 ) -> Result<PortfolioOutcome, ProveError> {
-    type PdrPart = Result<(ProveResult, ProveStats, Option<Vec<Vec<LatchLit>>>), ProveError>;
-    enum Part {
-        Symbolic(Result<(ProveResult, ProveStats), ProveError>),
-        Pdr(PdrPart),
-        Explicit(Result<Option<(BmcResult, BmcStats)>, SimError>),
-    }
-
     let stop = stop.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
     let exchange = Arc::new(ClauseExchange::new(4096));
     let _sp_portfolio = anvil_trace::span("prove", "portfolio");
-    // Worker spans stitch under the portfolio span by explicit id: the
+    // The PDR span stitches under the portfolio span by explicit id: the
     // thread-local parent stack does not cross the spawn boundary.
     let portfolio_span = anvil_trace::current_span();
     let circuit = AigCircuit::from_module(module)?;
     let prep = Arc::new(Prepared::new(&circuit, assertion)?);
-    // PDR hunts counterexamples level by level, so give it at least the
-    // explicit engine's depth budget before it reports Unknown.
-    let pdr_frames = depth.max(max_k).saturating_add(2).min(256);
-    let parts = run_indexed(3, workers.max(1), |i| match i {
-        0 => {
-            let _sp = anvil_trace::span_under("prove", "symbolic", portfolio_span);
-            let engine = Engine::new(
-                Arc::clone(&prep),
-                Some(Arc::clone(&stop)),
-                deadline,
-                Some(Arc::clone(&exchange)),
-            );
-            let r = engine.run(max_k + 1, true);
-            if matches!(
-                r,
-                Ok((
-                    ProveResult::Proved { .. } | ProveResult::Falsified { .. },
-                    _
-                ))
-            ) {
-                stop.store(true, Ordering::Relaxed);
-            }
-            Part::Symbolic(r)
-        }
-        1 => {
-            let _sp = anvil_trace::span_under("prove", "pdr", portfolio_span);
+    let (symbolic, pdr) = std::thread::scope(|s| {
+        let pdr = s.spawn(|| {
+            let mut sp = anvil_trace::span_under("prove", "pdr", portfolio_span);
             let r = run_pdr_inner(
                 &prep,
-                pdr_frames,
+                pdr_frame_budget(max_k),
                 Some(Arc::clone(&stop)),
                 deadline,
                 Some(Arc::clone(&exchange)),
             );
-            if matches!(
-                r,
-                Ok((
-                    ProveResult::Proved { .. } | ProveResult::Falsified { .. },
-                    _,
-                    _
-                ))
-            ) {
-                stop.store(true, Ordering::Relaxed);
-            }
-            Part::Pdr(r)
-        }
-        _ => {
-            let _sp = anvil_trace::span_under("prove", "explicit", portfolio_span);
-            let r = bmc_impl(
-                module,
-                assertion,
-                depth,
-                max_states,
-                Backend::Compiled,
-                Some(&stop),
-                deadline,
-            );
-            if matches!(r, Ok(Some((BmcResult::Violation { .. }, _)))) {
-                stop.store(true, Ordering::Relaxed);
-            }
-            Part::Explicit(r)
-        }
+            finish_engine(&mut sp, r.as_ref().map(|(r, s, _)| (r, s)), &stop, deadline);
+            r
+        });
+        let mut sp = anvil_trace::span("prove", "symbolic");
+        let engine = Engine::new(
+            Arc::clone(&prep),
+            Some(Arc::clone(&stop)),
+            deadline,
+            Some(Arc::clone(&exchange)),
+        );
+        let symbolic = engine.run(max_k + 1, true);
+        finish_engine(
+            &mut sp,
+            symbolic.as_ref().map(|(r, s)| (r, s)),
+            &stop,
+            deadline,
+        );
+        drop(sp);
+        let pdr = pdr
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (symbolic, pdr)
     });
+    let (sym_result, symbolic_stats) = symbolic?;
+    let (pdr_result, pdr_stats, invariant) = pdr?;
 
-    let mut symbolic = None;
-    let mut pdr = None;
-    let mut explicit = None;
-    for p in parts {
-        match p {
-            Part::Symbolic(r) => symbolic = Some(r),
-            Part::Pdr(r) => pdr = Some(r),
-            Part::Explicit(r) => explicit = Some(r),
-        }
-    }
-    let (sym_result, symbolic_stats) = symbolic.expect("symbolic part ran")?;
-    let (pdr_result, pdr_stats, invariant) = pdr.expect("pdr part ran")?;
-    let explicit = explicit.expect("explicit part ran")?;
-
-    let conclusive = |r: &ProveResult| {
-        matches!(
-            r,
-            ProveResult::Proved { .. } | ProveResult::Falsified { .. }
-        )
-    };
     let (result, winner) = if conclusive(&sym_result) {
         (sym_result, Some(Prover::Symbolic))
     } else if conclusive(&pdr_result) {
         (pdr_result, Some(Prover::Pdr))
-    } else if let Some((BmcResult::Violation { depth, trace }, _)) = &explicit {
-        (
-            ProveResult::Falsified {
-                depth: *depth,
-                trace: trace.clone(),
-            },
-            Some(Prover::ExplicitState),
-        )
     } else {
-        // Both SAT engines report a sound violation-free prefix; keep the
+        // Both engines report a sound violation-free prefix; keep the
         // deeper one.
-        let sd = match sym_result {
-            ProveResult::Unknown { depth } => depth,
+        let checked = |r: &ProveResult| match r {
+            ProveResult::Unknown { depth } => *depth,
             _ => 0,
         };
-        let pd = match pdr_result {
-            ProveResult::Unknown { depth } => depth,
-            _ => 0,
-        };
-        (ProveResult::Unknown { depth: sd.max(pd) }, None)
+        let depth = checked(&sym_result).max(checked(&pdr_result));
+        (ProveResult::Unknown { depth }, None)
     };
 
     let certificate = match (&result, winner) {
@@ -1191,7 +1174,6 @@ pub fn prove_portfolio(
             engine: match w {
                 Prover::Symbolic => "bmc",
                 Prover::Pdr => "pdr",
-                Prover::ExplicitState => "explicit",
             },
         }),
         _ => None,
@@ -1202,7 +1184,6 @@ pub fn prove_portfolio(
         winner,
         symbolic_stats,
         pdr_stats,
-        explicit,
         certificate,
         shared: exchange.stats(),
     })
@@ -1417,7 +1398,7 @@ mod tests {
     #[test]
     fn portfolio_agrees_with_all_engines() {
         let (m, a) = shallow_bug();
-        let out = prove_portfolio(&m, &a, 8, 10, 100_000, 2, None, Deadline::none()).unwrap();
+        let out = prove_portfolio(&m, &a, 8, None, Deadline::none()).unwrap();
         let ProveResult::Falsified { depth, .. } = out.result else {
             panic!("expected falsification, got {:?}", out.result);
         };
@@ -1426,7 +1407,7 @@ mod tests {
         assert!(out.certificate.is_some());
 
         let (m, a) = saturating_counter();
-        let out = prove_portfolio(&m, &a, 8, 6, 10_000, 2, None, Deadline::none()).unwrap();
+        let out = prove_portfolio(&m, &a, 8, None, Deadline::none()).unwrap();
         assert!(matches!(out.result, ProveResult::Proved { .. }));
         assert!(matches!(out.winner, Some(Prover::Symbolic | Prover::Pdr)));
         // Whichever SAT engine won, its evidence revalidates.

@@ -347,7 +347,7 @@ fn prove_mode(args: &Args, source: &str) -> i32 {
         let t = std::time::Instant::now();
         // Through the session cache: run 2+ reuses the blasted AIG.
         let circuit = match compiler.compile_flat_aig(source, &top) {
-            Ok(c) => c,
+            Ok(flat) => flat.circuit,
             Err(e) => {
                 eprintln!("{}", e.render(source));
                 return 1;

@@ -15,9 +15,10 @@
 //! * [`anvil_smt`] — AIG bit-blasting, the embedded CDCL SAT solver, and
 //!   transition-relation unrolling,
 //! * [`anvil_synth`] — the synthesis cost model,
-//! * [`anvil_verify`] — safety oracle, explicit-state BMC, rule
-//!   scheduler, and the symbolic [`verify::prove()`] /
-//!   [`verify::prove_portfolio`] engines,
+//! * [`anvil_verify`] — safety oracle, explicit-state BMC (the
+//!   Appendix A reproduction), rule scheduler, and the symbolic
+//!   [`verify::prove()`] engine and [`verify::prove_portfolio`], which
+//!   races k-induction against PDR,
 //! * [`anvil_designs`] — the ten evaluation designs (and their safety
 //!   properties, `anvil_designs::props`),
 //! * [`anvil_trace`] — hierarchical span tracing and the process-wide
@@ -39,8 +40,8 @@
 //! ```
 
 pub use anvil_core::{
-    CacheStats, CodegenDiag, CompileError, CompileOutput, Compiler, Options, PassStats, Session,
-    Stage, StageCounters,
+    CacheStats, CodegenDiag, CompileError, CompileOutput, Compiler, FlatAig, Options, PassStats,
+    Session, Stage, StageCounters,
 };
 pub use anvil_intern::Symbol;
 pub use anvil_rtl::{Expr, Module};

@@ -321,6 +321,99 @@ fn warm_prove_over_the_wire_traces_gate_to_revalidation() {
     });
 }
 
+/// Every descendant of `node` (and `node` itself) named `cat.name`.
+fn find_all<'j>(node: &'j Json, cat: &str, name: &str, out: &mut Vec<&'j Json>) {
+    if node.get("cat").and_then(Json::as_str) == Some(cat)
+        && node.get("name").and_then(Json::as_str) == Some(name)
+    {
+        out.push(node);
+    }
+    for c in node.get("children").and_then(Json::as_array).unwrap_or(&[]) {
+        find_all(c, cat, name, out);
+    }
+}
+
+#[test]
+fn traced_cold_prove_shows_one_compile_and_two_engines_with_counters() {
+    let service = CompileService::new();
+    let mut notes = Vec::new();
+    let open = service.handle(
+        Incoming::request(
+            1,
+            "open",
+            Json::obj([("uri", Json::str("c.anv")), ("text", Json::str(PROVE))]),
+        ),
+        &mut |n| notes.push(n),
+    );
+    assert!(open.expect("response").get("result").is_some());
+    let resp = service
+        .handle(
+            Incoming::request(
+                2,
+                "prove",
+                Json::obj([
+                    ("uri", Json::str("c.anv")),
+                    ("signal", Json::str("ok")),
+                    ("maxK", Json::int(4)),
+                    ("trace", Json::Bool(true)),
+                ]),
+            ),
+            &mut |n| notes.push(n),
+        )
+        .expect("response");
+    let result = resp.get("result").unwrap_or_else(|| panic!("{resp}"));
+    assert_ne!(
+        result.get("engine").and_then(Json::as_str),
+        Some("cache"),
+        "{resp}"
+    );
+    let trace = result.get("spanTree").expect("spanTree in response");
+
+    // One compile serves the circuit and the proof-cache key.
+    let mut compiles = Vec::new();
+    find_all(trace, "core", "compile", &mut compiles);
+    assert_eq!(compiles.len(), 1, "{trace}");
+
+    let mut portfolios = Vec::new();
+    find_all(trace, "prove", "portfolio", &mut portfolios);
+    let [portfolio] = portfolios.as_slice() else {
+        panic!("expected one prove.portfolio span: {trace}");
+    };
+    let mut engines: Vec<&Json> = portfolio
+        .get("children")
+        .and_then(Json::as_array)
+        .unwrap_or(&[])
+        .iter()
+        .filter(|c| {
+            c.get("cat").and_then(Json::as_str) == Some("prove")
+                && c.get("name").and_then(Json::as_str) != Some("prepare")
+        })
+        .collect();
+    engines.sort_by_key(|c| c.get("name").and_then(Json::as_str).map(str::to_string));
+    let names: Vec<&str> = engines
+        .iter()
+        .filter_map(|c| c.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(names, ["pdr", "symbolic"], "{trace}");
+    assert!(!tree_contains(trace, "prove", "explicit"), "{trace}");
+
+    // Each engine span names its own outcome and its solver counters.
+    for engine in engines {
+        let detail = engine
+            .get("detail")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("engine span without detail: {engine}"));
+        let outcome = detail.split(' ').next().unwrap_or("");
+        assert!(
+            ["proved", "falsified", "unknown", "stopped"].contains(&outcome),
+            "{detail}"
+        );
+        for counter in ["conflicts=", "decisions=", "propagations="] {
+            assert!(detail.contains(counter), "{detail}");
+        }
+    }
+}
+
 #[test]
 fn traced_compile_over_handle_nests_core_passes() {
     let service = CompileService::new();

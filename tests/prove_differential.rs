@@ -8,13 +8,16 @@
 //! same (minimal) depth, and "no violation within the bound" must match.
 //! Every counterexample trace from the symbolic engine must replay to a
 //! concrete violation on both the tree-walking and compiled simulation
-//! backends.
+//! backends. PDR alone and the two-engine `prove_portfolio` (which no
+//! longer runs the explicit-state search itself) are held to the same
+//! exhaustive reference.
 
 use anvil_rtl::{Expr, Module};
 use anvil_sim::Backend;
 use anvil_smt::{optimize, Aig, AigCircuit};
 use anvil_verify::{
-    bmc_with_backend, prove_bounded, prove_pdr, replay_trace, BmcResult, ProveResult,
+    bmc_with_backend, prove_bounded, prove_pdr, prove_portfolio, replay_trace, BmcResult, Deadline,
+    ProveResult,
 };
 use proptest::prelude::*;
 
@@ -224,6 +227,47 @@ fn assert_pdr_agrees(seed: u64, depth: usize) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The two-engine portfolio against the exhaustive explicit-state
+/// search it no longer runs: a violation within the bound comes back
+/// falsified at the identical minimal depth, with a trace that replays
+/// on both backends, and a clean bounded search is never contradicted by
+/// a falsification at or below the bound.
+fn assert_portfolio_agrees(seed: u64, depth: usize, max_k: usize) -> Result<(), TestCaseError> {
+    let (m, a) = random_design(seed);
+    let (explicit, _) = bmc_with_backend(&m, &a, depth, 1_000_000, Backend::Compiled).unwrap();
+    let out = prove_portfolio(&m, &a, max_k, None, Deadline::none()).unwrap();
+    match (&explicit, &out.result) {
+        (BmcResult::Violation { depth: ed, .. }, ProveResult::Falsified { depth: pd, trace }) => {
+            prop_assert_eq!(ed, pd, "portfolio depth diverged on seed {}", seed);
+            for backend in [Backend::Tree, Backend::Compiled] {
+                let violated = replay_trace(&m, &a, trace, backend).unwrap();
+                prop_assert_eq!(violated, Some(pd - 1), "seed {} on {}", seed, backend);
+            }
+        }
+        (BmcResult::Violation { depth: ed, .. }, other) => {
+            return Err(TestCaseError::fail(format!(
+                "portfolio (max_k {max_k}) missed a depth-{ed} violation on seed {seed}: {other:?}"
+            )))
+        }
+        (BmcResult::ExhaustedDepth { .. }, ProveResult::Falsified { depth: pd, .. }) => {
+            prop_assert!(
+                *pd > depth,
+                "portfolio claims a depth-{} violation the exhaustive search refutes (seed {})",
+                pd,
+                seed
+            );
+        }
+        (BmcResult::ExhaustedDepth { .. }, ProveResult::Proved { .. })
+        | (BmcResult::ExhaustedDepth { .. }, ProveResult::Unknown { .. }) => {}
+        (e, p) => {
+            return Err(TestCaseError::fail(format!(
+                "engines diverged on seed {seed}: explicit {e:?} vs portfolio {p:?}"
+            )))
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -249,6 +293,20 @@ proptest! {
     fn pdr_and_bounded_engines_agree(seed in any::<u64>(), depth_sel in any::<u64>()) {
         let depth = 1 + (depth_sel % 5) as usize;
         assert_pdr_agrees(seed, depth)?;
+    }
+
+    /// Random designs, depths and induction windows: the two-engine
+    /// portfolio loses no violation the exhaustive explicit-state search
+    /// finds, and invents none it refutes.
+    #[test]
+    fn portfolio_and_exhaustive_bmc_agree(
+        seed in any::<u64>(),
+        depth_sel in any::<u64>(),
+        k_sel in any::<u64>(),
+    ) {
+        let depth = 1 + (depth_sel % 5) as usize;
+        let max_k = (k_sel % 6) as usize;
+        assert_portfolio_agrees(seed, depth, max_k)?;
     }
 }
 

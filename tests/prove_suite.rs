@@ -143,21 +143,11 @@ fn counterexample_lane_dumps_to_vcd() {
 
 #[test]
 fn portfolio_settles_suite_and_seeded_designs() {
-    // Proved property: one of the SAT engines must win (whichever
-    // concludes first cancels the others; the explicit-state checker can
-    // never produce a proof).
+    // Proved property: one of the two engines must win (whichever
+    // concludes first cancels the other).
     let prop = &suite_properties()[0];
-    let out = prove_portfolio(
-        &prop.module,
-        &prop.assertion,
-        MAX_K,
-        6,
-        5_000,
-        2,
-        None,
-        Deadline::none(),
-    )
-    .unwrap();
+    let out =
+        prove_portfolio(&prop.module, &prop.assertion, MAX_K, None, Deadline::none()).unwrap();
     assert!(
         matches!(out.result, ProveResult::Proved { .. }),
         "{:?}",
@@ -169,17 +159,7 @@ fn portfolio_settles_suite_and_seeded_designs() {
 
     // Seeded bug: some engine falsifies, and the combined trace replays.
     let prop = &seeded_violations()[0];
-    let out = prove_portfolio(
-        &prop.module,
-        &prop.assertion,
-        16,
-        8,
-        100_000,
-        2,
-        None,
-        Deadline::none(),
-    )
-    .unwrap();
+    let out = prove_portfolio(&prop.module, &prop.assertion, 16, None, Deadline::none()).unwrap();
     let ProveResult::Falsified { depth, trace } = &out.result else {
         panic!("expected falsification, got {:?}", out.result);
     };
@@ -203,9 +183,6 @@ fn aes_prove_with_a_10ms_deadline_bails_out_well_under_a_second() {
         &prop.module,
         &prop.assertion,
         4096,
-        64,
-        100_000,
-        2,
         None,
         Deadline::in_ms(10),
     )
