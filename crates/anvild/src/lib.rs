@@ -54,10 +54,11 @@
 //! | `shutdown`    | request   | stop serving (`mode`: `drain` or `abort`)      |
 //!
 //! Every request additionally accepts an optional `deadlineMs` param: a
-//! monotonic deadline armed at registration (queue wait counts) and
-//! polled by the compile pipeline and every prover engine; expiry
-//! answers `DEADLINE_EXCEEDED` (`-32003`) with partial progress in
-//! `error.data`. Heavy methods (`compile`, `diagnostics`, `prove`) pass
+//! monotonic deadline armed at registration (queue wait counts) and,
+//! with the request's stop flag, polled by every stage the request runs
+//! (compile, check, and every prover engine); expiry answers
+//! `DEADLINE_EXCEEDED` (`-32003`), with partial progress in
+//! `error.data` when the prover engines had started. Heavy methods (`compile`, `diagnostics`, `prove`) pass
 //! a bounded admission gate when served over a socket — beyond the
 //! configured concurrency and queue limits they are shed immediately
 //! with `OVERLOADED` (`-32004`) plus a `retryAfterMs` hint.

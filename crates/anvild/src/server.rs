@@ -15,8 +15,11 @@
 //! daemon keeps serving (the session's cache recovers poisoned shards
 //! by itself, see `anvil_core`'s cache docs). Requests carrying an id
 //! register a cooperative stop flag keyed by that id; the `cancel`
-//! method raises the flag, and [`Session::compile_cancellable`] /
-//! the prover poll it at unit boundaries. A `cancel` that arrives
+//! method raises the flag. Each request runs under one [`Control`] (its
+//! stop flag and deadline), handed to every stage it runs — the compile
+//! pipeline ([`Session::compile_with`], [`Session::check`],
+//! [`Session::compile_flat_aig`]) polls it at unit boundaries and the
+//! prover in its engine loops. A `cancel` that arrives
 //! before its request pre-raises the flag, so cancelling is never racy
 //! from the client's point of view. Ids must not be reused after
 //! cancellation (a pre-raised flag for an id lingers until that id is
@@ -27,13 +30,13 @@
 //! Any request may carry a `deadlineMs` param: a monotonic [`Deadline`]
 //! armed when the request registers (so queue wait counts against it)
 //! and polled by the compile pipeline and every prover engine alongside
-//! the stop flag. Expiry answers `DEADLINE_EXCEEDED` (`-32003`) with
-//! partial progress in `error.data`. Heavy methods (`compile`,
-//! `diagnostics`, `prove`) pass through a bounded admission gate on the
-//! serve loop — beyond `max_concurrency` running plus `max_queue`
-//! waiting, requests are shed immediately with `OVERLOADED` (`-32004`)
-//! and a `retryAfterMs` hint, so the daemon answers fast even when it
-//! cannot answer yes. A watchdog thread raises the stop flag of any
+//! the stop flag. Expiry answers `DEADLINE_EXCEEDED` (`-32003`), with
+//! partial progress in `error.data` where there is some. Heavy methods
+//! (`compile`, `diagnostics`, `prove`) pass through a bounded admission
+//! gate on the serve loop — beyond `max_concurrency` running plus
+//! `max_queue` waiting, requests are shed immediately with `OVERLOADED`
+//! (`-32004`) and a `retryAfterMs` hint, so the daemon answers fast even
+//! when it cannot answer yes. A watchdog thread raises the stop flag of any
 //! worker that overruns its deadline by the configured grace, and the
 //! `health` method exposes the counters ([`ServiceStats`]) that make
 //! all of this observable.
@@ -46,7 +49,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use anvil_core::fault::{FaultKind, FaultPlan};
-use anvil_core::{CacheStats, CompileError, Deadline, Session};
+use anvil_core::{CacheStats, CompileError, Control, Deadline, Interrupt, Session};
 use anvil_rtl::{Expr, Module};
 use anvil_syntax::WireDiagnostic;
 use anvil_verify::{
@@ -312,12 +315,12 @@ impl CompileService {
     }
 
     /// Registers (or adopts a pre-cancelled / pre-registered) in-flight
-    /// entry for a request id and returns its stop flag plus the armed
-    /// deadline. Registration is idempotent: the serve loop registers
-    /// *before* spawning the worker (arming the deadline so queue wait
-    /// counts), `handle` re-registers and adopts the already-armed
-    /// deadline.
-    fn register(&self, id: &Json, method: &str, deadline: Deadline) -> (Arc<AtomicBool>, Deadline) {
+    /// entry for a request id and returns the request's [`Control`]: its
+    /// stop flag plus the armed deadline. Registration is idempotent: the
+    /// serve loop registers *before* spawning the worker (arming the
+    /// deadline so queue wait counts), `handle` re-registers and adopts
+    /// the already-armed deadline.
+    fn register(&self, id: &Json, method: &str, deadline: Deadline) -> Control {
         let mut inflight = self.lock_inflight();
         let entry = inflight
             .entry(id.to_string())
@@ -328,7 +331,10 @@ impl CompileService {
         if entry.deadline.is_none() {
             entry.deadline = deadline;
         }
-        (Arc::clone(&entry.stop), entry.deadline)
+        Control {
+            stop: Some(Arc::clone(&entry.stop)),
+            deadline: entry.deadline,
+        }
     }
 
     fn unregister(&self, id: &Json) {
@@ -410,12 +416,13 @@ impl CompileService {
         let result = match self.request_deadline(&msg.params) {
             Err(e) => Err(e),
             Ok(deadline) => {
-                let registered = id
-                    .as_ref()
-                    .map(|id| self.register(id, &msg.method, deadline));
-                let (stop, deadline) = match &registered {
-                    Some((stop, armed)) => (Some(stop), *armed),
-                    None => (None, deadline),
+                // One control per request, passed to every stage it runs.
+                let control = match &id {
+                    Some(id) => self.register(id, &msg.method, deadline),
+                    None => Control {
+                        stop: None,
+                        deadline,
+                    },
                 };
                 // A panicking handler must answer *this* request with an
                 // error, not unwind through the serve loop: panic-safety
@@ -423,7 +430,7 @@ impl CompileService {
                 std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let _sp =
                         anvil_trace::span("anvild", "dispatch").detail_with(|| msg.method.clone());
-                    self.dispatch(&msg, stop, deadline, notify)
+                    self.dispatch(&msg, &control, notify)
                 }))
                 .unwrap_or_else(|payload| {
                     self.counters.panics_recovered.inc();
@@ -492,8 +499,7 @@ impl CompileService {
     fn dispatch(
         &self,
         msg: &Incoming,
-        stop: Option<&Arc<AtomicBool>>,
-        deadline: Deadline,
+        control: &Control,
         notify: &mut dyn FnMut(Json),
     ) -> Result<Json, RpcError> {
         if is_heavy(&msg.method) {
@@ -501,7 +507,7 @@ impl CompileService {
             // A deadline that expired while the request waited in the
             // admission queue (or before it was read) fails fast without
             // burning a worker slot on doomed work.
-            if deadline.expired() {
+            if control.deadline.expired() {
                 return Err(RpcError::new(
                     DEADLINE_EXCEEDED,
                     format!("deadline expired before `{}` started", msg.method),
@@ -517,9 +523,9 @@ impl CompileService {
             "open" => self.open(&msg.params),
             "update" => self.update(&msg.params),
             "close" => self.close(&msg.params),
-            "compile" => self.compile(&msg.params, stop, deadline, notify),
-            "diagnostics" => self.diagnostics(&msg.params, notify),
-            "prove" => self.prove(&msg.params, stop, deadline, notify),
+            "compile" => self.compile(&msg.params, control, notify),
+            "diagnostics" => self.diagnostics(&msg.params, control, notify),
+            "prove" => self.prove(&msg.params, control, notify),
             "cacheStats" => Ok(self.cache_stats_json()),
             "health" => Ok(self.health_json()),
             "metrics" => Ok(self.metrics_json()),
@@ -616,8 +622,7 @@ impl CompileService {
     fn compile(
         &self,
         params: &Json,
-        stop: Option<&Arc<AtomicBool>>,
-        deadline: Deadline,
+        control: &Control,
         notify: &mut dyn FnMut(Json),
     ) -> Result<Json, RpcError> {
         let uri = str_param(params, "uri")?;
@@ -631,9 +636,7 @@ impl CompileService {
             }
         }
         let before = self.session.cache_stats();
-        let result =
-            self.session
-                .compile_with_deadline(&text, stop.map(|flag| flag.as_ref()), deadline);
+        let result = self.session.compile_with(&text, control);
         let delta = self.session.cache_stats() - before;
         match result {
             Ok(out) => {
@@ -647,14 +650,6 @@ impl CompileService {
                     (
                         "passStats",
                         Json::obj([
-                            ("parseUs", Json::int(out.stats.parse.as_micros() as i64)),
-                            ("checkUs", Json::int(out.stats.check.as_micros() as i64)),
-                            (
-                                "optimizeUs",
-                                Json::int(out.stats.optimize.as_micros() as i64),
-                            ),
-                            ("codegenUs", Json::int(out.stats.codegen.as_micros() as i64)),
-                            ("emitUs", Json::int(out.stats.emit.as_micros() as i64)),
                             ("eventsBefore", Json::int(out.stats.events_before as i64)),
                             ("eventsAfter", Json::int(out.stats.events_after as i64)),
                         ]),
@@ -678,10 +673,15 @@ impl CompileService {
         }
     }
 
-    fn diagnostics(&self, params: &Json, notify: &mut dyn FnMut(Json)) -> Result<Json, RpcError> {
+    fn diagnostics(
+        &self,
+        params: &Json,
+        control: &Control,
+        notify: &mut dyn FnMut(Json),
+    ) -> Result<Json, RpcError> {
         let uri = str_param(params, "uri")?;
         let (text, version) = self.snapshot(uri)?;
-        let diags = match self.session.check(&text) {
+        let diags = match self.session.check(&text, control) {
             Ok((_, reports)) => {
                 let errors: Vec<_> = reports
                     .values()
@@ -692,6 +692,9 @@ impl CompileService {
                 } else {
                     CompileError::TimingUnsafe(errors).wire_diagnostics(&text)
                 }
+            }
+            Err(e @ (CompileError::Cancelled | CompileError::DeadlineExceeded)) => {
+                return Err(compile_failure(&e, &text, uri, version, notify));
             }
             Err(e) => e.wire_diagnostics(&text),
         };
@@ -706,8 +709,7 @@ impl CompileService {
     fn prove(
         &self,
         params: &Json,
-        stop: Option<&Arc<AtomicBool>>,
-        deadline: Deadline,
+        control: &Control,
         notify: &mut dyn FnMut(Json),
     ) -> Result<Json, RpcError> {
         let uri = str_param(params, "uri")?;
@@ -743,7 +745,7 @@ impl CompileService {
 
         let flat = self
             .session
-            .compile_flat_aig(&text, &top)
+            .compile_flat_aig(&text, &top, control)
             .map_err(|e| compile_failure(&e, &text, uri, version, notify))?;
         let circuit = &flat.circuit;
         let module = circuit.module();
@@ -784,35 +786,32 @@ impl CompileService {
         }
 
         // ---- Cold path: the cooperating portfolio. ----
-        let out = prove_portfolio(module, &assertion, max_k, stop.map(Arc::clone), deadline)
+        let out = prove_portfolio(module, &assertion, max_k, control)
             .map_err(|e| RpcError::new(PROVE_FAILED, e.to_string()))?;
-        // An expired deadline wins over a raised stop flag: the watchdog
-        // raises flags *because* deadlines expired, and the client should
-        // see -32003 with partial progress, not a bare cancellation.
-        if deadline.expired() {
-            if let ProveResult::Unknown { depth } = out.result {
-                let (engine, conflicts) = if out.pdr_stats.conflicts >= out.symbolic_stats.conflicts
-                {
-                    ("pdr", out.pdr_stats.conflicts)
-                } else {
-                    ("symbolic", out.symbolic_stats.conflicts)
-                };
-                return Err(
-                    RpcError::new(DEADLINE_EXCEEDED, "prove deadline exceeded").with_data(
-                        Json::obj([
+        // The portfolio also raises the stop flag when an engine
+        // concludes, so only an inconclusive result was interrupted.
+        if let ProveResult::Unknown { depth } = out.result {
+            match control.interrupted() {
+                Some(Interrupt::DeadlineExceeded) => {
+                    let (engine, conflicts) =
+                        if out.pdr_stats.conflicts >= out.symbolic_stats.conflicts {
+                            ("pdr", out.pdr_stats.conflicts)
+                        } else {
+                            ("symbolic", out.symbolic_stats.conflicts)
+                        };
+                    return Err(RpcError::new(DEADLINE_EXCEEDED, "prove deadline exceeded")
+                        .with_data(Json::obj([
                             ("verdict", Json::str("unknown")),
                             ("depthReached", Json::int(depth as i64)),
                             ("engine", Json::str(engine)),
                             ("conflicts", Json::int(conflicts as i64)),
-                        ]),
-                    ),
-                );
+                        ])));
+                }
+                Some(Interrupt::Cancelled) => {
+                    return Err(RpcError::new(REQUEST_CANCELLED, "prove cancelled"))
+                }
+                None => {}
             }
-        }
-        let cancelled = stop.is_some_and(|flag| flag.load(Ordering::Relaxed))
-            && matches!(out.result, ProveResult::Unknown { .. });
-        if cancelled {
-            return Err(RpcError::new(REQUEST_CANCELLED, "prove cancelled"));
         }
         if let (Some(key), Some(cert)) = (proof_key, &out.certificate) {
             self.session.store_proof(key, Arc::new(cert.clone()));

@@ -1,13 +1,16 @@
 //! Overload-and-failure survival tests for the compile service:
-//! deadlines (`-32003` with partial progress), admission control
-//! (`-32004` with a retry hint), watchdog recovery of overdue workers,
-//! the `health` counters, drain/abort shutdown, and a cancellation
-//! storm that must leave no orphaned state behind.
+//! deadlines (`-32003` with partial progress) and cancellation reaching
+//! the compile stage of every heavy method, admission control (`-32004`
+//! with a retry hint), watchdog recovery of overdue workers, the
+//! `health` counters, drain/abort shutdown, and a cancellation storm
+//! that must leave no orphaned state behind.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use anvil_core::fault::{FaultKind, FaultPlan, FaultRule};
 use anvild::{CompileService, Incoming, Json, ServiceConfig};
 
 const GOOD: &str = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
@@ -18,10 +21,32 @@ const GOOD: &str = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle
 const SLOW: &str = "proc slow() { reg c : logic[32]; reg ok : logic := 1; \
     loop { set ok := !(*c == 4294967295); set c := *c + 1 >> cycle 1 } }";
 
+/// Two compilation units: an interrupted compile stops at the boundary
+/// between them.
+const TWO_PROCS: &str = "proc a() { reg ok : logic := 1; loop { set ok := 1 >> cycle 1 } }
+proc b() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
+
 fn call(service: &CompileService, id: i64, method: &str, params: Json) -> Json {
-    service
-        .handle(Incoming::request(id, method, params), &mut |_| {})
-        .expect("requests get responses")
+    call_noting(service, id, method, params).0
+}
+
+/// [`call`], also returning the notifications the request streamed.
+fn call_noting(service: &CompileService, id: i64, method: &str, params: Json) -> (Json, Vec<Json>) {
+    let mut notes = Vec::new();
+    let resp = service
+        .handle(Incoming::request(id, method, params), &mut |n| {
+            notes.push(n)
+        })
+        .expect("requests get responses");
+    (resp, notes)
+}
+
+/// Stalls the first occurrence of the pipeline seam `op` for 300 ms.
+fn stall_first(service: &CompileService, op: &str) {
+    let stall = FaultKind::Stall(Duration::from_millis(300));
+    service.set_fault_plan(Some(Arc::new(FaultPlan::new(vec![FaultRule::new(
+        op, 1, stall,
+    )]))));
 }
 
 fn result<'r>(resp: &'r Json, key: &str) -> &'r Json {
@@ -248,6 +273,85 @@ fn prove_deadline_returns_partial_progress_quickly() {
         ]),
     );
     assert!(resp.get("result").is_some(), "{resp}");
+}
+
+/// A `prove` request's deadline and `cancel` flag reach its compile
+/// stage: the compile stops at the next unit boundary, before the
+/// circuit is bit-blasted or any engine starts.
+#[test]
+fn prove_deadline_and_cancel_stop_its_compile_stage() {
+    let prove = |deadline_ms: Option<i64>| {
+        let mut params = vec![
+            ("uri", Json::str("two.anv")),
+            ("top", Json::str("a")),
+            ("signal", Json::str("ok")),
+        ];
+        params.extend(deadline_ms.map(|ms| ("deadlineMs", Json::int(ms))));
+        Json::Obj(
+            params
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+
+    // The first unit stalls past the 50 ms deadline.
+    let service = CompileService::new();
+    open(&service, "two.anv", TWO_PROCS);
+    stall_first(&service, "session.unit");
+    let resp = call(&service, 1, "prove", prove(Some(50)));
+    assert_eq!(error_code(&resp), anvild::DEADLINE_EXCEEDED, "{resp}");
+    let stats = service.session().cache_stats();
+    assert_eq!(
+        stats.emit.misses, 0,
+        "compile ran past its deadline: {stats}"
+    );
+    assert_eq!(
+        stats.aig.misses, 0,
+        "prove blasted past its deadline: {stats}"
+    );
+
+    // A pre-raised cancel stops it before any unit is compiled.
+    let service = CompileService::new();
+    open(&service, "two.anv", TWO_PROCS);
+    call(&service, 2, "cancel", Json::obj([("id", Json::int(3))]));
+    let resp = call(&service, 3, "prove", prove(None));
+    assert_eq!(error_code(&resp), anvild::REQUEST_CANCELLED, "{resp}");
+    let stats = service.session().cache_stats();
+    assert_eq!(stats.misses(), 0, "cancelled prove compiled: {stats}");
+}
+
+/// A `diagnostics` request's deadline and `cancel` flag reach its check
+/// stage, and an interrupted check streams no diagnostics: the program
+/// was not fully analyzed.
+#[test]
+fn diagnostics_deadline_and_cancel_stop_its_check_stage() {
+    let diagnostics = |deadline_ms: Option<i64>| {
+        let mut params = vec![("uri", Json::str("two.anv"))];
+        params.extend(deadline_ms.map(|ms| ("deadlineMs", Json::int(ms))));
+        Json::Obj(
+            params
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+
+    // The first unit's cache lookup stalls past the 50 ms deadline.
+    let service = CompileService::new();
+    open(&service, "two.anv", TWO_PROCS);
+    stall_first(&service, "cache.get");
+    let (resp, notes) = call_noting(&service, 1, "diagnostics", diagnostics(Some(50)));
+    assert_eq!(error_code(&resp), anvild::DEADLINE_EXCEEDED, "{resp}");
+    assert!(notes.is_empty(), "streamed {notes:?}");
+
+    // A pre-raised cancel stops it before any unit is checked.
+    let service = CompileService::new();
+    open(&service, "two.anv", TWO_PROCS);
+    call(&service, 2, "cancel", Json::obj([("id", Json::int(3))]));
+    let (resp, notes) = call_noting(&service, 3, "diagnostics", diagnostics(None));
+    assert_eq!(error_code(&resp), anvild::REQUEST_CANCELLED, "{resp}");
+    assert!(notes.is_empty(), "streamed {notes:?}");
 }
 
 #[test]

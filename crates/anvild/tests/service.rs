@@ -94,6 +94,76 @@ fn compile_is_cold_then_warm_with_cache_delta_on_the_wire() {
     assert!(delta.get("hits").and_then(Json::as_i64) > Some(0), "{warm}");
 }
 
+/// The `compile` result's shape is pinned, so a wire change has to be
+/// deliberate. Per-pass time is not in it: it rides in `spanTree` when
+/// the request sets `trace: true`.
+#[test]
+fn compile_result_has_exactly_the_pinned_keys() {
+    let service = CompileService::new();
+    open(&service, "a.anv", GOOD);
+    let (resp, _) = call(
+        &service,
+        1,
+        "compile",
+        Json::obj([("uri", Json::str("a.anv"))]),
+    );
+    let keys = |v: &Json| match v {
+        Json::Obj(map) => map.keys().cloned().collect::<Vec<_>>(),
+        other => panic!("expected an object, got {other}"),
+    };
+    let result = resp.get("result").unwrap_or_else(|| panic!("{resp}"));
+    assert_eq!(
+        keys(result),
+        [
+            "cacheDelta",
+            "modules",
+            "passStats",
+            "systemverilog",
+            "uri",
+            "version"
+        ]
+    );
+    assert_eq!(
+        keys(result.get("passStats").unwrap()),
+        ["eventsAfter", "eventsBefore"]
+    );
+}
+
+/// An 81-byte source declaring a 2^64 - 1 bit register used to abort the
+/// process while lowering its reset value. The width cap rejects it at
+/// parse time with a located diagnostic, and the daemon keeps serving.
+#[test]
+fn oversized_width_is_a_compile_error_and_the_daemon_keeps_serving() {
+    let service = CompileService::new();
+    let hostile =
+        "proc p() { reg r : logic[18446744073709551615]; loop { set r := *r >> cycle 1 } }";
+    assert_eq!(hostile.len(), 81);
+    open(&service, "huge.anv", hostile);
+    let (resp, notes) = call(
+        &service,
+        1,
+        "compile",
+        Json::obj([("uri", Json::str("huge.anv"))]),
+    );
+    assert_eq!(error_code(&resp), anvild::COMPILE_FAILED, "{resp}");
+    let diags = notes[0]
+        .get("params")
+        .and_then(|p| p.get("diagnostics"))
+        .and_then(Json::as_array)
+        .expect("diagnostics notification streamed");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].get("line").and_then(Json::as_i64), Some(1));
+
+    open(&service, "a.anv", GOOD);
+    let (resp, _) = call(
+        &service,
+        2,
+        "compile",
+        Json::obj([("uri", Json::str("a.anv"))]),
+    );
+    assert!(resp.get("result").is_some(), "{resp}");
+}
+
 #[test]
 fn broken_file_answers_compile_failed_and_streams_diagnostics() {
     let service = CompileService::new();

@@ -10,12 +10,13 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| anvil_syntax::parse(std::hint::black_box(&src)).unwrap())
     });
     c.bench_function("typecheck_ptw", |b| {
-        let compiler = anvil_core::Compiler::new();
-        b.iter(|| compiler.check(std::hint::black_box(&src)).unwrap())
+        let session = anvil_core::Session::new();
+        let control = anvil_core::Control::none();
+        b.iter(|| session.check(std::hint::black_box(&src), &control).unwrap())
     });
     c.bench_function("compile_ptw_to_sv", |b| {
-        let compiler = anvil_core::Compiler::new();
-        b.iter(|| compiler.compile(std::hint::black_box(&src)).unwrap())
+        let session = anvil_core::Session::new();
+        b.iter(|| session.compile(std::hint::black_box(&src)).unwrap())
     });
 }
 
@@ -28,21 +29,21 @@ fn bench_batch(c: &mut Criterion) {
         .map(|(_, src)| src)
         .collect();
     let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let mut compiler = anvil_core::Compiler::new();
-    compiler.with_extern(anvil_designs::aes::sbox_module());
+    let mut session = anvil_core::Session::new();
+    session.add_extern(anvil_designs::aes::sbox_module());
 
     c.bench_function("compile_suite_sequential", |b| {
         b.iter(|| {
             let out: Vec<_> = refs
                 .iter()
-                .map(|s| compiler.compile(std::hint::black_box(s)).unwrap())
+                .map(|s| session.compile(std::hint::black_box(s)).unwrap())
                 .collect();
             std::hint::black_box(out)
         })
     });
     c.bench_function("compile_suite_batch", |b| {
         b.iter(|| {
-            let out = compiler.compile_batch(std::hint::black_box(&refs));
+            let out = session.compile_batch(std::hint::black_box(&refs));
             assert!(out.iter().all(|r| r.is_ok()));
             std::hint::black_box(out)
         })

@@ -10,10 +10,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn suite_compiler() -> anvil_core::Compiler {
-    let mut compiler = anvil_core::Compiler::new();
-    compiler.with_extern(anvil_designs::aes::sbox_module());
-    compiler
+fn suite_session() -> anvil_core::Session {
+    let mut session = anvil_core::Session::new();
+    session.add_extern(anvil_designs::aes::sbox_module());
+    session
 }
 
 fn bench_warm_vs_cold(c: &mut Criterion) {
@@ -26,21 +26,21 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
     c.bench_function("compile_suite_cold_session", |b| {
         b.iter(|| {
             // A fresh session per iteration: every unit recompiles.
-            let compiler = suite_compiler();
+            let session = suite_session();
             for s in &refs {
-                std::hint::black_box(compiler.compile(std::hint::black_box(s)).unwrap());
+                std::hint::black_box(session.compile(std::hint::black_box(s)).unwrap());
             }
         })
     });
 
     c.bench_function("compile_suite_warm_cache", |b| {
-        let compiler = suite_compiler();
+        let session = suite_session();
         for s in &refs {
-            compiler.compile(s).unwrap(); // pre-warm every unit
+            session.compile(s).unwrap(); // pre-warm every unit
         }
         b.iter(|| {
             for s in &refs {
-                std::hint::black_box(compiler.compile(std::hint::black_box(s)).unwrap());
+                std::hint::black_box(session.compile(std::hint::black_box(s)).unwrap());
             }
         });
         // The warm-path zero-miss property itself is pinned by
@@ -65,9 +65,9 @@ fn bench_one_proc_edit(c: &mut Criterion) {
     let variant_b = base.replace("set r := *r + 7", "set r := *r + 77");
     assert_ne!(variant_a, variant_b);
 
-    let compiler = anvil_core::Compiler::new();
-    compiler.compile(&variant_a).unwrap();
-    compiler.compile(&variant_b).unwrap();
+    let session = anvil_core::Session::new();
+    session.compile(&variant_a).unwrap();
+    session.compile(&variant_b).unwrap();
 
     // Both variants are now cached; alternating measures a fully warm
     // recompile of a ten-proc program (the edit-loop floor).
@@ -76,7 +76,7 @@ fn bench_one_proc_edit(c: &mut Criterion) {
         b.iter(|| {
             flip = !flip;
             let src = if flip { &variant_a } else { &variant_b };
-            std::hint::black_box(compiler.compile(std::hint::black_box(src)).unwrap());
+            std::hint::black_box(session.compile(std::hint::black_box(src)).unwrap());
         })
     });
 }

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 use anvil_verify::{bmc, BmcResult};
 
@@ -66,7 +66,7 @@ fn main() {
 
     // --- Anvil type check ---
     let t0 = Instant::now();
-    let result = Compiler::new().compile(LISTING1);
+    let result = Session::new().compile(LISTING1);
     let anvil_time = t0.elapsed();
     match result {
         Err(e) => {

@@ -30,7 +30,7 @@ use std::time::Instant;
 use anvil_designs::props::{seeded_violations, suite_properties, SafetyProperty};
 use anvil_verify::{
     bmc, prove, prove_bounded, prove_pdr, prove_portfolio, revalidate_certificate, AigCircuit,
-    BmcResult, Deadline, ProveResult,
+    BmcResult, Control, ProveResult,
 };
 
 /// Depth bound shared by both bounded engines.
@@ -135,7 +135,7 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
     // The proof-cache pair: a cold portfolio run leaves a certificate;
     // revalidating that certificate is the warm `anvild` re-prove path.
     let t = Instant::now();
-    let out = prove_portfolio(&prop.module, &prop.assertion, MAX_K, None, Deadline::none())
+    let out = prove_portfolio(&prop.module, &prop.assertion, MAX_K, &Control::none())
         .expect("portfolio runs");
     let cold = t.elapsed().as_secs_f64() * 1e3;
     rows.push(Row {

@@ -5,7 +5,7 @@
 //! the Anvil compiler rejecting the equivalent source and accepting the
 //! corrected version.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_designs::hazard;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
 
     println!("== The same Top in Anvil ==\n");
     let unsafe_src = hazard::fig1_top_unsafe_anvil();
-    match Compiler::new().compile(&unsafe_src) {
+    match Session::new().compile(&unsafe_src) {
         Err(e) => {
             println!("top_unsafe: REJECTED at compile time:");
             for line in e.render(&unsafe_src).lines() {
@@ -47,7 +47,7 @@ fn main() {
         Ok(_) => println!("top_unsafe: unexpectedly accepted (BUG)"),
     }
     let safe_src = hazard::fig1_top_safe_anvil();
-    match Compiler::new().compile(&safe_src) {
+    match Session::new().compile(&safe_src) {
         Ok(_) => println!("\ntop_safe (dynamic contract): accepted — compiles to SystemVerilog."),
         Err(e) => println!("\ntop_safe unexpectedly rejected: {e}"),
     }

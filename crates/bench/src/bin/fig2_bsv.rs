@@ -2,7 +2,7 @@
 //! conflict-free every cycle yet timing-unsafe across cycles, next to
 //! Anvil's compile-time rejection of the same interleaving.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_verify::{fig2_contract_violations, fig2_engine};
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
                 cycle 1
             }
         }";
-    match Compiler::new().compile(src) {
+    match Session::new().compile(src) {
         Err(e) => {
             println!("eager-address-change version: REJECTED:");
             for line in e.render(src).lines() {
@@ -84,7 +84,7 @@ fn main() {
                 cycle 1
             }
         }";
-    match Compiler::new().compile(safe) {
+    match Session::new().compile(safe) {
         Ok(_) => println!("\ncontract-respecting version (Fig. 2 top-right): accepted."),
         Err(e) => println!("\nsafe version unexpectedly rejected:\n{}", e.render(safe)),
     }

@@ -2,13 +2,13 @@
 //! safe `Top`, including the per-register loan inference the paper's
 //! "Checks at Compile Time" panels show.
 
-use anvil_core::Compiler;
+use anvil_core::{Control, Session};
 use anvil_designs::hazard;
 
 fn report(label: &str, src: &str) {
     println!("== {label} ==\n");
-    let compiler = Compiler::new();
-    match compiler.check(src) {
+    let session = Session::new();
+    match session.check(src, &Control::none()) {
         Ok((_prog, reports)) => {
             for (proc, rep) in &reports {
                 for (tid, thread) in rep.threads.iter().enumerate() {

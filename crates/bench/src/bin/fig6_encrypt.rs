@@ -2,7 +2,7 @@
 //! times, plus the type errors its deliberately-unsafe tail produces
 //! (the double `enc_res` send of §5.4 "Valid Message Send").
 
-use anvil_core::Compiler;
+use anvil_core::{Control, Session};
 
 /// The paper's Fig. 6 `Encrypt`, transliterated. The two trailing sends
 /// of `enc_res` overlap, and the noise-combination is used past its
@@ -63,8 +63,8 @@ const ENCRYPT_SAFE: &str = "
 
 fn main() {
     println!("== Fig. 6: Encrypt, as written in the paper (with its violations) ==\n");
-    let compiler = Compiler::new();
-    match compiler.check(ENCRYPT_UNSAFE) {
+    let session = Session::new();
+    match session.check(ENCRYPT_UNSAFE, &Control::none()) {
         Ok((_, reports)) => {
             for (proc, rep) in &reports {
                 for thread in &rep.threads {
@@ -85,7 +85,7 @@ fn main() {
     }
 
     println!("\n== Repaired Encrypt ==\n");
-    match compiler.compile(ENCRYPT_SAFE) {
+    match session.compile(ENCRYPT_SAFE) {
         Ok(out) => {
             println!("accepted; emitted SystemVerilog module:");
             for line in out.systemverilog.lines().take(12) {

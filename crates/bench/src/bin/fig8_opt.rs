@@ -99,15 +99,15 @@ fn main() {
 }
 
 fn compile_area(src: &str, top: &str, opt: bool) -> f64 {
-    let mut compiler = anvil_core::Compiler::new();
-    compiler.options(anvil_core::Options {
+    let mut session = anvil_core::Session::new();
+    session.set_options(anvil_core::Options {
         optimize: opt,
         ..anvil_core::Options::default()
     });
     if src.contains("extern fn sbox") {
-        compiler.with_extern(anvil_designs::aes::sbox_module());
+        session.add_extern(anvil_designs::aes::sbox_module());
     }
-    let out = compiler.compile(src).expect("design compiles");
+    let out = session.compile(src).expect("design compiles");
     let flat = anvil_rtl::elaborate(top, &out.modules).expect("design flattens");
     anvil_synth::synthesize(&flat).total_ge()
 }

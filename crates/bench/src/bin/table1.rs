@@ -91,12 +91,12 @@ fn main() {
 }
 
 fn area_with(src: &str, top: &str, force: bool) -> f64 {
-    let mut compiler = anvil_core::Compiler::new();
-    compiler.options(anvil_core::Options {
+    let mut session = anvil_core::Session::new();
+    session.set_options(anvil_core::Options {
         force_dynamic_handshake: force,
         ..anvil_core::Options::default()
     });
-    let out = compiler.compile(src).expect("design compiles");
+    let out = session.compile(src).expect("design compiles");
     let flat = anvil_rtl::elaborate(top, &out.modules).expect("design flattens");
     anvil_synth::synthesize(&flat).total_ge()
 }

@@ -2,7 +2,7 @@
 //! studies from open-source repositories, each expressed as the Anvil
 //! code that would have caught (or structurally prevented) the bug.
 
-use anvil_core::{CompileError, Compiler};
+use anvil_core::{CompileError, Session};
 
 struct Case {
     repo: &'static str,
@@ -133,12 +133,12 @@ fn cases() -> Vec<Case> {
 
 fn main() {
     println!("== Appendix B, Table 2: real-world timing hazards ==\n");
-    let compiler = Compiler::new();
+    let session = Session::new();
     for (i, c) in cases().iter().enumerate() {
         println!("case {}: {}", i + 1, c.repo);
         println!("  bug: {}", c.summary);
         println!("  anvil: {}", c.how_anvil_helps);
-        match compiler.compile(&c.source) {
+        match session.compile(&c.source) {
             Ok(out) => {
                 assert!(
                     !c.expect_reject,

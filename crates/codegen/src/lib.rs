@@ -140,65 +140,19 @@ pub fn compile_program(
     externs: &ModuleLibrary,
     opts: CodegenOptions,
 ) -> Result<ModuleLibrary, CodegenError> {
-    compile_program_staged(program, externs, opts).map(|(lib, _)| lib)
-}
-
-/// Per-stage measurements from [`compile_program_staged`], for drivers
-/// that report pass timings (the `Session` pipeline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageStats {
-    /// Total event count across all thread graphs before optimization.
-    pub events_before: usize,
-    /// Total event count after optimization.
-    pub events_after: usize,
-    /// Wall-clock spent building + optimizing event graphs.
-    pub optimize: std::time::Duration,
-    /// Wall-clock spent lowering to RTL.
-    pub lower: std::time::Duration,
-}
-
-/// The one orchestration of the codegen back half — extern preflight,
-/// dependency ordering, IR build + optimization, lowering — with per-stage
-/// measurements. [`compile_program`] is this with the stats discarded;
-/// the driver's pass manager is this with the stats folded into its
-/// `PassStats`.
-///
-/// # Errors
-///
-/// See [`compile_program`].
-pub fn compile_program_staged(
-    program: &Program,
-    externs: &ModuleLibrary,
-    opts: CodegenOptions,
-) -> Result<(ModuleLibrary, StageStats), CodegenError> {
-    let mut stats = StageStats::default();
     check_externs(program, externs)?;
     let order = proc_order(program, externs)?;
-
-    // Build (and optionally optimize) every process's thread IRs first,
-    // so optimization time is attributable separately from lowering.
-    let t = std::time::Instant::now();
-    let mut irs_by_proc: Vec<(&str, Vec<ThreadIr>)> = Vec::with_capacity(order.len());
-    for name in order {
-        let (irs, before, after) = build_optimized_ir(program, name, opts)?;
-        stats.events_before += before;
-        stats.events_after += after;
-        irs_by_proc.push((name, irs));
-    }
-    stats.optimize = t.elapsed();
-
     // Lower children before parents against the growing library.
-    let t = std::time::Instant::now();
     let mut lib = ModuleLibrary::new();
     for m in externs.iter() {
         lib.add(m.clone());
     }
-    for (name, irs) in &irs_by_proc {
-        let m = lower_proc(program, name, irs, &lib, opts)?;
+    for name in order {
+        let (irs, _, _) = build_optimized_ir(program, name, opts)?;
+        let m = lower_proc(program, name, &irs, &lib, opts)?;
         lib.add(m);
     }
-    stats.lower = t.elapsed();
-    Ok((lib, stats))
+    Ok(lib)
 }
 
 /// Verifies every declared `extern fn` has an RTL implementation in the
@@ -263,9 +217,8 @@ pub fn proc_order<'a>(
 }
 
 /// Builds the single-iteration (codegen) thread IRs for one process,
-/// without optimizing or lowering them — the pass-manager entry point
-/// that lets the driver time elaboration, optimization, and lowering
-/// separately.
+/// without optimizing or lowering them ([`build_optimized_ir`] adds the
+/// optimizer).
 ///
 /// # Errors
 ///
@@ -282,9 +235,9 @@ pub fn build_ir(program: &Program, proc_name: &str) -> Result<Vec<ThreadIr>, Cod
 /// one process, returning `(thread IRs, events before, events after)`.
 ///
 /// This is the per-item "optimize" stage of the incremental pipeline —
-/// [`compile_program_staged`] runs it over every process, while the
-/// incremental driver runs it per compilation unit and caches the result
-/// keyed by the unit's fingerprint and the optimization options.
+/// [`compile_program`] runs it over every process, while the incremental
+/// driver runs it per compilation unit and caches the result keyed by the
+/// unit's fingerprint and the optimization options.
 ///
 /// # Errors
 ///

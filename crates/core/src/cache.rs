@@ -140,14 +140,14 @@ impl std::ops::Sub for StageCounters {
 /// snapshots (the `Sub` impl is element-wise) to measure one compile:
 ///
 /// ```
-/// use anvil_core::Compiler;
+/// use anvil_core::Session;
 ///
-/// let compiler = Compiler::new();
+/// let session = Session::new();
 /// let src = "proc p() { reg r : logic; loop { set r := ~*r >> cycle 1 } }";
-/// compiler.compile(src)?;
-/// let warm = compiler.cache_stats();
-/// compiler.compile(src)?;
-/// let delta = compiler.cache_stats() - warm;
+/// session.compile(src)?;
+/// let warm = session.cache_stats();
+/// session.compile(src)?;
+/// let delta = session.cache_stats() - warm;
 /// assert_eq!(delta.misses(), 0); // everything served from cache
 /// assert_eq!(delta.hits(), 4); // one unit, four stage artifacts
 /// # Ok::<(), anvil_core::CompileError>(())

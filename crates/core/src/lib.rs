@@ -15,9 +15,12 @@
 //! 4. **codegen** — FSM generation ([`anvil_codegen`]),
 //! 5. **emit** — SystemVerilog ([`anvil_rtl`]).
 //!
-//! Per-stage wall-clock timings are recorded in [`PassStats`] on every
-//! [`CompileOutput`]. Type errors are reported at compile time, and only
-//! timing-safe designs reach RTL.
+//! Every pass runs under a `core.*` span of [`anvil_trace`] (`core.parse`,
+//! `core.check`, `core.optimize.unit`, `core.lower.unit`, `core.emit`), so
+//! a [`anvil_trace::Capture`] around a compile times each stage; the
+//! event-graph sizes before and after optimization land in [`PassStats`]
+//! on every [`CompileOutput`]. Type errors are reported at compile time,
+//! and only timing-safe designs reach RTL.
 //!
 //! Compilation is **incremental**: every `proc` is a compilation unit,
 //! and the session owns a fingerprint-keyed query cache of per-unit
@@ -27,8 +30,10 @@
 //! all, and editing one proc out of ten re-runs check/codegen for exactly
 //! that unit — with output guaranteed byte-identical to a cold compile.
 //!
-//! [`Compiler`] is the ergonomic front door over a session; its
-//! [`Compiler::compile_batch`] fans a set of independent designs out
+//! [`Session`] is the one front door. [`Session::compile`] runs the
+//! pipeline to completion; [`Session::compile_with`] runs it under a
+//! [`Control`] (a stop flag and a [`Deadline`]), the form services use.
+//! [`Session::compile_batch`] fans a set of independent designs out
 //! across scoped worker threads sharing one session — the IR is interned
 //! and `Send + Sync`, so batch output is byte-identical to sequential
 //! compilation. Batch workers also share the query cache (it is sharded
@@ -37,9 +42,9 @@
 //! # Examples
 //!
 //! ```
-//! use anvil_core::Compiler;
+//! use anvil_core::Session;
 //!
-//! let out = Compiler::new()
+//! let out = Session::new()
 //!     .compile(
 //!         "chan ch { right beat : (logic[8]@#1) }
 //!          proc blink(ep : left ch) {
@@ -48,7 +53,7 @@
 //!          }",
 //!     )?;
 //! assert!(out.systemverilog.contains("module blink"));
-//! assert!(out.stats.total() > std::time::Duration::ZERO);
+//! assert!(out.stats.events_after > 0);
 //! # Ok::<(), anvil_core::CompileError>(())
 //! ```
 
@@ -63,7 +68,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use anvil_codegen::{
     build_optimized_ir, check_externs, lower_proc, proc_order, CodegenError, CodegenOptions,
@@ -77,7 +81,7 @@ use crate::cache::{Artifact, IrUnit, QueryCache};
 use crate::units::{options_fingerprint, ItemGraph};
 
 pub use anvil_codegen::CodegenOptions as Options;
-pub use anvil_smt::Deadline;
+pub use anvil_smt::{Control, Deadline, Interrupt};
 pub use cache::{CacheStats, Stage, StageCounters};
 
 /// Source marker that makes [`Session::compile`] panic deliberately.
@@ -100,60 +104,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// `Err(DeadlineExceeded)` past the deadline, `Err(Cancelled)` once the
-/// cooperative stop flag is raised. The deadline is checked first so a
-/// watchdog that raises the stop flag *because* the deadline was missed
-/// still surfaces as a deadline error, not a cancellation.
-fn poll_cancel(stop: Option<&AtomicBool>, deadline: Deadline) -> Result<(), CompileError> {
-    if deadline.expired() {
-        return Err(CompileError::DeadlineExceeded);
-    }
-    match stop {
-        Some(flag) if flag.load(Ordering::Relaxed) => Err(CompileError::Cancelled),
-        _ => Ok(()),
-    }
-}
-
-/// Wall-clock timings (and event-graph size effects) per compiler pass.
+/// The event-graph size effect of the optimize pass (§6.1). Pass time is
+/// measured by the `core.*` spans (see the crate docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PassStats {
-    /// Lexing + parsing.
-    pub parse: Duration,
-    /// Elaboration + timing-safety checking (two-iteration unroll).
-    pub check: Duration,
-    /// Event-graph optimization (§6.1) over the codegen IR.
-    pub optimize: Duration,
-    /// FSM generation / RTL lowering.
-    pub codegen: Duration,
-    /// SystemVerilog emission.
-    pub emit: Duration,
     /// Total event count before optimization, across all threads.
     pub events_before: usize,
     /// Total event count after optimization.
     pub events_after: usize,
-}
-
-impl PassStats {
-    /// Sum of all pass timings.
-    pub fn total(&self) -> Duration {
-        self.parse + self.check + self.optimize + self.codegen + self.emit
-    }
-}
-
-impl fmt::Display for PassStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "parse {:?} | check {:?} | optimize {:?} ({} -> {} events) | codegen {:?} | emit {:?}",
-            self.parse,
-            self.check,
-            self.optimize,
-            self.events_before,
-            self.events_after,
-            self.codegen,
-            self.emit
-        )
-    }
 }
 
 /// Everything the compiler produces for a program.
@@ -168,7 +126,7 @@ pub struct CompileOutput {
     pub modules: ModuleLibrary,
     /// The emitted SystemVerilog for the whole library.
     pub systemverilog: String,
-    /// Per-pass wall-clock timings for this compilation.
+    /// Event counts before and after optimization.
     pub stats: PassStats,
 }
 
@@ -242,14 +200,13 @@ pub enum CompileError {
     /// error in one result slot instead of aborting the whole batch (or
     /// the whole daemon).
     Internal(String),
-    /// The compilation was cancelled through the cooperative stop flag
-    /// of [`Session::compile_cancellable`] before it finished.
+    /// The compilation was cancelled through the stop flag of its
+    /// [`Control`] before it finished.
     Cancelled,
-    /// The compilation's wall-clock [`Deadline`] expired before it
-    /// finished (see [`Session::compile_with_deadline`]). Like
-    /// [`CompileError::Cancelled`], the session stays fully consistent:
-    /// every artifact completed before expiry is cached and a retry
-    /// resumes warm.
+    /// The wall-clock [`Deadline`] of the compilation's [`Control`]
+    /// expired before it finished. Like [`CompileError::Cancelled`], the
+    /// session stays fully consistent: every artifact completed before
+    /// expiry is cached and a retry resumes warm.
     DeadlineExceeded,
 }
 
@@ -278,6 +235,15 @@ impl std::error::Error for CompileError {}
 impl From<ParseError> for CompileError {
     fn from(e: ParseError) -> Self {
         CompileError::Parse(e)
+    }
+}
+
+impl From<Interrupt> for CompileError {
+    fn from(why: Interrupt) -> Self {
+        match why {
+            Interrupt::DeadlineExceeded => CompileError::DeadlineExceeded,
+            Interrupt::Cancelled => CompileError::Cancelled,
+        }
     }
 }
 
@@ -385,7 +351,7 @@ fn codegen_error(program: &Program, e: CodegenError) -> CompileError {
 /// A session's configuration is immutable during compilation and the
 /// cache is internally synchronised, so the session is `Send + Sync`: one
 /// session can serve any number of concurrent [`Session::compile`] calls
-/// (that is exactly what [`Compiler::compile_batch`] does).
+/// (that is exactly what [`Session::compile_batch`] does).
 ///
 /// # Incremental compilation
 ///
@@ -553,33 +519,39 @@ impl Session {
 
     /// Passes 1–2: parse, elaborate, and type-check (the fast path of the
     /// paper's feedback loop); returns reports containing any violations.
+    /// `control` is polled before each unit, as in
+    /// [`Session::compile_with`].
     ///
     /// # Errors
     ///
-    /// Fails on parse or elaboration errors; timing violations are inside
-    /// the reports.
+    /// Fails on parse or elaboration errors, or with
+    /// [`CompileError::DeadlineExceeded`] / [`CompileError::Cancelled`]
+    /// once `control` is interrupted; timing violations are inside the
+    /// reports.
     pub fn check(
         &self,
         source: &str,
+        control: &Control,
     ) -> Result<(Program, BTreeMap<Symbol, ProcReport>), CompileError> {
         let program = self.parse(source)?;
-        let (_, reports) = self.check_units(&program, None, Deadline::none())?;
+        let (_, reports) = self.check_units(&program, control)?;
         Ok((program, reports))
     }
 
     /// The per-unit check stage shared by [`Session::check`] and
-    /// [`Session::compile`]: builds the item graph and the report map,
-    /// serving every unit through the query cache.
+    /// [`Session::compile_with`]: builds the item graph and the report
+    /// map, serving every unit through the query cache.
     fn check_units<'p>(
         &self,
         program: &'p Program,
-        stop: Option<&AtomicBool>,
-        deadline: Deadline,
+        control: &Control,
     ) -> Result<(ItemGraph<'p>, BTreeMap<Symbol, ProcReport>), CompileError> {
         let items = ItemGraph::new(program);
         let mut reports = BTreeMap::new();
         for p in &program.procs {
-            poll_cancel(stop, deadline)?;
+            if let Some(why) = control.interrupted() {
+                return Err(why.into());
+            }
             let report = self.checked_unit(program, &items, &p.name)?;
             reports.insert(Symbol::intern(&p.name), (*report).clone());
         }
@@ -621,77 +593,49 @@ impl Session {
     /// Fails if any pass fails; timing-unsafe programs yield
     /// [`CompileError::TimingUnsafe`] with every violation.
     pub fn compile(&self, source: &str) -> Result<CompileOutput, CompileError> {
-        self.compile_impl(source, None, Deadline::none())
+        self.compile_with(source, &Control::none())
     }
 
-    /// [`Session::compile`] with a cooperative stop flag, for services
-    /// that must abandon an in-flight request (the `anvild` daemon's
-    /// `cancel` method threads its per-request flag through here).
+    /// [`Session::compile`] under a [`Control`], for services that must
+    /// abandon an in-flight request (the `anvild` daemon threads each
+    /// request's `cancel` flag and `deadlineMs` through here).
     ///
-    /// The flag is polled at every compilation-unit boundary — per proc
+    /// `control` is polled at every compilation-unit boundary — per proc
     /// in the check stage, per unit in optimize/lower, per module chunk
-    /// in emit — so cancellation latency is bounded by one unit's work,
-    /// and a cancelled compile leaves the session fully consistent: the
-    /// query cache keeps every artifact completed before the stop, and
-    /// a retry resumes warm from exactly that point.
+    /// in emit — so the stop latency is bounded by one unit's work, and
+    /// an interrupted compile leaves the session fully consistent: the
+    /// query cache keeps every artifact completed before the stop, and a
+    /// retry resumes warm from exactly that point.
     ///
     /// # Errors
     ///
-    /// As [`Session::compile`], plus [`CompileError::Cancelled`] once
-    /// the flag is observed raised.
-    pub fn compile_cancellable(
+    /// As [`Session::compile`], plus [`CompileError::DeadlineExceeded`]
+    /// or [`CompileError::Cancelled`] once `control` is interrupted (see
+    /// [`Control::interrupted`] for which wins when both apply).
+    pub fn compile_with(
         &self,
         source: &str,
-        stop: &AtomicBool,
-    ) -> Result<CompileOutput, CompileError> {
-        self.compile_impl(source, Some(stop), Deadline::none())
-    }
-
-    /// [`Session::compile_cancellable`] plus a wall-clock [`Deadline`],
-    /// polled at the same compilation-unit boundaries as the stop flag.
-    /// Expiry returns [`CompileError::DeadlineExceeded`] with the query
-    /// cache keeping every artifact completed before it — a retry with a
-    /// fresh deadline resumes warm from exactly that point.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::compile_cancellable`], plus
-    /// [`CompileError::DeadlineExceeded`] once `deadline` passes.
-    pub fn compile_with_deadline(
-        &self,
-        source: &str,
-        stop: Option<&AtomicBool>,
-        deadline: Deadline,
-    ) -> Result<CompileOutput, CompileError> {
-        self.compile_impl(source, stop, deadline)
-    }
-
-    fn compile_impl(
-        &self,
-        source: &str,
-        stop: Option<&AtomicBool>,
-        deadline: Deadline,
+        control: &Control,
     ) -> Result<CompileOutput, CompileError> {
         // Deliberate crash hook: see `PANIC_MARKER`.
         if source.contains(PANIC_MARKER) {
             panic!("injected compile panic ({PANIC_MARKER})");
         }
         self.fault_point("session.compile");
-        poll_cancel(stop, deadline)?;
+        if let Some(why) = control.interrupted() {
+            return Err(why.into());
+        }
         let _sp_compile = anvil_trace::span("core", "compile");
         let mut stats = PassStats::default();
 
         // ---- Pass 1: parse. ----
-        let t = Instant::now();
         let sp = anvil_trace::span("core", "parse");
         let program = self.parse(source)?;
         drop(sp);
-        stats.parse = t.elapsed();
 
         // ---- Pass 2: check, one unit per proc. ----
-        let t = Instant::now();
         let sp = anvil_trace::span("core", "check");
-        let (items, reports) = self.check_units(&program, stop, deadline)?;
+        let (items, reports) = self.check_units(&program, control)?;
         drop(sp);
         let errors: Vec<TypeError> = reports
             .values()
@@ -700,7 +644,6 @@ impl Session {
         if !errors.is_empty() {
             return Err(CompileError::TimingUnsafe(errors));
         }
-        stats.check = t.elapsed();
 
         // ---- Codegen preflight (same failure order as the monolithic
         // pipeline): extern impls first, then the child-before-parent
@@ -717,12 +660,13 @@ impl Session {
         }
         let mut emit_keys: HashMap<&str, u64> = HashMap::new();
         for &name in &order {
-            poll_cancel(stop, deadline)?;
+            if let Some(why) = control.interrupted() {
+                return Err(why.into());
+            }
             self.fault_point("session.unit");
             let unit_keys = keys[name];
             emit_keys.insert(name, unit_keys.emit);
 
-            let t = Instant::now();
             let mut sp = anvil_trace::span("core", "optimize.unit");
             let ir_unit = match self.cache.get(Stage::OptIr, unit_keys.opt_ir) {
                 Some(Artifact::OptIr(unit)) => {
@@ -749,9 +693,7 @@ impl Session {
             drop(sp);
             stats.events_before += ir_unit.events_before;
             stats.events_after += ir_unit.events_after;
-            stats.optimize += t.elapsed();
 
-            let t = Instant::now();
             let mut sp = anvil_trace::span("core", "lower.unit");
             let module = match self.cache.get(Stage::Lower, unit_keys.lower) {
                 Some(Artifact::Lowered(m)) => {
@@ -770,16 +712,16 @@ impl Session {
             };
             drop(sp);
             lib.add((*module).clone());
-            stats.codegen += t.elapsed();
         }
 
         // ---- Pass 5: emit — deterministic assembly of per-module
         // chunks in `emit_library` order. ----
-        let t = Instant::now();
         let sp_emit = anvil_trace::span("core", "emit");
         let mut systemverilog = String::new();
         for name in anvil_rtl::emit_order(&lib) {
-            poll_cancel(stop, deadline)?;
+            if let Some(why) = control.interrupted() {
+                return Err(why.into());
+            }
             // Extern modules are session state rather than compilation
             // units; their chunks are cached under (name, generation).
             let key = match emit_keys.get(name) {
@@ -806,7 +748,6 @@ impl Session {
             systemverilog.push('\n');
         }
         drop(sp_emit);
-        stats.emit = t.elapsed();
 
         Ok(CompileOutput {
             program,
@@ -843,13 +784,21 @@ impl Session {
     /// unit's proof-cache keys ([`FlatAig::proof_key`]), so one compile
     /// serves the whole prove.
     ///
+    /// The compile runs under `control` exactly as in
+    /// [`Session::compile_with`].
+    ///
     /// # Errors
     ///
-    /// As [`Session::compile_flat`], plus blasting failures (reported as
-    /// codegen diagnostics).
-    pub fn compile_flat_aig(&self, source: &str, top: &str) -> Result<FlatAig, CompileError> {
+    /// As [`Session::compile_with`] and [`Session::compile_flat`], plus
+    /// blasting failures (reported as codegen diagnostics).
+    pub fn compile_flat_aig(
+        &self,
+        source: &str,
+        top: &str,
+        control: &Control,
+    ) -> Result<FlatAig, CompileError> {
         let mut sp = anvil_trace::span("core", "flat_aig");
-        let out = self.compile(source)?;
+        let out = self.compile_with(source, control)?;
         let items = ItemGraph::new(&out.program);
         let order =
             proc_order(&out.program, &self.externs).map_err(|e| codegen_error(&out.program, e))?;
@@ -985,160 +934,13 @@ impl Session {
     }
 }
 
-/// The Anvil compiler (non-consuming builder over a [`Session`]).
-#[derive(Debug, Default)]
-pub struct Compiler {
-    session: Session,
-}
-
-impl Compiler {
-    /// A compiler with default options (optimizations on).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying session (shared state for batch compilation).
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Overrides code-generation options.
-    pub fn options(&mut self, options: CodegenOptions) -> &mut Self {
-        self.session.set_options(options);
-        self
-    }
-
-    /// Registers an RTL implementation for an `extern fn` (module ports:
-    /// `in0..inN`, `out`), mirroring the paper's integration of foreign
-    /// SystemVerilog IP like the OpenTitan S-box.
-    pub fn with_extern(&mut self, module: anvil_rtl::Module) -> &mut Self {
-        self.session.add_extern(module);
-        self
-    }
-
-    /// Cumulative query-cache counters for this compiler's session; see
-    /// [`Session::cache_stats`].
-    pub fn cache_stats(&self) -> CacheStats {
-        self.session.cache_stats()
-    }
-
-    /// Bounds the incremental artifact cache; see
-    /// [`Session::set_cache_capacity`].
-    pub fn set_cache_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.session.set_cache_capacity(capacity);
-        self
-    }
-
-    /// Parses and type-checks only (the fast path of the paper's feedback
-    /// loop); returns reports containing any violations.
-    ///
-    /// # Errors
-    ///
-    /// Fails on parse or elaboration errors; timing violations are inside
-    /// the reports.
-    pub fn check(
-        &self,
-        source: &str,
-    ) -> Result<(Program, BTreeMap<Symbol, ProcReport>), CompileError> {
-        self.session.check(source)
-    }
-
-    /// Runs the full pipeline: parse, type check, optimize, generate RTL
-    /// and SystemVerilog.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any stage fails; timing-unsafe programs yield
-    /// [`CompileError::TimingUnsafe`] with every violation.
-    pub fn compile(&self, source: &str) -> Result<CompileOutput, CompileError> {
-        self.session.compile(source)
-    }
-
-    /// [`Compiler::compile`] with a cooperative stop flag; see
-    /// [`Session::compile_cancellable`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiler::compile`], plus [`CompileError::Cancelled`].
-    pub fn compile_cancellable(
-        &self,
-        source: &str,
-        stop: &AtomicBool,
-    ) -> Result<CompileOutput, CompileError> {
-        self.session.compile_cancellable(source, stop)
-    }
-
-    /// [`Compiler::compile`] with a stop flag and wall-clock deadline;
-    /// see [`Session::compile_with_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiler::compile_cancellable`], plus
-    /// [`CompileError::DeadlineExceeded`].
-    pub fn compile_with_deadline(
-        &self,
-        source: &str,
-        stop: Option<&AtomicBool>,
-        deadline: Deadline,
-    ) -> Result<CompileOutput, CompileError> {
-        self.session.compile_with_deadline(source, stop, deadline)
-    }
-
-    /// Compiles many independent designs in parallel on scoped worker
-    /// threads sharing this compiler's session read-only. Results are in
-    /// input order and byte-identical to sequential compilation.
-    pub fn compile_batch(&self, sources: &[&str]) -> Vec<Result<CompileOutput, CompileError>> {
-        self.session.compile_batch(sources)
-    }
-
-    /// [`Compiler::compile_batch`] with an explicit worker count.
-    pub fn compile_batch_with_workers(
-        &self,
-        sources: &[&str],
-        workers: usize,
-    ) -> Vec<Result<CompileOutput, CompileError>> {
-        self.session.compile_batch_with_workers(sources, workers)
-    }
-
-    /// Compiles and flattens one process for simulation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiler::compile`], plus elaboration failures while
-    /// flattening.
-    pub fn compile_flat(&self, source: &str, top: &str) -> Result<anvil_rtl::Module, CompileError> {
-        self.session.compile_flat(source, top)
-    }
-
-    /// Compiles, flattens, and bit-blasts one process into an AIG for
-    /// symbolic verification, cached in the session's query cache; see
-    /// [`Session::compile_flat_aig`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::compile_flat_aig`].
-    pub fn compile_flat_aig(&self, source: &str, top: &str) -> Result<FlatAig, CompileError> {
-        self.session.compile_flat_aig(source, top)
-    }
-
-    /// Cached proof certificate lookup; see [`Session::cached_proof`].
-    pub fn cached_proof(&self, key: u64) -> Option<Arc<anvil_smt::ProofCert>> {
-        self.session.cached_proof(key)
-    }
-
-    /// Stores a proof certificate; see [`Session::store_proof`].
-    pub fn store_proof(&self, key: u64, cert: Arc<anvil_smt::ProofCert>) {
-        self.session.store_proof(key, cert)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn full_pipeline_produces_sv() {
-        let out = Compiler::new()
+        let out = Session::new()
             .compile(
                 "chan ch { right beat : (logic[8]@#1) }
                  proc blink(ep : left ch) {
@@ -1154,17 +956,11 @@ mod tests {
 
     #[test]
     fn pass_stats_are_recorded() {
-        let out = Compiler::new()
+        let out = Session::new()
             .compile("proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }")
             .unwrap();
-        assert!(out.stats.total() > Duration::ZERO);
         assert!(out.stats.events_before >= out.stats.events_after);
         assert!(out.stats.events_after > 0);
-        // The display form names every pass.
-        let line = out.stats.to_string();
-        for pass in ["parse", "check", "optimize", "codegen", "emit"] {
-            assert!(line.contains(pass), "{line}");
-        }
     }
 
     #[test]
@@ -1183,7 +979,7 @@ mod tests {
                     cycle 1
                 }
             }";
-        let err = Compiler::new().compile(src).unwrap_err();
+        let err = Session::new().compile(src).unwrap_err();
         let CompileError::TimingUnsafe(errs) = err else {
             panic!("expected timing violations");
         };
@@ -1194,7 +990,7 @@ mod tests {
 
     #[test]
     fn parse_errors_render_with_location() {
-        let err = Compiler::new()
+        let err = Session::new()
             .compile("proc p() { loop { ??? } }")
             .unwrap_err();
         assert!(matches!(err, CompileError::Parse(_)));
@@ -1206,7 +1002,7 @@ mod tests {
         // should point at the offending process definition.
         let src = "chan c { left m : (logic[8]@#1) }
 proc p(ep : left c) { loop { let x = recv ep.m >> x } }";
-        let err = Compiler::new().compile(src).unwrap_err();
+        let err = Session::new().compile(src).unwrap_err();
         let CompileError::Codegen(diag) = &err else {
             panic!("expected codegen error, got {err}");
         };
@@ -1222,7 +1018,7 @@ proc p(ep : left c) { loop { let x = recv ep.m >> x } }";
     fn missing_extern_diagnostic_points_at_declaration() {
         let src = "extern fn nope(logic[8]) -> logic[8];
 proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
-        let err = Compiler::new().compile(src).unwrap_err();
+        let err = Session::new().compile(src).unwrap_err();
         let CompileError::Codegen(diag) = &err else {
             panic!("expected codegen error, got {err}");
         };
@@ -1232,15 +1028,18 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
 
     #[test]
     fn check_is_side_effect_free() {
-        let (_prog, reports) = Compiler::new()
-            .check("proc p() { reg r : logic; loop { set r := ~*r >> cycle 1 } }")
+        let (_prog, reports) = Session::new()
+            .check(
+                "proc p() { reg r : logic; loop { set r := ~*r >> cycle 1 } }",
+                &Control::none(),
+            )
             .unwrap();
         assert!(reports[&Symbol::intern("p")].is_safe());
     }
 
     #[test]
     fn compile_flat_simulates() {
-        let flat = Compiler::new()
+        let flat = Session::new()
             .compile_flat(
                 "proc p() { reg c : logic[8]; loop { set c := *c + 1 >> cycle 1 } }",
                 "p",
@@ -1254,32 +1053,44 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
 
     #[test]
     fn aig_blasting_is_cached_per_unit_fingerprint() {
-        let compiler = Compiler::new();
+        let session = Session::new();
         let src = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
-        let a1 = compiler.compile_flat_aig(src, "p").unwrap().circuit;
-        let cold = compiler.cache_stats();
+        let a1 = session
+            .compile_flat_aig(src, "p", &Control::none())
+            .unwrap()
+            .circuit;
+        let cold = session.cache_stats();
         assert_eq!(cold.aig.misses, 1);
         assert_eq!(cold.aig.hits, 0);
 
         // Warm re-blast of the identical source: a pure cache hit, same
         // shared circuit.
-        let a2 = compiler.compile_flat_aig(src, "p").unwrap().circuit;
-        let warm = compiler.cache_stats() - cold;
+        let a2 = session
+            .compile_flat_aig(src, "p", &Control::none())
+            .unwrap()
+            .circuit;
+        let warm = session.cache_stats() - cold;
         assert_eq!((warm.aig.hits, warm.aig.misses), (1, 0));
         assert!(Arc::ptr_eq(&a1, &a2));
 
         // Whitespace/comment edits fingerprint identically: still a hit.
         let reformatted =
             "proc p() {\n  reg r : logic[8]; // counter\n  loop { set r := *r + 1 >> cycle 1 }\n}";
-        let a3 = compiler.compile_flat_aig(reformatted, "p").unwrap().circuit;
-        let ws = compiler.cache_stats() - cold - warm;
+        let a3 = session
+            .compile_flat_aig(reformatted, "p", &Control::none())
+            .unwrap()
+            .circuit;
+        let ws = session.cache_stats() - cold - warm;
         assert_eq!((ws.aig.hits, ws.aig.misses), (1, 0));
         assert!(Arc::ptr_eq(&a1, &a3));
 
         // A real edit (wider register) misses and rebuilds.
         let edited = "proc p() { reg r : logic[9]; loop { set r := *r + 1 >> cycle 1 } }";
-        let a4 = compiler.compile_flat_aig(edited, "p").unwrap().circuit;
-        let miss = compiler.cache_stats() - cold - warm - ws;
+        let a4 = session
+            .compile_flat_aig(edited, "p", &Control::none())
+            .unwrap()
+            .circuit;
+        let miss = session.cache_stats() - cold - warm - ws;
         assert_eq!(miss.aig.misses, 1);
         // One extra register bit on top of the unchanged FSM latches.
         assert_eq!(a4.aig().n_latches(), a1.aig().n_latches() + 1);
@@ -1287,12 +1098,12 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
 
     #[test]
     fn proof_certificates_are_cached_per_unit_fingerprint_and_property() {
-        let compiler = Compiler::new();
+        let session = Session::new();
         let src = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
         let prop = "r < 255";
         let proof_key = |src: &str, prop: &str| {
-            compiler
-                .compile_flat_aig(src, "p")
+            session
+                .compile_flat_aig(src, "p", &Control::none())
                 .unwrap()
                 .proof_key(prop)
                 .expect("unit")
@@ -1300,13 +1111,13 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         let key = proof_key(src, prop);
 
         // Cold: a proof-stage miss, then the prover's certificate lands.
-        assert!(compiler.cached_proof(key).is_none());
+        assert!(session.cached_proof(key).is_none());
         let cert = Arc::new(anvil_smt::ProofCert {
             kind: anvil_smt::CertKind::KInduction { k: 1 },
             engine: "k-induction",
         });
-        compiler.store_proof(key, Arc::clone(&cert));
-        let cold = compiler.cache_stats();
+        session.store_proof(key, Arc::clone(&cert));
+        let cold = session.cache_stats();
         assert_eq!((cold.proof.hits, cold.proof.misses), (0, 1));
 
         // Whitespace edits key identically: warm re-prove is a pure hit
@@ -1315,9 +1126,9 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
             "proc p() {\n  reg r : logic[8]; // counter\n  loop { set r := *r + 1 >> cycle 1 }\n}";
         let warm_key = proof_key(reformatted, prop);
         assert_eq!(warm_key, key);
-        let got = compiler.cached_proof(warm_key).expect("warm hit");
+        let got = session.cached_proof(warm_key).expect("warm hit");
         assert!(Arc::ptr_eq(&got, &cert));
-        let warm = compiler.cache_stats() - cold;
+        let warm = session.cache_stats() - cold;
         assert_eq!((warm.proof.hits, warm.proof.misses), (1, 0));
 
         // A different property or a semantic edit keys elsewhere.
@@ -1333,7 +1144,7 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         // Pre-fix, the panicking unit unwound through its worker and the
         // whole batch aborted on "worker filled every claimed slot";
         // now the panic is scoped to its own slot.
-        let out = Compiler::new().compile_batch_with_workers(&[good, &boom, good], 2);
+        let out = Session::new().compile_batch_with_workers(&[good, &boom, good], 2);
         assert!(out[0].is_ok());
         assert!(
             matches!(&out[1], Err(CompileError::Internal(msg)) if msg.contains(PANIC_MARKER)),
@@ -1343,59 +1154,82 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         assert!(out[2].is_ok());
 
         // The inline (single-worker) path catches identically.
-        let out = Compiler::new().compile_batch_with_workers(&[&boom], 1);
+        let out = Session::new().compile_batch_with_workers(&[&boom], 1);
         assert!(matches!(&out[0], Err(CompileError::Internal(_))));
     }
 
     #[test]
     fn poisoned_cache_shard_does_not_wedge_the_session() {
-        let compiler = Compiler::new();
+        let session = Session::new();
         let src = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
-        let cold = compiler.compile(src).unwrap();
+        let cold = session.compile(src).unwrap();
 
         // Poison every shard: whatever shard this unit's keys map to is
         // covered. Pre-fix, the next compile panicked on the first
         // `get` with "cache shard poisoned".
         for key in 0..64u64 {
-            compiler.session().poison_cache_shard_for_tests(key);
+            session.poison_cache_shard_for_tests(key);
         }
-        let again = compiler.compile(src).unwrap();
+        let again = session.compile(src).unwrap();
         assert_eq!(cold.systemverilog, again.systemverilog);
-        let stats = compiler.cache_stats();
+        let stats = session.cache_stats();
         assert!(stats.poisoned >= 1, "{stats}");
 
         // And the cache still *works*: a third compile is pure warm.
-        let before = compiler.cache_stats();
-        compiler.compile(src).unwrap();
-        let delta = compiler.cache_stats() - before;
+        let before = session.cache_stats();
+        session.compile(src).unwrap();
+        let delta = session.cache_stats() - before;
         assert_eq!(delta.misses(), 0, "{delta}");
     }
 
     #[test]
-    fn pre_raised_stop_flag_cancels_immediately() {
-        let compiler = Compiler::new();
-        let stop = AtomicBool::new(true);
-        let err = compiler
-            .compile_cancellable(
-                "proc p() { reg r : logic; loop { set r := ~*r >> cycle 1 } }",
-                &stop,
-            )
-            .unwrap_err();
+    fn every_entry_point_honours_its_control() {
+        let session = Session::new();
+        let src = "proc p() { reg r : logic; loop { set r := ~*r >> cycle 1 } }";
+        let raised = Control {
+            stop: Some(Arc::new(AtomicBool::new(true))),
+            deadline: Deadline::none(),
+        };
+        let err = session.compile_with(src, &raised).unwrap_err();
         assert!(matches!(err, CompileError::Cancelled));
         assert_eq!(err.render(""), "compilation cancelled");
+        assert!(matches!(
+            session.check(src, &raised),
+            Err(CompileError::Cancelled)
+        ));
+        assert!(matches!(
+            session.compile_flat_aig(src, "p", &raised),
+            Err(CompileError::Cancelled)
+        ));
 
-        // Unraised flag: identical output to the plain path.
-        let stop = AtomicBool::new(false);
-        let src = "proc p() { reg r : logic; loop { set r := ~*r >> cycle 1 } }";
-        let a = compiler.compile_cancellable(src, &stop).unwrap();
-        let b = compiler.compile(src).unwrap();
+        // An expired deadline wins over a raised flag.
+        let expired = Control {
+            deadline: Deadline::in_ms(0),
+            ..raised
+        };
+        assert!(matches!(
+            session.compile_with(src, &expired),
+            Err(CompileError::DeadlineExceeded)
+        ));
+        assert!(matches!(
+            session.check(src, &expired),
+            Err(CompileError::DeadlineExceeded)
+        ));
+
+        // Nothing raised: identical output to the plain path.
+        let lowered = Control {
+            stop: Some(Arc::new(AtomicBool::new(false))),
+            deadline: Deadline::after(std::time::Duration::from_secs(3600)),
+        };
+        let a = session.compile_with(src, &lowered).unwrap();
+        let b = session.compile(src).unwrap();
         assert_eq!(a.systemverilog, b.systemverilog);
     }
 
     #[test]
     fn wire_diagnostics_resolve_spans() {
         let src = "proc p() { loop { ??? } }";
-        let err = Compiler::new().compile(src).unwrap_err();
+        let err = Session::new().compile(src).unwrap_err();
         let diags = err.wire_diagnostics(src);
         assert_eq!(diags.len(), 1);
         let json = diags[0].to_json();
@@ -1417,7 +1251,7 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
                     cycle 1
                 }
             }";
-        let err = Compiler::new().compile(src).unwrap_err();
+        let err = Session::new().compile(src).unwrap_err();
         let CompileError::TimingUnsafe(n) = &err else {
             panic!("expected violations");
         };
@@ -1428,7 +1262,7 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
     fn batch_results_in_input_order_with_errors_preserved() {
         let good = "proc a() { reg r : logic[4]; loop { set r := *r + 1 >> cycle 1 } }";
         let bad = "proc b() { loop { ??? } }";
-        let out = Compiler::new().compile_batch_with_workers(&[good, bad, good], 2);
+        let out = Session::new().compile_batch_with_workers(&[good, bad, good], 2);
         assert_eq!(out.len(), 3);
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(CompileError::Parse(_))));
@@ -1446,12 +1280,12 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
              }",
             "proc c() { reg x : logic; loop { set x := ~*x >> cycle 2 } }",
         ];
-        let compiler = Compiler::new();
+        let session = Session::new();
         let sequential: Vec<String> = sources
             .iter()
-            .map(|s| compiler.compile(s).unwrap().systemverilog)
+            .map(|s| session.compile(s).unwrap().systemverilog)
             .collect();
-        let batch = compiler.compile_batch_with_workers(&sources, 3);
+        let batch = session.compile_batch_with_workers(&sources, 3);
         for (seq, par) in sequential.iter().zip(&batch) {
             assert_eq!(seq, &par.as_ref().unwrap().systemverilog);
         }

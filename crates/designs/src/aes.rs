@@ -17,7 +17,7 @@
 //! hand), which doubles as a demonstration of source-level
 //! metaprogramming over the HDL.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Bits, Expr, Module};
 
 /// The AES S-box.
@@ -251,11 +251,9 @@ pub fn anvil_source() -> String {
 
 /// Compiles and flattens the Anvil AES core (with the S-box IP linked in).
 pub fn anvil_flat() -> Module {
-    let mut compiler = Compiler::new();
-    compiler.with_extern(sbox_module());
-    let out = compiler
-        .compile(&anvil_source())
-        .expect("AES core compiles");
+    let mut session = Session::new();
+    session.add_extern(sbox_module());
+    let out = session.compile(&anvil_source()).expect("AES core compiles");
     anvil_rtl::elaborate("aes_anvil", &out.modules).expect("AES core flattens")
 }
 

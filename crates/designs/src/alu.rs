@@ -11,7 +11,7 @@
 //! the next request one cycle in while the previous result is still in
 //! flight.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 
 /// Operand width.
@@ -49,7 +49,7 @@ pub fn anvil_source() -> String {
 
 /// Compiles and flattens the Anvil pipelined ALU.
 pub fn anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&anvil_source(), "alu_anvil")
         .expect("ALU compiles")
 }

@@ -13,7 +13,7 @@
 //!   round-robin) arbitration, implemented with `ready(...)` peeks — the
 //!   "fair arbitration" configuration of the paper.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 
 /// Request width (`{addr[16], wdata[16]}`).
@@ -89,14 +89,14 @@ pub fn mux_source() -> String {
 
 /// Compiles and flattens the Anvil demux.
 pub fn demux_anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&demux_source(), "axi_demux_anvil")
         .expect("AXI demux compiles")
 }
 
 /// Compiles and flattens the Anvil mux.
 pub fn mux_anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&mux_source(), "axi_mux_anvil")
         .expect("AXI mux compiles")
 }
@@ -433,7 +433,9 @@ mod tests {
             (demux_source(), "axi_demux_anvil"),
             (mux_source(), "axi_mux_anvil"),
         ] {
-            let (_, reports) = anvil_core::Compiler::new().check(&src).unwrap();
+            let (_, reports) = anvil_core::Session::new()
+                .check(&src, &anvil_core::Control::none())
+                .unwrap();
             let report = &reports[&anvil_intern::Symbol::intern(top)];
             assert!(report.is_safe(), "{top}: {:?}", report.errors());
         }

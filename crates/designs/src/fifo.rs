@@ -11,7 +11,7 @@
 //! hand-wired ready logic. The baseline is the conventional handwritten
 //! pointer FIFO with the same port interface.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 
 /// Payload width.
@@ -49,7 +49,7 @@ pub fn anvil_source() -> String {
 
 /// Compiles and flattens the Anvil FIFO.
 pub fn anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&anvil_source(), "fifo_anvil")
         .expect("FIFO compiles")
 }

@@ -239,14 +239,14 @@ pub fn cache_static_source() -> String {
 
 /// Compiles and flattens the dynamic cache.
 pub fn cache_dyn_flat() -> Module {
-    anvil_core::Compiler::new()
+    anvil_core::Session::new()
         .compile_flat(&cache_dyn_source(), "cache_dyn")
         .expect("dynamic cache compiles")
 }
 
 /// Compiles and flattens the static cache.
 pub fn cache_static_flat() -> Module {
-    anvil_core::Compiler::new()
+    anvil_core::Session::new()
         .compile_flat(&cache_static_source(), "cache_static")
         .expect("static cache compiles")
 }
@@ -301,7 +301,7 @@ pub fn measure_cache(m: &Module, addrs: &[u64], is_static: bool) -> Vec<(u64, u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anvil_core::{CompileError, Compiler};
+    use anvil_core::{CompileError, Session};
 
     #[test]
     fn fig1_hazard_reproduced() {
@@ -319,11 +319,11 @@ mod tests {
 
     #[test]
     fn fig1_anvil_rejects_unsafe_accepts_safe() {
-        let err = Compiler::new()
+        let err = Session::new()
             .compile(&fig1_top_unsafe_anvil())
             .unwrap_err();
         assert!(matches!(err, CompileError::TimingUnsafe(_)));
-        Compiler::new()
+        Session::new()
             .compile(&fig1_top_safe_anvil())
             .expect("safe Top compiles");
     }
@@ -364,7 +364,9 @@ mod tests {
             (cache_dyn_source(), "cache_dyn"),
             (cache_static_source(), "cache_static"),
         ] {
-            let (_, reports) = Compiler::new().check(&src).unwrap();
+            let (_, reports) = Session::new()
+                .check(&src, &anvil_core::Control::none())
+                .unwrap();
             let report = &reports[&anvil_intern::Symbol::intern(top)];
             assert!(report.is_safe(), "{top}: {:?}", report.errors());
         }

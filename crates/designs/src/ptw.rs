@@ -10,7 +10,7 @@
 //!
 //! PTE format: `{leaf[1], base[21]}`; memory request: `{base[22], vpn_i[9]}`.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 
 /// Virtual page number width (3 levels × 9 bits).
@@ -64,7 +64,7 @@ pub fn anvil_source() -> String {
 
 /// Compiles and flattens the Anvil PTW.
 pub fn anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&anvil_source(), "ptw_anvil")
         .expect("PTW compiles")
 }
@@ -344,7 +344,9 @@ mod tests {
 
     #[test]
     fn ptw_source_is_timing_safe() {
-        let (_, reports) = anvil_core::Compiler::new().check(&anvil_source()).unwrap();
+        let (_, reports) = anvil_core::Session::new()
+            .check(&anvil_source(), &anvil_core::Control::none())
+            .unwrap();
         let report = &reports[&anvil_intern::Symbol::intern("ptw_anvil")];
         assert!(report.is_safe(), "{:?}", report.errors());
     }

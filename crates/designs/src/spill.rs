@@ -6,7 +6,7 @@
 //! sustaining full throughput. Structurally it is a depth-2 FIFO with two
 //! storage registers (the "primary" and the "spill" slot).
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 
 /// Payload width (matches the 32-bit configuration reported in Table 1).
@@ -41,7 +41,7 @@ pub fn anvil_source() -> String {
 
 /// Compiles and flattens the Anvil spill register.
 pub fn anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&anvil_source(), "spill_anvil")
         .expect("spill register compiles")
 }

@@ -11,7 +11,7 @@
 //! `recv` is simply not reached (so not acknowledged) unless there is
 //! room or the consumer is taking an element this cycle (`ready(...)`).
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 
 /// Payload width.
@@ -49,7 +49,7 @@ pub fn anvil_source() -> String {
 
 /// Compiles and flattens the Anvil stream FIFO.
 pub fn anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&anvil_source(), "stream_fifo_anvil")
         .expect("stream FIFO compiles")
 }

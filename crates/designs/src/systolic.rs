@@ -7,7 +7,7 @@
 //! As with the pipelined ALU, every sync mode is static or dependent, so
 //! the compiled interface is pure data — the Filament comparison point.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 
 /// Element width.
@@ -65,7 +65,7 @@ pub fn anvil_source() -> String {
 
 /// Compiles and flattens the Anvil systolic array.
 pub fn anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&anvil_source(), "systolic_anvil")
         .expect("systolic array compiles")
 }

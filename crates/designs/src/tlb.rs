@@ -8,7 +8,7 @@
 //! `(logic[8]@res)` that the paper's static-only type systems cannot
 //! express.
 
-use anvil_core::Compiler;
+use anvil_core::Session;
 use anvil_rtl::{Expr, Module};
 
 /// VPN width.
@@ -57,7 +57,7 @@ pub fn anvil_source() -> String {
 
 /// Compiles and flattens the Anvil TLB.
 pub fn anvil_flat() -> Module {
-    Compiler::new()
+    Session::new()
         .compile_flat(&anvil_source(), "tlb_anvil")
         .expect("TLB compiles")
 }

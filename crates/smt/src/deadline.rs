@@ -13,7 +13,14 @@
 //!
 //! Built on [`Instant`], so it is monotonic: a wall-clock step (NTP,
 //! suspend/resume) never fires or starves a deadline.
+//!
+//! [`Control`] bundles a deadline with an optional stop flag: it is what
+//! one request hands to every stage it runs (compile, check, prove), so
+//! all of them answer to the same limits and report an interruption
+//! the same way ([`Control::interrupted`]).
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A point in monotonic time after which cooperative work should stop.
@@ -81,6 +88,51 @@ impl Deadline {
         match (self.0, other.0) {
             (Some(a), Some(b)) => Deadline(Some(a.min(b))),
             (a, b) => Deadline(a.or(b)),
+        }
+    }
+}
+
+/// Why cooperative work stopped early.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Interrupt {
+    /// The wall-clock [`Deadline`] passed.
+    DeadlineExceeded,
+    /// The stop flag was raised.
+    Cancelled,
+}
+
+/// The limits one unit of cooperative work runs under: an optional stop
+/// flag (raised by a `cancel`, a shutdown, or a watchdog) and a
+/// wall-clock [`Deadline`].
+#[derive(Clone, Debug, Default)]
+pub struct Control {
+    /// Cooperative stop flag; `None` when nothing can cancel the work.
+    pub stop: Option<Arc<AtomicBool>>,
+    /// Wall-clock bound; [`Deadline::none`] when there is none.
+    pub deadline: Deadline,
+}
+
+impl Control {
+    /// No stop flag, no deadline: the work always runs to completion.
+    pub fn none() -> Control {
+        Control::default()
+    }
+
+    /// Whether the work should stop now, and why. An expired deadline is
+    /// reported ahead of a raised stop flag, so a watchdog that raises
+    /// the flag *because* the deadline passed still surfaces as
+    /// [`Interrupt::DeadlineExceeded`], not a cancellation.
+    pub fn interrupted(&self) -> Option<Interrupt> {
+        if self.deadline.expired() {
+            Some(Interrupt::DeadlineExceeded)
+        } else if self
+            .stop
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        {
+            Some(Interrupt::Cancelled)
+        } else {
+            None
         }
     }
 }

@@ -38,7 +38,7 @@ mod solver;
 pub use aig::{Aig, AigCircuit, Lit, Node};
 pub use cert::{CertKind, LatchLit, ProofCert};
 pub use cnf::{CnfEncoder, Unroller};
-pub use deadline::Deadline;
+pub use deadline::{Control, Deadline, Interrupt};
 pub use fraig::{fraig, FraigStats};
 pub use pdr::{Pdr, PdrOptions, PdrOutcome, PdrStats};
 pub use rewrite::{optimize, rewrite, OptimizeStats, RewriteStats, Rewritten};

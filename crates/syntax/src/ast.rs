@@ -13,6 +13,12 @@
 
 use std::fmt;
 
+/// The widest `logic[N]` type or sized literal (`N'h…`) the language
+/// accepts, in bits: 2^16, the vector width IEEE 1800 §6.9.1 requires
+/// every tool to support. Wider declarations are rejected at parse time,
+/// before any later stage allocates storage for them.
+pub const MAX_WIDTH: usize = 1 << 16;
+
 /// A half-open byte range into the source text, for diagnostics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Span {

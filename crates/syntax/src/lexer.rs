@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::ast::Span;
+use crate::ast::{Span, MAX_WIDTH};
 
 /// A lexical token.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -355,6 +355,14 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>, LexError> {
                             span: Span::new(i, j),
                         });
                     }
+                    if width > MAX_WIDTH {
+                        return Err(LexError {
+                            message: format!(
+                                "literal width {width} exceeds the maximum of {MAX_WIDTH} bits"
+                            ),
+                            span: Span::new(i, j),
+                        });
+                    }
                     toks.push(SpannedTok {
                         tok: Tok::Int {
                             value,
@@ -577,6 +585,25 @@ mod tests {
         assert!(lex("/* unterminated").is_err());
         assert!(lex("8'q1").is_err());
         assert!(lex("$").is_err());
+    }
+
+    #[test]
+    fn sized_literal_widths_are_capped() {
+        assert_eq!(
+            kinds("65536'h1")[0],
+            Tok::Int {
+                value: 1,
+                width: Some(MAX_WIDTH)
+            }
+        );
+        for src in ["65537'h1", "18446744073709551615'd0"] {
+            let err = lex(src).unwrap_err();
+            assert!(
+                err.message.contains("exceeds the maximum"),
+                "{src}: {err:?}"
+            );
+            assert_eq!(err.span, Span::new(0, src.len()));
+        }
     }
 
     #[test]

@@ -247,12 +247,19 @@ impl Parser {
     fn logic_type(&mut self) -> Result<usize, ParseError> {
         self.expect(&Tok::Logic)?;
         if self.eat(&Tok::LBracket) {
-            let w = self.int()? as usize;
+            let at = self.span();
+            let w = self.int()?;
             self.expect(&Tok::RBracket)?;
             if w == 0 {
                 return Err(self.err("zero-width logic type".into()));
             }
-            Ok(w)
+            if w > MAX_WIDTH as u64 {
+                return Err(ParseError {
+                    message: format!("logic width {w} exceeds the maximum of {MAX_WIDTH} bits"),
+                    span: at,
+                });
+            }
+            Ok(w as usize)
         } else {
             Ok(1)
         }
@@ -1079,6 +1086,20 @@ mod tests {
         .unwrap();
         assert_eq!(prog.procs[0].chans.len(), 1);
         assert_eq!(prog.procs[0].spawns[0].args, vec!["l".to_string()]);
+    }
+
+    #[test]
+    fn logic_widths_are_capped() {
+        let src = |w: &str| format!("proc p() {{ reg r : logic[{w}]; loop {{ cycle 1 }} }}");
+        let prog = parse(&src("65536")).unwrap();
+        assert_eq!(prog.procs[0].regs[0].width, MAX_WIDTH);
+        for w in ["65537", "18446744073709551615"] {
+            let text = src(w);
+            let err = parse(&text).unwrap_err();
+            assert!(err.message.contains("exceeds the maximum"), "{w}: {err:?}");
+            assert_eq!(&text[err.span.start..err.span.end], w);
+            assert!(err.render(&text).starts_with("1:"));
+        }
     }
 
     #[test]

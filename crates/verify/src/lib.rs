@@ -46,4 +46,4 @@ pub use rules::{fig2_contract_violations, fig2_engine, sweep_schedules, Rule, Ru
 
 // Re-exported so proof-cache clients (anvild, benches) can build
 // circuits and handle certificates without a direct `anvil-smt` edge.
-pub use anvil_smt::{optimize, AigCircuit, CertKind, Deadline, ProofCert};
+pub use anvil_smt::{optimize, AigCircuit, CertKind, Control, Deadline, ProofCert};

@@ -55,9 +55,9 @@ use std::sync::Arc;
 use anvil_rtl::{Bits, BlastError, Expr, Module, SignalId, SignalKind};
 use anvil_sim::{Backend, Sim, SimError};
 use anvil_smt::{
-    optimize, rewrite, Aig, AigCircuit, CertKind, ClauseExchange, ClauseKind, CnfEncoder, Deadline,
-    ExchangeStats, LatchLit, Lit, Node, Pdr, PdrOptions, PdrOutcome, ProofCert, Rewritten, SLit,
-    SharedClause, SolveResult, Solver, Unroller,
+    optimize, rewrite, Aig, AigCircuit, CertKind, ClauseExchange, ClauseKind, CnfEncoder, Control,
+    Deadline, ExchangeStats, LatchLit, Lit, Node, Pdr, PdrOptions, PdrOutcome, ProofCert,
+    Rewritten, SLit, SharedClause, SolveResult, Solver, Unroller,
 };
 
 /// Outcome of a symbolic verification run.
@@ -1077,16 +1077,16 @@ fn finish_engine(
 /// `falsified d=…`, `unknown d=…` or `stopped`) and its conflict,
 /// decision and propagation counts.
 ///
-/// `stop` is an *external* cancellation flag (e.g. a service request's):
-/// raising it makes both engines wind down to `Unknown`. The portfolio
-/// also raises it internally when an engine concludes, so after a
-/// conclusive result the flag being set does not mean cancellation.
+/// `control.stop` is an *external* cancellation flag (e.g. a service
+/// request's): raising it makes both engines wind down to `Unknown`. The
+/// portfolio also raises it internally when an engine concludes, so after
+/// a conclusive result the flag being set does not mean cancellation.
 ///
-/// `deadline` is a wall-clock bound polled in every engine loop (and
-/// inside the SAT solver): past it, each side winds down to `Unknown`
-/// with whatever violation-free prefix it established, so the caller
-/// gets partial progress instead of a hang. [`Deadline::none`] disables
-/// the bound.
+/// `control.deadline` is a wall-clock bound polled in every engine loop
+/// (and inside the SAT solver): past it, each side winds down to
+/// `Unknown` with whatever violation-free prefix it established, so the
+/// caller gets partial progress instead of a hang. [`Control::none`]
+/// disables both.
 ///
 /// # Errors
 ///
@@ -1095,10 +1095,13 @@ pub fn prove_portfolio(
     module: &Module,
     assertion: &Expr,
     max_k: usize,
-    stop: Option<Arc<AtomicBool>>,
-    deadline: Deadline,
+    control: &Control,
 ) -> Result<PortfolioOutcome, ProveError> {
-    let stop = stop.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
+    let stop = control
+        .stop
+        .clone()
+        .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
+    let deadline = control.deadline;
     let exchange = Arc::new(ClauseExchange::new(4096));
     let _sp_portfolio = anvil_trace::span("prove", "portfolio");
     // The PDR span stitches under the portfolio span by explicit id: the
@@ -1398,7 +1401,7 @@ mod tests {
     #[test]
     fn portfolio_agrees_with_all_engines() {
         let (m, a) = shallow_bug();
-        let out = prove_portfolio(&m, &a, 8, None, Deadline::none()).unwrap();
+        let out = prove_portfolio(&m, &a, 8, &Control::none()).unwrap();
         let ProveResult::Falsified { depth, .. } = out.result else {
             panic!("expected falsification, got {:?}", out.result);
         };
@@ -1407,7 +1410,7 @@ mod tests {
         assert!(out.certificate.is_some());
 
         let (m, a) = saturating_counter();
-        let out = prove_portfolio(&m, &a, 8, None, Deadline::none()).unwrap();
+        let out = prove_portfolio(&m, &a, 8, &Control::none()).unwrap();
         assert!(matches!(out.result, ProveResult::Proved { .. }));
         assert!(matches!(out.winner, Some(Prover::Symbolic | Prover::Pdr)));
         // Whichever SAT engine won, its evidence revalidates.

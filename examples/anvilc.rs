@@ -8,13 +8,12 @@
 //! cargo run --release --example anvilc -- @suite --self-profile trace.json
 //! ```
 //!
-//! Compile mode prints per-pass wall-clock timings and the session's
-//! cumulative query-cache counters (`CacheStats`) at the end; `--repeat
-//! N` recompiles the same file N times through one session and prints a
-//! per-stage cold-vs-warm timing table aggregated from the tracer's
-//! span records, so the incremental win of each pipeline stage is
-//! visible directly (run 1 is the cold column, runs 2..N average into
-//! the warm column).
+//! Every mode captures the tracer's span records and prints a per-stage
+//! timing table aggregated from them, then the session's cumulative
+//! query-cache counters (`CacheStats`). `--repeat N` runs the same input
+//! N times through one session and turns the table into cold vs warm,
+//! so the incremental win of each pipeline stage is visible directly
+//! (run 1 is the cold column, runs 2..N average into the warm column).
 //!
 //! The pseudo-input `@suite` compiles all ten evaluation designs from
 //! [`anvil::anvil_designs`] through one session instead of reading a
@@ -36,7 +35,7 @@ use std::time::Duration;
 
 use anvil::anvil_trace::{chrome_trace, Capture, SpanRecord};
 use anvil::verify::{prove_with_circuit, render_trace, ProveResult};
-use anvil::{Compiler, Expr};
+use anvil::{Control, Expr, Session};
 
 struct Args {
     input: String,
@@ -56,8 +55,8 @@ fn usage() -> ! {
 
 Compiles an Anvil source file to SystemVerilog, or proves a property.
   -o <output.sv>   output path (default: input with a .sv extension)
-  --repeat N       compile (or prove) N times through one session and
-                   print a per-stage cold-vs-warm table from span data
+  --repeat N       compile (or prove) N times through one session; the
+                   per-stage table from span data becomes cold vs warm
   --prove <signal> verify that the 1-bit signal stays truthy in every
                    reachable state (symbolic BMC + k-induction)
   --top <proc>     the process to flatten for proving (default: the only
@@ -128,8 +127,9 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    // The profile capture wraps the whole invocation; per-run captures
-    // for the --repeat table nest inside it (captures are refcounted).
+    // The profile capture wraps the whole invocation; the per-run
+    // captures for the stage table nest inside it (captures are
+    // refcounted).
     let capture = args.self_profile.as_ref().map(|_| Capture::start());
 
     let code = if args.input == "@suite" {
@@ -179,14 +179,21 @@ fn stage_totals(records: &[SpanRecord]) -> BTreeMap<String, u64> {
     totals
 }
 
-/// Prints the cold-vs-warm per-stage table: run 1 is the cold column,
-/// runs 2..N average into the warm column, delta is warm relative to
-/// cold. Stages absent from a run (a cache hit skipping a pass body
-/// entirely) count as zero there.
+/// Prints the per-stage table. One run prints one time column; more
+/// print cold vs warm: run 1 is the cold column, runs 2..N average into
+/// the warm column, delta is warm relative to cold. Stages absent from a
+/// run (a cache hit skipping a pass body entirely) count as zero there.
 fn print_stage_table(runs: &[BTreeMap<String, u64>]) {
     let fmt = |ns: u64| format!("{:.2?}", Duration::from_nanos(ns));
     let cold = &runs[0];
     let warm_runs = &runs[1..];
+    if warm_runs.is_empty() {
+        println!("\n{:<24} {:>10}", "stage", "time");
+        for (key, &ns) in cold {
+            println!("{key:<24} {:>10}", fmt(ns));
+        }
+        return;
+    }
     let keys: std::collections::BTreeSet<&String> = runs.iter().flat_map(|r| r.keys()).collect();
     println!(
         "\n{:<24} {:>10} {:>10} {:>8}   (cold = run 1, warm = mean of runs 2..{})",
@@ -202,7 +209,7 @@ fn print_stage_table(runs: &[BTreeMap<String, u64>]) {
             .iter()
             .map(|r| r.get(key).copied().unwrap_or(0))
             .sum();
-        let w = w_sum / warm_runs.len().max(1) as u64;
+        let w = w_sum / warm_runs.len() as u64;
         let delta = if c > 0 {
             format!("{:+.0}%", (w as f64 - c as f64) / c as f64 * 100.0)
         } else {
@@ -219,19 +226,15 @@ fn compile_mode(args: &Args, source: &str) -> i32 {
         p.display().to_string()
     });
 
-    let compiler = Compiler::new();
+    let session = Session::new();
     let mut last = None;
     let mut runs = Vec::new();
     for run in 1..=args.repeat {
-        let cap = (args.repeat > 1).then(Capture::start);
+        let cap = Capture::start();
         let t = std::time::Instant::now();
-        match compiler.compile(source) {
+        match session.compile(source) {
             Ok(out) => {
-                if args.repeat == 1 {
-                    println!("run {run}/{}: {}", args.repeat, out.stats);
-                } else {
-                    println!("run {run}/{}: {:.2?}", args.repeat, t.elapsed());
-                }
+                println!("run {run}/{}: {:.2?}", args.repeat, t.elapsed());
                 last = Some(out);
             }
             Err(e) => {
@@ -239,14 +242,10 @@ fn compile_mode(args: &Args, source: &str) -> i32 {
                 return 1;
             }
         }
-        if let Some(cap) = cap {
-            runs.push(stage_totals(&cap.finish()));
-        }
+        runs.push(stage_totals(&cap.finish()));
     }
     let out = last.expect("at least one run");
-    if runs.len() > 1 {
-        print_stage_table(&runs);
-    }
+    print_stage_table(&runs);
 
     if let Err(e) = std::fs::write(&out_path, &out.systemverilog) {
         eprintln!("anvilc: cannot write `{out_path}`: {e}");
@@ -258,7 +257,7 @@ fn compile_mode(args: &Args, source: &str) -> i32 {
         out.systemverilog.len(),
         out.modules.iter().count()
     );
-    println!("cache: {}", compiler.cache_stats());
+    println!("cache: {}", session.cache_stats());
     0
 }
 
@@ -266,22 +265,17 @@ fn compile_mode(args: &Args, source: &str) -> i32 {
 /// Run 1 is all cold; later runs (with `--repeat`) are all warm, and
 /// the same per-stage table as single-file mode shows the deltas.
 fn suite_mode(args: &Args) -> i32 {
-    let mut compiler = Compiler::new();
+    let mut session = Session::new();
     // The aes design calls an `extern fn` backed by this LUT module.
-    compiler.with_extern(anvil::anvil_designs::aes::sbox_module());
+    session.add_extern(anvil::anvil_designs::aes::sbox_module());
     let mut runs = Vec::new();
     for run in 1..=args.repeat {
-        let cap = (args.repeat > 1).then(Capture::start);
+        let cap = Capture::start();
         let t = std::time::Instant::now();
         let mut total_sv = 0usize;
         for (name, text) in anvil::anvil_designs::suite_sources() {
-            match compiler.compile(&text) {
-                Ok(out) => {
-                    total_sv += out.systemverilog.len();
-                    if run == 1 {
-                        println!("{name}: {}", out.stats);
-                    }
-                }
+            match session.compile(&text) {
+                Ok(out) => total_sv += out.systemverilog.len(),
                 Err(e) => {
                     eprintln!("anvilc: suite design `{name}` failed to compile:");
                     eprintln!("{}", e.render(&text));
@@ -294,27 +288,23 @@ fn suite_mode(args: &Args) -> i32 {
             args.repeat,
             t.elapsed()
         );
-        if let Some(cap) = cap {
-            runs.push(stage_totals(&cap.finish()));
-        }
+        runs.push(stage_totals(&cap.finish()));
     }
-    if runs.len() > 1 {
-        print_stage_table(&runs);
-    }
-    println!("cache: {}", compiler.cache_stats());
+    print_stage_table(&runs);
+    println!("cache: {}", session.cache_stats());
     0
 }
 
 fn prove_mode(args: &Args, source: &str) -> i32 {
     let signal = args.prove.as_deref().expect("prove mode has a signal");
-    let compiler = Compiler::new();
+    let session = Session::new();
 
     // Resolve the top process: the single proc of the file unless --top
     // names one.
     let top = match &args.top {
         Some(t) => t.clone(),
         None => {
-            let program = match compiler.session().parse(source) {
+            let program = match session.parse(source) {
                 Ok(p) => p,
                 Err(e) => {
                     eprintln!("{}", e.render(source));
@@ -343,10 +333,10 @@ fn prove_mode(args: &Args, source: &str) -> i32 {
     let mut exit_code = 0;
     let mut runs = Vec::new();
     for run in 1..=args.repeat {
-        let cap = (args.repeat > 1).then(Capture::start);
+        let cap = Capture::start();
         let t = std::time::Instant::now();
         // Through the session cache: run 2+ reuses the blasted AIG.
-        let circuit = match compiler.compile_flat_aig(source, &top) {
+        let circuit = match session.compile_flat_aig(source, &top, &Control::none()) {
             Ok(flat) => flat.circuit,
             Err(e) => {
                 eprintln!("{}", e.render(source));
@@ -404,13 +394,9 @@ fn prove_mode(args: &Args, source: &str) -> i32 {
                 return 1;
             }
         }
-        if let Some(cap) = cap {
-            runs.push(stage_totals(&cap.finish()));
-        }
+        runs.push(stage_totals(&cap.finish()));
     }
-    if runs.len() > 1 {
-        print_stage_table(&runs);
-    }
-    println!("cache: {}", compiler.cache_stats());
+    print_stage_table(&runs);
+    println!("cache: {}", session.cache_stats());
     exit_code
 }

@@ -5,14 +5,14 @@
 //!
 //! Run with `cargo run --example axi_router`.
 
-use anvil::Compiler;
+use anvil::Session;
 use anvil_designs::axi;
 
 fn main() {
-    let mux = Compiler::new()
+    let mux = Session::new()
         .compile(&axi::mux_source())
         .expect("mux compiles");
-    let demux = Compiler::new()
+    let demux = Session::new()
         .compile(&axi::demux_source())
         .expect("demux compiles");
 

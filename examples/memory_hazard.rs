@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example memory_hazard`.
 
-use anvil::Compiler;
+use anvil::Session;
 use anvil_designs::hazard;
 
 fn main() {
@@ -22,13 +22,13 @@ fn main() {
 
     println!("\nThe same Top in Anvil is a compile error:");
     let src = hazard::fig1_top_unsafe_anvil();
-    if let Err(e) = Compiler::new().compile(&src) {
+    if let Err(e) = Session::new().compile(&src) {
         println!("{}", e.render(&src));
     }
 
     println!("\n...and the dynamic-contract version compiles:");
     let safe = hazard::fig1_top_safe_anvil();
-    let out = Compiler::new().compile(&safe).expect("safe Top compiles");
+    let out = Session::new().compile(&safe).expect("safe Top compiles");
     println!(
         "  emitted module `top_safe` with {} lines of SystemVerilog",
         out.systemverilog.lines().count()

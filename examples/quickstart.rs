@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use anvil::{Compiler, Sim};
+use anvil::{Session, Sim};
 use anvil_rtl::Bits;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Compile: parse -> event graph -> timing-safety checks ->
     //    optimization -> RTL -> SystemVerilog.
-    let out = Compiler::new().compile(source)?;
+    let out = Session::new().compile(source)?;
     println!("--- generated SystemVerilog ---");
     println!("{}", out.systemverilog);
 
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "send ep.res (*hold) >>",
         "send ep.res (*hold) ; set hold := 0 >>",
     );
-    match Compiler::new().compile(&unsafe_source) {
+    match Session::new().compile(&unsafe_source) {
         Err(e) => println!(
             "\nhazardous variant rejected:\n{}",
             e.render(&unsafe_source)

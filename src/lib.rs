@@ -4,8 +4,9 @@
 //! This facade crate re-exports the whole workspace; see the individual
 //! crates for details:
 //!
-//! * [`anvil_core`] — the compiler pipeline ([`Compiler`], [`Session`],
-//!   the pass manager, and the parallel [`Compiler::compile_batch`]),
+//! * [`anvil_core`] — the compiler pipeline: [`Session`], the pass
+//!   manager, the parallel [`Session::compile_batch`], and [`Control`],
+//!   the stop flag and deadline one request's compile and prove share,
 //! * [`anvil_intern`] — the global [`Symbol`] string interner,
 //! * [`anvil_syntax`] / [`anvil_ir`] / [`anvil_typeck`] /
 //!   [`anvil_codegen`] — the compiler stages,
@@ -30,9 +31,9 @@
 //! # Examples
 //!
 //! ```
-//! use anvil::Compiler;
+//! use anvil::Session;
 //!
-//! let out = Compiler::new().compile(
+//! let out = Session::new().compile(
 //!     "proc blink() { reg led : logic; loop { set led := ~*led >> cycle 1 } }",
 //! )?;
 //! assert!(out.systemverilog.contains("module blink"));
@@ -40,7 +41,7 @@
 //! ```
 
 pub use anvil_core::{
-    CacheStats, CodegenDiag, CompileError, CompileOutput, Compiler, FlatAig, Options, PassStats,
+    CacheStats, CodegenDiag, CompileError, CompileOutput, Control, FlatAig, Options, PassStats,
     Session, Stage, StageCounters,
 };
 pub use anvil_intern::Symbol;

@@ -1,10 +1,10 @@
 //! The parallel batch-compile front door is *deterministic*: compiling
-//! the ten evaluation designs through `Compiler::compile_batch` produces
+//! the ten evaluation designs through `Session::compile_batch` produces
 //! SystemVerilog byte-identical to sequential compilation, regardless of
 //! thread scheduling or symbol-interning order. Also pins down the
 //! `Send + Sync` guarantees the batch API relies on.
 
-use anvil::{Compiler, Session};
+use anvil::Session;
 
 /// The ten Table 1 designs as Anvil sources (AES needs the S-box extern,
 /// registered on the shared session below).
@@ -15,9 +15,9 @@ fn design_sources() -> Vec<String> {
         .collect()
 }
 
-fn shared_compiler() -> Compiler {
-    let mut c = Compiler::new();
-    c.with_extern(anvil_designs::aes::sbox_module());
+fn shared_session() -> Session {
+    let mut c = Session::new();
+    c.add_extern(anvil_designs::aes::sbox_module());
     c
 }
 
@@ -25,12 +25,12 @@ fn shared_compiler() -> Compiler {
 fn batch_output_is_byte_identical_to_sequential() {
     let sources = design_sources();
     let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let compiler = shared_compiler();
+    let session = shared_session();
 
     let sequential: Vec<String> = refs
         .iter()
         .map(|s| {
-            compiler
+            session
                 .compile(s)
                 .unwrap_or_else(|e| panic!("sequential compile failed: {}", e.render(s)))
                 .systemverilog
@@ -38,7 +38,7 @@ fn batch_output_is_byte_identical_to_sequential() {
         .collect();
 
     // Force real worker threads even on single-core CI machines.
-    let batch = compiler.compile_batch_with_workers(&refs, 4);
+    let batch = session.compile_batch_with_workers(&refs, 4);
     assert_eq!(batch.len(), sequential.len());
     for (i, (seq, par)) in sequential.iter().zip(&batch).enumerate() {
         let par = par
@@ -57,9 +57,9 @@ fn batch_is_stable_across_repeated_runs() {
     // must not care.
     let sources = design_sources();
     let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let compiler = shared_compiler();
+    let session = shared_session();
     let run = || -> Vec<String> {
-        compiler
+        session
             .compile_batch_with_workers(&refs, 4)
             .into_iter()
             .map(|r| r.expect("design compiles").systemverilog)
@@ -72,10 +72,10 @@ fn batch_is_stable_across_repeated_runs() {
 fn batch_records_pass_stats_per_design() {
     let sources = design_sources();
     let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let out = shared_compiler().compile_batch_with_workers(&refs, 3);
+    let out = shared_session().compile_batch_with_workers(&refs, 3);
     for r in &out {
         let stats = r.as_ref().unwrap().stats;
-        assert!(stats.total() > std::time::Duration::ZERO);
+        assert!(stats.events_after > 0);
         assert!(stats.events_after <= stats.events_before);
     }
 }

@@ -24,12 +24,12 @@ fn opt_subset(mask: u8) -> OptConfig {
 
 /// Compiles `src` with the given pass subset and flattens `top`.
 fn compile_with_subset(src: &str, top: &str, cfg: OptConfig) -> anvil_rtl::Module {
-    let mut compiler = anvil_core::Compiler::new();
-    compiler.options(anvil_core::Options {
+    let mut session = anvil_core::Session::new();
+    session.set_options(anvil_core::Options {
         opt_config: cfg,
         ..anvil_core::Options::default()
     });
-    compiler
+    session
         .compile_flat(src, top)
         .unwrap_or_else(|e| panic!("`{top}` fails to compile under {cfg:?}: {e}"))
 }

@@ -1,10 +1,10 @@
 //! Golden diagnostics: the compiler's messages for the paper's unsafe
 //! examples match the paper's wording.
 
-use anvil::{CompileError, Compiler};
+use anvil::{CompileError, Session};
 
 fn errors_for(src: &str) -> Vec<String> {
-    match Compiler::new().compile(src) {
+    match Session::new().compile(src) {
         Err(CompileError::TimingUnsafe(errs)) => errs.into_iter().map(|e| e.message).collect(),
         Err(other) => panic!("expected timing violations, got: {other}"),
         Ok(_) => panic!("expected rejection"),
@@ -48,7 +48,7 @@ fn value_lifetime_message_matches_paper() {
 #[test]
 fn renders_carry_line_and_column() {
     let src = anvil_designs::hazard::fig1_top_unsafe_anvil();
-    let err = Compiler::new().compile(&src).unwrap_err();
+    let err = Session::new().compile(&src).unwrap_err();
     let rendered = err.render(&src);
     // The paper's CLI shows `Top.anvil:29:4:`-style locations.
     assert!(
@@ -136,11 +136,11 @@ mod sim_errors {
 #[test]
 fn parse_and_elaboration_errors_are_distinct() {
     assert!(matches!(
-        Compiler::new().compile("proc p() { loop { ??? } }"),
+        Session::new().compile("proc p() { loop { ??? } }"),
         Err(CompileError::Parse(_))
     ));
     assert!(matches!(
-        Compiler::new().compile("proc p() { loop { set ghost := 1 >> cycle 1 } }"),
+        Session::new().compile("proc p() { loop { set ghost := 1 >> cycle 1 } }"),
         Err(CompileError::Elaborate(_))
     ));
 }

@@ -13,15 +13,15 @@
 //!    (`anvil_codegen::compile_program` + `anvil_rtl::emit_library`),
 //!    including under heavy LRU eviction.
 
-use anvil::{CacheStats, Compiler};
+use anvil::{CacheStats, Session};
 
 /// Stages cached per compilation unit (check, opt-ir, lower, emit).
 const STAGES_PER_UNIT: u64 = 4;
 
-fn suite_compiler() -> Compiler {
-    let mut compiler = Compiler::new();
-    compiler.with_extern(anvil_designs::aes::sbox_module());
-    compiler
+fn suite_session() -> Session {
+    let mut session = Session::new();
+    session.add_extern(anvil_designs::aes::sbox_module());
+    session
 }
 
 fn suite_refs<'a>(suite: &'a [(&'static str, String)]) -> Vec<&'a str> {
@@ -45,22 +45,22 @@ fn ten_proc_program() -> String {
 
 #[test]
 fn second_compile_of_the_suite_is_pure_cache_hits() {
-    let compiler = suite_compiler();
+    let session = suite_session();
     let suite = anvil_designs::suite_sources();
     let refs = suite_refs(&suite);
 
     let cold: Vec<String> = refs
         .iter()
-        .map(|s| compiler.compile(s).unwrap().systemverilog)
+        .map(|s| session.compile(s).unwrap().systemverilog)
         .collect();
-    let after_cold = compiler.cache_stats();
+    let after_cold = session.cache_stats();
     assert!(after_cold.misses() > 0);
 
     let warm: Vec<String> = refs
         .iter()
-        .map(|s| compiler.compile(s).unwrap().systemverilog)
+        .map(|s| session.compile(s).unwrap().systemverilog)
         .collect();
-    let delta = compiler.cache_stats() - after_cold;
+    let delta = session.cache_stats() - after_cold;
 
     assert_eq!(cold, warm, "warm output must be byte-identical");
     assert_eq!(
@@ -84,11 +84,11 @@ fn second_compile_of_the_suite_is_pure_cache_hits() {
 
 #[test]
 fn warm_pass_stats_report_identical_event_counts() {
-    let compiler = suite_compiler();
+    let session = suite_session();
     let suite = anvil_designs::suite_sources();
     for (_, src) in &suite {
-        let cold = compiler.compile(src).unwrap();
-        let warm = compiler.compile(src).unwrap();
+        let cold = session.compile(src).unwrap();
+        let warm = session.compile(src).unwrap();
         assert_eq!(cold.stats.events_before, warm.stats.events_before);
         assert_eq!(cold.stats.events_after, warm.stats.events_after);
     }
@@ -118,11 +118,11 @@ proc a(ep : left ch) {
         cycle 1
     }
 }";
-    let compiler = Compiler::new();
-    let first = compiler.compile(dense).unwrap();
-    let baseline = compiler.cache_stats();
-    let second = compiler.compile(noisy).unwrap();
-    let delta = compiler.cache_stats() - baseline;
+    let session = Session::new();
+    let first = session.compile(dense).unwrap();
+    let baseline = session.cache_stats();
+    let second = session.compile(noisy).unwrap();
+    let delta = session.cache_stats() - baseline;
     assert_eq!(delta.misses(), 0, "formatting edits must be hits: {delta}");
     assert_eq!(delta.hits(), 2 * STAGES_PER_UNIT);
     // Modules are emitted name-sorted, so the output is also identical.
@@ -136,11 +136,11 @@ fn register_rename_is_a_cache_miss() {
         .replace(" r ", " q ")
         .replace("*r", "*q")
         .replace("set r", "set q");
-    let compiler = Compiler::new();
-    compiler.compile(src).unwrap();
-    let baseline = compiler.cache_stats();
-    compiler.compile(&renamed).unwrap();
-    let delta = compiler.cache_stats() - baseline;
+    let session = Session::new();
+    session.compile(src).unwrap();
+    let baseline = session.cache_stats();
+    session.compile(&renamed).unwrap();
+    let delta = session.cache_stats() - baseline;
     assert_eq!(delta.hits(), 0, "{delta}");
     assert_eq!(delta.misses(), STAGES_PER_UNIT, "{delta}");
 }
@@ -150,11 +150,11 @@ fn channel_timing_annotation_change_is_a_cache_miss() {
     let src = "chan ch { right v : (logic[8]@#1) }
 proc p(ep : left ch) { reg r : logic[8]; loop { send ep.v (*r) >> cycle 1 >> set r := *r + 1 } }";
     let retimed = src.replace("(logic[8]@#1)", "(logic[8]@#2)");
-    let compiler = Compiler::new();
-    compiler.compile(src).unwrap();
-    let baseline = compiler.cache_stats();
-    compiler.compile(&retimed).unwrap();
-    let delta = compiler.cache_stats() - baseline;
+    let session = Session::new();
+    session.compile(src).unwrap();
+    let baseline = session.cache_stats();
+    session.compile(&retimed).unwrap();
+    let delta = session.cache_stats() - baseline;
     assert_eq!(delta.hits(), 0, "{delta}");
     assert_eq!(delta.misses(), STAGES_PER_UNIT, "{delta}");
 }
@@ -162,8 +162,8 @@ proc p(ep : left ch) { reg r : logic[8]; loop { send ep.v (*r) >> cycle 1 >> set
 #[test]
 fn optconfig_flips_miss_codegen_but_reuse_check() {
     let src = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
-    let mut compiler = Compiler::new();
-    compiler.compile(src).unwrap();
+    let mut session = Session::new();
+    session.compile(src).unwrap();
 
     // Flip each optimization pass bit in turn: the checked artifact is
     // options-independent and must be reused; every codegen-side stage
@@ -178,10 +178,10 @@ fn optconfig_flips_miss_codegen_but_reuse_check() {
             3 => opts.opt_config.remove_branch_joins = false,
             _ => opts.opt_config.sweep_dead = false,
         }
-        compiler.options(opts);
-        let baseline = compiler.cache_stats();
-        compiler.compile(src).unwrap();
-        let delta = compiler.cache_stats() - baseline;
+        session.set_options(opts);
+        let baseline = session.cache_stats();
+        session.compile(src).unwrap();
+        let delta = session.cache_stats() - baseline;
         assert_eq!(delta.check.misses, 0, "flip {flip}: {delta}");
         assert_eq!(delta.check.hits, 1, "flip {flip}: {delta}");
         assert_eq!(delta.opt_ir.misses, 1, "flip {flip}: {delta}");
@@ -198,11 +198,11 @@ fn one_proc_edit_recompiles_exactly_one_unit() {
     let edited = src.replace("set r := *r + 7", "set r := *r + 77");
     assert_ne!(src, edited, "the edit must land");
 
-    let compiler = Compiler::new();
-    let cold = compiler.compile(&src).unwrap();
-    let baseline = compiler.cache_stats();
-    let warm = compiler.compile(&edited).unwrap();
-    let delta = compiler.cache_stats() - baseline;
+    let session = Session::new();
+    let cold = session.compile(&src).unwrap();
+    let baseline = session.cache_stats();
+    let warm = session.compile(&edited).unwrap();
+    let delta = session.cache_stats() - baseline;
 
     // Exactly one unit re-ran at each of the four stage boundaries; the
     // other nine were served entirely from the cache.
@@ -223,12 +223,12 @@ proc top() {
     loop { let x = recv r.v >> dprint \"got\" (x) >> cycle 1 }
 }";
     let edited = src.replace("*c + 1", "*c + 3");
-    let compiler = Compiler::new();
-    let cold_edited = Compiler::new().compile(&edited).unwrap();
-    compiler.compile(src).unwrap();
-    let baseline = compiler.cache_stats();
-    let warm_edited = compiler.compile(&edited).unwrap();
-    let delta = compiler.cache_stats() - baseline;
+    let session = Session::new();
+    let cold_edited = Session::new().compile(&edited).unwrap();
+    session.compile(src).unwrap();
+    let baseline = session.cache_stats();
+    let warm_edited = session.compile(&edited).unwrap();
+    let delta = session.cache_stats() - baseline;
 
     // The child misses everywhere; the parent's check/opt-ir artifacts
     // are untouched but its lower/emit must revalidate against the new
@@ -243,13 +243,13 @@ proc top() {
 
 #[test]
 fn eviction_under_tiny_capacity_stays_byte_identical() {
-    let mut compiler = suite_compiler();
-    compiler.set_cache_capacity(2);
+    let mut session = suite_session();
+    session.set_cache_capacity(2);
     let suite = anvil_designs::suite_sources();
     let refs = suite_refs(&suite);
 
     let reference: Vec<String> = {
-        let fresh = suite_compiler();
+        let fresh = suite_session();
         refs.iter()
             .map(|s| fresh.compile(s).unwrap().systemverilog)
             .collect()
@@ -257,11 +257,11 @@ fn eviction_under_tiny_capacity_stays_byte_identical() {
     for round in 0..3 {
         let out: Vec<String> = refs
             .iter()
-            .map(|s| compiler.compile(s).unwrap().systemverilog)
+            .map(|s| session.compile(s).unwrap().systemverilog)
             .collect();
         assert_eq!(out, reference, "round {round}");
     }
-    let stats = compiler.cache_stats();
+    let stats = session.cache_stats();
     assert!(
         stats.evictions() > 0,
         "a 2-entry cache over the ten-design suite must evict: {stats}"
@@ -273,7 +273,7 @@ fn warm_and_cold_match_the_monolithic_pipeline() {
     use anvil_codegen::{compile_program, CodegenOptions};
     use anvil_rtl::{emit_library, ModuleLibrary};
 
-    let compiler = suite_compiler();
+    let session = suite_session();
     let suite = anvil_designs::suite_sources();
     for (name, src) in &suite {
         // The pre-refactor pipeline: one monolithic pass over the whole
@@ -284,8 +284,8 @@ fn warm_and_cold_match_the_monolithic_pipeline() {
         let lib = compile_program(&program, &externs, CodegenOptions::default()).unwrap();
         let legacy = emit_library(&lib);
 
-        let cold = compiler.compile(src).unwrap().systemverilog;
-        let warm = compiler.compile(src).unwrap().systemverilog;
+        let cold = session.compile(src).unwrap().systemverilog;
+        let warm = session.compile(src).unwrap().systemverilog;
         assert_eq!(cold, legacy, "{name}: cold output diverged");
         assert_eq!(warm, legacy, "{name}: warm output diverged");
     }
@@ -310,9 +310,9 @@ proc top_unsafe(mem : left memory_ch) {
     }
 }";
     let shifted = format!("\n\n{src}");
-    let compiler = Compiler::new();
-    let e1 = compiler.compile(src).unwrap_err().render(src);
-    let e2 = compiler.compile(&shifted).unwrap_err().render(&shifted);
+    let session = Session::new();
+    let e1 = session.compile(src).unwrap_err().render(src);
+    let e2 = session.compile(&shifted).unwrap_err().render(&shifted);
     assert!(e1.contains("loaned register"));
     assert!(e2.contains("loaned register"));
     // Same violation, two lines further down.
@@ -323,7 +323,7 @@ proc top_unsafe(mem : left memory_ch) {
             .expect("rendered diagnostics start with line numbers")
     };
     assert_eq!(line(&e2), line(&e1) + 2);
-    let stats = compiler.cache_stats();
+    let stats = session.cache_stats();
     assert_eq!(
         stats.check.hits, 0,
         "error reports must not be reused: {stats}"
@@ -332,7 +332,7 @@ proc top_unsafe(mem : left memory_ch) {
 
 #[test]
 fn batch_compilation_shares_the_cache() {
-    let compiler = suite_compiler();
+    let session = suite_session();
     let suite = anvil_designs::suite_sources();
     let refs = suite_refs(&suite);
 
@@ -340,11 +340,11 @@ fn batch_compilation_shares_the_cache() {
     // entirely from the shared cache, byte-identical.
     let sequential: Vec<String> = refs
         .iter()
-        .map(|s| compiler.compile(s).unwrap().systemverilog)
+        .map(|s| session.compile(s).unwrap().systemverilog)
         .collect();
-    let baseline = compiler.cache_stats();
-    let batch = compiler.compile_batch_with_workers(&refs, 4);
-    let delta = compiler.cache_stats() - baseline;
+    let baseline = session.cache_stats();
+    let batch = session.compile_batch_with_workers(&refs, 4);
+    let delta = session.cache_stats() - baseline;
     assert_eq!(delta.misses(), 0, "warm batch must be all hits: {delta}");
     for (seq, par) in sequential.iter().zip(&batch) {
         assert_eq!(seq, &par.as_ref().unwrap().systemverilog);

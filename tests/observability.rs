@@ -17,7 +17,7 @@ use std::sync::Arc;
 use anvil::anvil_core::fault::{FaultKind, FaultPlan, FaultRule};
 use anvil::anvil_trace::{self, chrome_trace, render_tree, subtree, Capture, SpanNode};
 use anvil::anvild::{CompileService, Incoming, Json};
-use anvil::Compiler;
+use anvil::Session;
 use proptest::prelude::*;
 
 const GOOD: &str = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
@@ -44,7 +44,7 @@ fn cold_compile_span_tree_renders_to_the_golden() {
     let cap = Capture::start();
     let root = anvil_trace::span("test", "golden");
     let root_id = root.id();
-    Compiler::new().compile(GOOD).expect("compiles");
+    Session::new().compile(GOOD).expect("compiles");
     drop(root);
     let records = cap.finish();
     let tree = subtree(&records, root_id).expect("root recorded");
@@ -76,12 +76,12 @@ fn cold_compile_span_tree_renders_to_the_golden() {
 
 #[test]
 fn warm_compile_tree_reports_cache_hits() {
-    let compiler = Compiler::new();
-    compiler.compile(GOOD).expect("cold compile");
+    let session = Session::new();
+    session.compile(GOOD).expect("cold compile");
     let cap = Capture::start();
     let root = anvil_trace::span("test", "warm");
     let root_id = root.id();
-    compiler.compile(GOOD).expect("warm compile");
+    session.compile(GOOD).expect("warm compile");
     drop(root);
     let records = own_records(&cap.finish(), root_id);
     // Every per-unit span on the warm path is a hit; no misses.
@@ -102,10 +102,8 @@ proptest! {
         nth in 1u64..3,
     ) {
         let seam = ["session.compile", "session.unit", "cache.get"][seam_idx];
-        let compiler = Compiler::new();
-        compiler
-            .session()
-            .set_fault_plan(Some(Arc::new(FaultPlan::new(vec![FaultRule::new(
+        let session = Session::new();
+        session.set_fault_plan(Some(Arc::new(FaultPlan::new(vec![FaultRule::new(
                 seam,
                 nth,
                 FaultKind::Panic,
@@ -114,7 +112,7 @@ proptest! {
         let root = anvil_trace::span("test", "fault-root");
         let root_id = root.id();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compiler.compile(GOOD).map(|_| ())
+            session.compile(GOOD).map(|_| ())
         }));
         // Whether the plan fired (panic) or not (clean compile), the
         // unwind must have closed every span and restored the root.
@@ -140,7 +138,7 @@ fn chrome_trace_export_is_valid_json_with_complete_events() {
     let cap = Capture::start();
     let root = anvil_trace::span("test", "chrome");
     let root_id = root.id();
-    Compiler::new().compile(GOOD).expect("compiles");
+    Session::new().compile(GOOD).expect("compiles");
     drop(root);
     let records = own_records(&cap.finish(), root_id);
     let json = Json::parse(&chrome_trace(&records)).expect("chrome trace parses");

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full compile-simulate-synthesize pipeline
 //! on every evaluation design, plus SystemVerilog emission sanity.
 
-use anvil::Compiler;
+use anvil::Session;
 use anvil_designs::registry;
 
 #[test]
@@ -25,7 +25,7 @@ fn every_design_flattens_simulates_and_synthesizes() {
 
 #[test]
 fn emitted_sv_has_one_module_per_proc() {
-    let out = Compiler::new()
+    let out = Session::new()
         .compile(&anvil_designs::axi::mux_source())
         .unwrap();
     assert_eq!(out.systemverilog.matches("\nendmodule").count() + 1, 1 + 1);
@@ -49,8 +49,8 @@ fn generated_fsms_have_no_lifetime_bookkeeping_overhead() {
             reg r : logic[8];
             loop { send ep.o (*r) >> cycle 2 >> set r := *r + 1 >> cycle 1 }
         }";
-    let a = Compiler::new().compile_flat(short, "p").unwrap();
-    let b = Compiler::new().compile_flat(long, "p").unwrap();
+    let a = Session::new().compile_flat(short, "p").unwrap();
+    let b = Session::new().compile_flat(long, "p").unwrap();
     let regs = |m: &anvil_rtl::Module| {
         m.iter_signals()
             .filter(|(_, s)| s.kind == anvil_rtl::SignalKind::Reg)
@@ -65,7 +65,7 @@ fn generated_fsms_have_no_lifetime_bookkeeping_overhead() {
 fn incremental_adoption_sv_compiles_into_library() {
     // Anvil modules and handwritten RTL coexist in one library and
     // elaborate together (the paper's integration story).
-    let out = Compiler::new()
+    let out = Session::new()
         .compile(&anvil_designs::fifo::anvil_source())
         .unwrap();
     let mut lib = out.modules.clone();

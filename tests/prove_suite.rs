@@ -9,8 +9,8 @@ use anvil_designs::props::{seeded_violations, suite_properties};
 use anvil_sim::{Backend, SimBatch, Waveform};
 use anvil_smt::{optimize, AigCircuit};
 use anvil_verify::{
-    bmc_with_backend, prove, prove_portfolio, replay_trace, BmcResult, Deadline, ProveResult,
-    Prover,
+    bmc_with_backend, prove, prove_portfolio, replay_trace, BmcResult, Control, Deadline,
+    ProveResult, Prover,
 };
 
 const MAX_K: usize = 8;
@@ -146,8 +146,7 @@ fn portfolio_settles_suite_and_seeded_designs() {
     // Proved property: one of the two engines must win (whichever
     // concludes first cancels the other).
     let prop = &suite_properties()[0];
-    let out =
-        prove_portfolio(&prop.module, &prop.assertion, MAX_K, None, Deadline::none()).unwrap();
+    let out = prove_portfolio(&prop.module, &prop.assertion, MAX_K, &Control::none()).unwrap();
     assert!(
         matches!(out.result, ProveResult::Proved { .. }),
         "{:?}",
@@ -159,7 +158,7 @@ fn portfolio_settles_suite_and_seeded_designs() {
 
     // Seeded bug: some engine falsifies, and the combined trace replays.
     let prop = &seeded_violations()[0];
-    let out = prove_portfolio(&prop.module, &prop.assertion, 16, None, Deadline::none()).unwrap();
+    let out = prove_portfolio(&prop.module, &prop.assertion, 16, &Control::none()).unwrap();
     let ProveResult::Falsified { depth, trace } = &out.result else {
         panic!("expected falsification, got {:?}", out.result);
     };
@@ -179,14 +178,11 @@ fn aes_prove_with_a_10ms_deadline_bails_out_well_under_a_second() {
         .find(|p| p.design.contains("AES"))
         .expect("AES property in the suite");
     let started = std::time::Instant::now();
-    let out = prove_portfolio(
-        &prop.module,
-        &prop.assertion,
-        4096,
-        None,
-        Deadline::in_ms(10),
-    )
-    .expect("portfolio");
+    let control = Control {
+        stop: None,
+        deadline: Deadline::in_ms(10),
+    };
+    let out = prove_portfolio(&prop.module, &prop.assertion, 4096, &control).expect("portfolio");
     let elapsed = started.elapsed();
     assert!(
         matches!(out.result, ProveResult::Unknown { .. }),
