@@ -164,6 +164,80 @@ fn oversized_width_is_a_compile_error_and_the_daemon_keeps_serving() {
     assert!(resp.get("result").is_some(), "{resp}");
 }
 
+/// A register array of 2^32 entries used to abort the process while
+/// blasting it for `prove` ("memory allocation of 103079215104 bytes
+/// failed"). The array caps reject it at parse time, and the daemon
+/// keeps serving.
+#[test]
+fn oversized_register_array_is_a_compile_error_for_prove() {
+    let service = CompileService::new();
+    let hostile = "proc p() { reg m : logic[8][4294967296]; reg ok : logic := 1; \
+                   loop { set m[0] := 1 ; set ok := 1 } }";
+    open(&service, "array.anv", hostile);
+    let (resp, _) = call(
+        &service,
+        1,
+        "prove",
+        Json::obj([("uri", Json::str("array.anv")), ("signal", Json::str("ok"))]),
+    );
+    assert_eq!(error_code(&resp), anvild::COMPILE_FAILED, "{resp}");
+
+    open(&service, "a.anv", GOOD);
+    let (resp, _) = call(
+        &service,
+        2,
+        "compile",
+        Json::obj([("uri", Json::str("a.anv"))]),
+    );
+    assert!(resp.get("result").is_some(), "{resp}");
+}
+
+/// 460 nested parentheses used to overflow the stack of the serve
+/// loop's 2 MiB request threads. The parser's nesting limit rejects the
+/// source with a located diagnostic, and the same connection keeps
+/// being served.
+#[test]
+fn deeply_nested_source_is_a_compile_error_over_the_wire() {
+    let service = CompileService::new();
+    let deep = format!(
+        "proc p() {{ reg r : logic[8]; loop {{ set r := {}1{} }} }}",
+        "(".repeat(460),
+        ")".repeat(460)
+    );
+    std::thread::scope(|scope| {
+        let mut c = serve_pair(scope, &service);
+        let mut r = BufReader::new(c.try_clone().unwrap());
+        for (id, uri, text) in [(1, "deep.anv", deep.as_str()), (3, "a.anv", GOOD)] {
+            let open = Incoming::request(
+                id,
+                "open",
+                Json::obj([("uri", Json::str(uri)), ("text", Json::str(text))]),
+            )
+            .to_frame()
+            .to_string();
+            call_over_wire(&mut c, &mut r, &open);
+        }
+        let resp = call_over_wire(
+            &mut c,
+            &mut r,
+            r#"{"jsonrpc":"2.0","id":2,"method":"compile","params":{"uri":"deep.anv"}}"#,
+        );
+        assert_eq!(error_code(&resp), anvild::COMPILE_FAILED, "{resp}");
+        let resp = call_over_wire(
+            &mut c,
+            &mut r,
+            r#"{"jsonrpc":"2.0","id":4,"method":"compile","params":{"uri":"a.anv"}}"#,
+        );
+        assert!(resp.get("result").is_some(), "{resp}");
+        call_over_wire(
+            &mut c,
+            &mut r,
+            r#"{"jsonrpc":"2.0","id":9,"method":"shutdown"}"#,
+        );
+        drop(c);
+    });
+}
+
 #[test]
 fn broken_file_answers_compile_failed_and_streams_diagnostics() {
     let service = CompileService::new();

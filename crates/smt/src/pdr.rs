@@ -20,17 +20,45 @@
 //! assumptions. Proof obligations carry the input words of their suffix
 //! path, so a falsification comes out as a ready-to-replay stimulus
 //! trace rather than an abstract state sequence.
+//!
+//! Three choices after Eén, Mishchenko and Brayton ("Efficient
+//! Implementation of Property Directed Reachability", FMCAD 2011) keep
+//! the engine cheap:
+//!
+//! * **Lifted obligations.** A SAT model names a full state, but only
+//!   the latches in the fan-in cone of what it must reach matter. The
+//!   bad state is lifted against `¬ok`, and a predecessor against the
+//!   next-state literals of its obligation's cube, by ternary
+//!   simulation: with the inputs held at their model values, each cone
+//!   latch is set to X and stays out of the cube unless the X reaches a
+//!   target. Every completion of a lifted cube therefore still steps
+//!   into its target under the recorded inputs, so traces replay.
+//!   Answers thrown away — failed literal drops in generalization and
+//!   clause pushing — are not lifted.
+//! * **Source-only branching.** The solver decides only on the frame-0
+//!   latches and inputs; every other variable is an AND gate they force
+//!   by propagation, so the search stays complete. With small cubes
+//!   most queries are satisfiable, and branching on gates made the
+//!   solver drain and refill its whole activity heap on each of them.
+//! * **A tick budget.** Runaway runs are bounded in solver ticks
+//!   ([`SolverStats::ticks`]), which grow with the frame clauses each
+//!   propagation visits, not in propagations, which do not.
+//!
+//! On the `prove_mix` benchmark's FIFO occupancy monitor (17 latches
+//! after optimization) this took standalone PDR from 7,675 SAT calls and
+//! a 226-clause invariant to 1,744 calls and 65 clauses, both at 11
+//! frames; on its spill-register monitor from 3,239 to 559 calls.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::aig::{Aig, Lit};
+use crate::aig::{Aig, Lit, Node};
 use crate::cert::LatchLit;
 use crate::cnf::{CnfEncoder, Unroller};
 use crate::share::{ClauseExchange, ClauseKind, SharedClause};
-use crate::solver::{SLit, SolveResult, Solver, SolverStats};
+use crate::solver::{SLit, SolveResult, Solver, SolverStats, Var};
 
 /// Tuning and cooperation knobs for one [`Pdr`] run.
 pub struct PdrOptions {
@@ -38,12 +66,14 @@ pub struct PdrOptions {
     pub max_frames: usize,
     /// Proof-obligation cap (runaway guard on huge state spaces).
     pub max_obligations: u64,
-    /// Solver-propagation cap — the effective wall-clock guard. On
-    /// datapath-heavy cones (wide functional invariants) generalization
-    /// issues hundreds of SAT calls per obligation, each cheap in
-    /// conflicts but long in propagations; this bounds total work where
-    /// the obligation cap alone would admit hours.
-    pub max_propagations: u64,
+    /// Solver-tick cap ([`SolverStats::ticks`]) — the effective
+    /// wall-clock guard. On datapath-heavy cones (wide functional
+    /// invariants) generalization issues hundreds of SAT calls per
+    /// obligation, each cheap in conflicts but long in propagation work,
+    /// and that work grows with the frame clauses each propagation
+    /// visits; this bounds it where the obligation cap alone would admit
+    /// hours.
+    pub max_ticks: u64,
     /// Cooperative stop flag (portfolio losers are cancelled through it).
     pub stop: Option<Arc<AtomicBool>>,
     /// Wall-clock deadline, polled wherever the stop flag is (and inside
@@ -60,7 +90,7 @@ impl Default for PdrOptions {
         PdrOptions {
             max_frames: 64,
             max_obligations: 200_000,
-            max_propagations: 100_000_000,
+            max_ticks: 300_000_000,
             stop: None,
             deadline: crate::Deadline::none(),
             exchange: None,
@@ -79,6 +109,9 @@ pub struct PdrStats {
     pub obligations: u64,
     /// Solver calls issued.
     pub sat_calls: u64,
+    /// Cube literals removed by ternary-simulation lifting (relative to
+    /// the full-state cube of each lifted model).
+    pub lifted_away: u64,
     /// Cube literals dropped by inductive generalization.
     pub generalized_away: u64,
     /// Clauses published to the exchange.
@@ -109,7 +142,7 @@ pub enum PdrOutcome {
         /// Per-cycle input-bit assignments.
         inputs: Vec<Vec<bool>>,
     },
-    /// Gave up (frame cap, obligation cap, or stop flag).
+    /// Gave up (frame cap, obligation cap, tick cap or stop flag).
     Unknown,
 }
 
@@ -148,11 +181,204 @@ impl Ord for Ob {
 enum Consec {
     /// The cube has no predecessor in the precondition frame.
     Blocked,
-    /// A concrete predecessor state and the input word driving it into
-    /// the cube.
-    Cti(Vec<LatchLit>, Vec<bool>),
+    /// A predecessor exists: the solver's model holds its state and the
+    /// input word driving it into the cube.
+    Cti,
     /// Solver interrupted (stop flag).
     Interrupted,
+}
+
+/// What one round of [`Pdr::run`] decided.
+enum Round {
+    /// `F_n` may still hold a bad state: query it again.
+    Again,
+    /// `F_n` excludes every bad state and no two adjacent frames
+    /// coincide: open `F_{n+1}`.
+    Next,
+    /// The run is over.
+    Done(PdrOutcome),
+}
+
+/// Ternary values of [`Lifter`]'s simulation.
+const T_FALSE: u8 = 0;
+const T_TRUE: u8 = 1;
+const T_X: u8 = 2;
+
+fn t_lit(val: &[u8], l: Lit) -> u8 {
+    match val[l.node()] {
+        T_X => T_X,
+        v => v ^ u8::from(l.is_negated()),
+    }
+}
+
+fn t_and(a: u8, b: u8) -> u8 {
+    if a == T_FALSE || b == T_FALSE {
+        T_FALSE
+    } else if a == T_TRUE && b == T_TRUE {
+        T_TRUE
+    } else {
+        T_X
+    }
+}
+
+/// Shrinks a concrete state to the latches a set of target literals
+/// actually depends on, by ternary (0/1/X) simulation over the
+/// sequential graph: with the inputs fixed, a latch whose value can be
+/// replaced by X without turning any target X is left out of the cube,
+/// so every completion of the cube still drives every target true.
+struct Lifter {
+    /// AND nodes reading node `n` are `fanout[fanout_start[n]..fanout_start[n + 1]]`.
+    fanout_start: Vec<u32>,
+    fanout: Vec<u32>,
+    /// Ternary value per node; valid inside the current cone.
+    val: Vec<u8>,
+    /// `cone[n] == epoch` marks the current targets' fan-in cone.
+    cone: Vec<u32>,
+    /// `target[n] == epoch` marks the nodes of the current targets.
+    target: Vec<u32>,
+    epoch: u32,
+    /// The current cone in topological (index) order.
+    order: Vec<u32>,
+    /// `(node, value)` pairs to restore when an X trial reaches a target.
+    undo: Vec<(u32, u8)>,
+    stack: Vec<u32>,
+}
+
+impl Lifter {
+    fn new(seq: &Aig) -> Lifter {
+        let n = seq.len();
+        let mut fanout_start = vec![0u32; n + 1];
+        for node in seq.nodes() {
+            if let Node::And(a, b) = *node {
+                fanout_start[a.node() + 1] += 1;
+                fanout_start[b.node() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            fanout_start[i + 1] += fanout_start[i];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanout = vec![0u32; fanout_start[n] as usize];
+        for (i, node) in seq.nodes().iter().enumerate() {
+            if let Node::And(a, b) = *node {
+                for c in [a.node(), b.node()] {
+                    fanout[fill[c] as usize] = i as u32;
+                    fill[c] += 1;
+                }
+            }
+        }
+        Lifter {
+            fanout_start,
+            fanout,
+            val: vec![T_X; n],
+            cone: vec![0; n],
+            target: vec![0; n],
+            epoch: 0,
+            order: Vec::new(),
+            undo: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// The sub-cube of `state` that, under `inputs`, keeps every literal
+    /// of `targets` true. Only latches in the targets' fan-in cone are
+    /// tried (the rest cannot matter); each trial re-simulates
+    /// event-driven through the fanouts and is undone when it reaches a
+    /// target.
+    fn lift(
+        &mut self,
+        seq: &Aig,
+        state: &[bool],
+        inputs: &[bool],
+        targets: &[Lit],
+    ) -> Vec<LatchLit> {
+        self.epoch += 1;
+        let e = self.epoch;
+        self.order.clear();
+        self.stack.clear();
+        for &t in targets {
+            self.target[t.node()] = e;
+            self.stack.push(t.node() as u32);
+        }
+        while let Some(n) = self.stack.pop() {
+            let n = n as usize;
+            if self.cone[n] == e {
+                continue;
+            }
+            self.cone[n] = e;
+            self.order.push(n as u32);
+            if let Node::And(a, b) = seq.node(n) {
+                self.stack.push(a.node() as u32);
+                self.stack.push(b.node() as u32);
+            }
+        }
+        self.order.sort_unstable();
+        for &n in &self.order {
+            let n = n as usize;
+            self.val[n] = match seq.node(n) {
+                Node::Const => T_FALSE,
+                Node::Input(i) => u8::from(inputs[i as usize]),
+                Node::Latch(l) => u8::from(state[l as usize]),
+                Node::And(a, b) => t_and(t_lit(&self.val, a), t_lit(&self.val, b)),
+            };
+        }
+        debug_assert!(
+            targets.iter().all(|&t| t_lit(&self.val, t) == T_TRUE),
+            "the model satisfies every target"
+        );
+        let mut cube = Vec::new();
+        for k in 0..self.order.len() {
+            let n = self.order[k] as usize;
+            let Node::Latch(l) = seq.node(n) else {
+                continue;
+            };
+            if self.target[n] != e && self.try_x(seq, n) {
+                continue;
+            }
+            cube.push(LatchLit {
+                latch: l,
+                negated: !state[l as usize],
+            });
+        }
+        cube
+    }
+
+    /// Sets node `n` to X and propagates; keeps the X and returns true
+    /// unless a target turns X, in which case every change is undone.
+    fn try_x(&mut self, seq: &Aig, n: usize) -> bool {
+        let e = self.epoch;
+        self.undo.clear();
+        self.undo.push((n as u32, self.val[n]));
+        self.val[n] = T_X;
+        self.stack.clear();
+        self.stack.push(n as u32);
+        while let Some(m) = self.stack.pop() {
+            let m = m as usize;
+            for i in self.fanout_start[m]..self.fanout_start[m + 1] {
+                let f = self.fanout[i as usize] as usize;
+                if self.cone[f] != e || self.val[f] == T_X {
+                    continue;
+                }
+                let Node::And(a, b) = seq.node(f) else {
+                    unreachable!("fanouts are AND nodes");
+                };
+                // Values only ever move from 0/1 to X here.
+                if t_and(t_lit(&self.val, a), t_lit(&self.val, b)) != T_X {
+                    continue;
+                }
+                if self.target[f] == e {
+                    for &(node, v) in self.undo.iter().rev() {
+                        self.val[node as usize] = v;
+                    }
+                    return false;
+                }
+                self.undo.push((f as u32, self.val[f]));
+                self.val[f] = T_X;
+                self.stack.push(f as u32);
+            }
+        }
+        true
+    }
 }
 
 /// The IC3/PDR engine.
@@ -169,6 +395,8 @@ pub struct Pdr {
     cur_input: Vec<SLit>,
     /// `¬ok` over the current state.
     bad: SLit,
+    /// `¬ok` in the sequential graph (the bad-state lifting target).
+    bad_seq: Lit,
     /// Reset values per latch.
     init: Vec<bool>,
     /// Activation literal per clause position (`acts[i]` guards position
@@ -176,6 +404,7 @@ pub struct Pdr {
     acts: Vec<SLit>,
     /// Blocking cubes with their current positions.
     cubes: Vec<(Vec<LatchLit>, usize)>,
+    lifter: Lifter,
     ob_order: u64,
     options: PdrOptions,
     import_cursor: u64,
@@ -216,9 +445,19 @@ impl Pdr {
             &mut solver,
             unroller.lit_at(0, ok.negate()),
         );
+        // Branch only on the frame-0 latches and inputs: every other
+        // variable encoded so far is an AND gate they force by
+        // propagation. Variables created later stay decision variables.
+        for v in 0..solver.n_vars() as Var {
+            solver.set_decision(v, false);
+        }
+        for s in cur_latch.iter().chain(&cur_input) {
+            solver.set_decision(s.var(), true);
+        }
         let init = seq.latches().iter().map(|l| l.init).collect();
         // Placeholder for position 0 (never assumed) plus position 1.
         let acts = vec![SLit::pos(solver.new_var()), SLit::pos(solver.new_var())];
+        let lifter = Lifter::new(&seq);
         Pdr {
             seq,
             solver,
@@ -228,9 +467,11 @@ impl Pdr {
             nxt_latch,
             cur_input,
             bad,
+            bad_seq: ok.negate(),
             init,
             acts,
             cubes: Vec::new(),
+            lifter,
             ob_order: 0,
             options,
             import_cursor: 0,
@@ -254,20 +495,16 @@ impl Pdr {
             || self.options.deadline.expired()
     }
 
-    /// Cancelled externally or out of propagation budget.
+    /// Cancelled externally or out of tick budget.
     fn interrupted(&self) -> bool {
-        self.stopped() || self.solver.stats().propagations > self.options.max_propagations
+        self.stopped() || self.solver.stats().ticks > self.options.max_ticks
     }
 
-    /// The complete current-state cube of the last model.
-    fn model_cube(&self) -> Vec<LatchLit> {
+    /// The frame-0 latch values of the last model.
+    fn model_state(&self) -> Vec<bool> {
         self.cur_latch
             .iter()
-            .enumerate()
-            .map(|(n, &sl)| LatchLit {
-                latch: n as u32,
-                negated: !self.solver.model_value(sl),
-            })
+            .map(|&sl| self.solver.model_value(sl))
             .collect()
     }
 
@@ -279,8 +516,17 @@ impl Pdr {
             .collect()
     }
 
-    /// Does the reset state satisfy the cube? (Complete cubes: equality
-    /// with reset.)
+    /// The lifted cube of the last model's state: the latches that keep
+    /// every literal of `targets` true under the model's inputs.
+    fn lift_model(&mut self, targets: &[Lit]) -> (Vec<LatchLit>, Vec<bool>) {
+        let state = self.model_state();
+        let inputs = self.model_inputs();
+        let cube = self.lifter.lift(&self.seq, &state, &inputs, targets);
+        self.stats.lifted_away += (state.len() - cube.len()) as u64;
+        (cube, inputs)
+    }
+
+    /// Does the reset state satisfy the cube?
     fn init_in_cube(&self, cube: &[LatchLit]) -> bool {
         cube.iter().all(|l| l.eval(&self.init))
     }
@@ -303,6 +549,21 @@ impl Pdr {
         }
     }
 
+    /// The next-state literal that makes cube literal `l` hold after one
+    /// step.
+    fn next_lit(&self, l: LatchLit) -> Lit {
+        let next = self
+            .seq
+            .latch_info(l.latch)
+            .next
+            .expect("latch connected during blasting");
+        if l.negated {
+            next.negate()
+        } else {
+            next
+        }
+    }
+
     /// Relative-induction query: can a state of `fprev` (under `¬cube`
     /// when `fprev ≥ 1`) transition into `cube`?
     fn consecution(&mut self, cube: &[LatchLit], fprev: usize) -> Consec {
@@ -310,8 +571,8 @@ impl Pdr {
         let mut retire: Option<SLit> = None;
         if fprev == 0 {
             // Exact reset state. `¬cube` is implied: callers never ask
-            // about the reset cube itself.
-            for (n, &v) in self.init.clone().iter().enumerate() {
+            // about a cube that contains the reset state.
+            for (n, &v) in self.init.iter().enumerate() {
                 let s = self.cur_latch[n];
                 assumptions.push(if v { s } else { s.negate() });
             }
@@ -327,10 +588,9 @@ impl Pdr {
         }
         assumptions.extend(cube.iter().map(|&l| self.nxt_slit(l)));
         self.stats.sat_calls += 1;
-        let res = self.solver.solve(&assumptions);
-        let out = match res {
+        let out = match self.solver.solve(&assumptions) {
             SolveResult::Unsat => Consec::Blocked,
-            SolveResult::Sat => Consec::Cti(self.model_cube(), self.model_inputs()),
+            SolveResult::Sat => Consec::Cti,
             SolveResult::Interrupted => Consec::Interrupted,
         };
         if let Some(t) = retire {
@@ -417,7 +677,6 @@ impl Pdr {
         // Cycle 0: does reset itself violate the property?
         let mut reset_assumps: Vec<SLit> = self
             .init
-            .clone()
             .iter()
             .enumerate()
             .map(|(n, &v)| {
@@ -444,67 +703,90 @@ impl Pdr {
         let mut n = 1usize;
         loop {
             self.stats.frames = n;
-            let _sp = anvil_trace::span("pdr", "frame").detail_with(|| format!("F{n}"));
-            if n >= self.options.max_frames || self.interrupted() {
-                return PdrOutcome::Unknown;
-            }
-            self.import_shared();
-            let mut bad_assumps = self.acts[n..].to_vec();
-            bad_assumps.push(self.bad);
-            self.stats.sat_calls += 1;
-            match self.solver.solve(&bad_assumps) {
-                SolveResult::Interrupted => return PdrOutcome::Unknown,
-                SolveResult::Sat => {
-                    let cube = self.model_cube();
-                    let inputs = self.model_inputs();
-                    match self.handle_obligations(cube, inputs, n) {
-                        Some(outcome) => return outcome,
-                        None => continue,
-                    }
-                }
-                SolveResult::Unsat => {
-                    // Propagate clauses forward, then look for two equal
-                    // adjacent frames.
-                    for i in 1..n {
-                        for ci in 0..self.cubes.len() {
-                            if self.cubes[ci].1 != i {
-                                continue;
-                            }
-                            let cube = self.cubes[ci].0.clone();
-                            if matches!(self.consecution(&cube, i), Consec::Blocked) {
-                                self.cubes[ci].1 = i + 1;
-                                self.add_blocking_clause(&cube, i + 1);
-                            }
-                        }
-                        if self.interrupted() {
-                            return PdrOutcome::Unknown;
-                        }
-                    }
-                    for i in 1..n {
-                        if self.cubes.iter().any(|(_, p)| *p == i) {
-                            continue;
-                        }
-                        // F_i == F_{i+1}: inductive invariant found.
-                        let invariant = self
-                            .cubes
-                            .iter()
-                            .filter(|(_, p)| *p > i)
-                            .map(|(c, _)| {
-                                c.iter()
-                                    .map(|l| LatchLit {
-                                        latch: l.latch,
-                                        negated: !l.negated,
-                                    })
-                                    .collect()
-                            })
-                            .collect();
-                        return PdrOutcome::Proved { invariant };
-                    }
+            let mut sp = anvil_trace::span("pdr", "frame");
+            let before = self.stats;
+            let round = self.round(n);
+            sp.set_detail_with(|| {
+                format!(
+                    "F{n} obligations={} sat_calls={} clauses={}",
+                    self.stats.obligations - before.obligations,
+                    self.stats.sat_calls - before.sat_calls,
+                    self.stats.clauses - before.clauses,
+                )
+            });
+            match round {
+                Round::Again => {}
+                Round::Next => {
                     n += 1;
                     self.acts.push(SLit::pos(self.solver.new_var()));
                 }
+                Round::Done(outcome) => return outcome,
             }
         }
+    }
+
+    /// One round at frame level `n`: a bad state of `F_n` and the
+    /// obligations it raises, or, once `F_n` has none, clause
+    /// propagation.
+    fn round(&mut self, n: usize) -> Round {
+        if n >= self.options.max_frames || self.interrupted() {
+            return Round::Done(PdrOutcome::Unknown);
+        }
+        self.import_shared();
+        let mut bad_assumps = self.acts[n..].to_vec();
+        bad_assumps.push(self.bad);
+        self.stats.sat_calls += 1;
+        match self.solver.solve(&bad_assumps) {
+            SolveResult::Interrupted => Round::Done(PdrOutcome::Unknown),
+            SolveResult::Sat => {
+                let (cube, inputs) = self.lift_model(&[self.bad_seq]);
+                match self.handle_obligations(cube, inputs, n) {
+                    Some(outcome) => Round::Done(outcome),
+                    None => Round::Again,
+                }
+            }
+            SolveResult::Unsat => match self.propagate(n) {
+                Some(outcome) => Round::Done(outcome),
+                None => Round::Next,
+            },
+        }
+    }
+
+    /// Pushes clauses forward through `F_1..F_n`, then looks for two
+    /// equal adjacent frames (an inductive invariant). `None` when
+    /// there are none yet.
+    fn propagate(&mut self, n: usize) -> Option<PdrOutcome> {
+        for i in 1..n {
+            for ci in 0..self.cubes.len() {
+                if self.cubes[ci].1 != i {
+                    continue;
+                }
+                let cube = self.cubes[ci].0.clone();
+                if matches!(self.consecution(&cube, i), Consec::Blocked) {
+                    self.cubes[ci].1 = i + 1;
+                    self.add_blocking_clause(&cube, i + 1);
+                }
+            }
+            if self.interrupted() {
+                return Some(PdrOutcome::Unknown);
+            }
+        }
+        let i = (1..n).find(|&i| self.cubes.iter().all(|(_, p)| *p != i))?;
+        // F_i == F_{i+1}: inductive invariant found.
+        let invariant = self
+            .cubes
+            .iter()
+            .filter(|(_, p)| *p > i)
+            .map(|(c, _)| {
+                c.iter()
+                    .map(|l| LatchLit {
+                        latch: l.latch,
+                        negated: !l.negated,
+                    })
+                    .collect()
+            })
+            .collect();
+        Some(PdrOutcome::Proved { invariant })
     }
 
     /// Discharges the obligation queue seeded with one bad cube at frame
@@ -536,7 +818,12 @@ impl Pdr {
             }
             match self.consecution(&ob.cube, ob.frame - 1) {
                 Consec::Interrupted => return Some(PdrOutcome::Unknown),
-                Consec::Cti(pred, pred_inputs) => {
+                Consec::Cti => {
+                    // Lift the predecessor against the next-state
+                    // functions of the cube's literals, so the whole
+                    // lifted cube steps into `ob.cube` under its inputs.
+                    let targets: Vec<Lit> = ob.cube.iter().map(|&l| self.next_lit(l)).collect();
+                    let (pred, pred_inputs) = self.lift_model(&targets);
                     let mut inputs = Vec::with_capacity(ob.inputs.len() + 1);
                     inputs.push(pred_inputs);
                     inputs.extend(ob.inputs.iter().cloned());
@@ -628,11 +915,53 @@ mod tests {
         false
     }
 
-    #[test]
-    fn proves_unreachable_state_with_checkable_invariant() {
-        // Saturating 2-bit counter: b0' = ¬b0 ∧ ¬b1; b1' = b1 ∨ b0.
-        // State 11 is unreachable (it has no predecessor and is not the
-        // reset state), which is exactly the kind of fact PDR discovers.
+    /// A 64-bit xorshift stream for the seeded random graphs.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    /// A random sequential graph with 1–8 latches, 0–4 inputs and three
+    /// AND gates per latch; next-state functions and `ok` are random
+    /// literals of the graph. Returns the graph and `ok`.
+    fn random_aig(rng: &mut impl FnMut() -> u64) -> (Aig, Lit) {
+        let mut g = Aig::new();
+        let n_in = (rng() % 5) as usize;
+        let n_latch = 1 + (rng() % 8) as usize;
+        let mut pool: Vec<Lit> = (0..n_in).map(|_| g.add_input()).collect();
+        let latches: Vec<Lit> = (0..n_latch)
+            .map(|_| g.add_latch(rng().is_multiple_of(2)))
+            .collect();
+        pool.extend(&latches);
+        let pick = |pool: &[Lit], r: u64| {
+            let l = pool[(r % pool.len() as u64) as usize];
+            if r & (1 << 40) != 0 {
+                l.negate()
+            } else {
+                l
+            }
+        };
+        for _ in 0..3 * n_latch {
+            let (a, b) = (pick(&pool, rng()), pick(&pool, rng()));
+            let x = g.and(a, b);
+            pool.push(x);
+        }
+        for &l in &latches {
+            let nx = pick(&pool, rng());
+            g.set_next(l, nx);
+        }
+        // Favour the deeper half of the pool for the property.
+        let ok = pick(&pool[pool.len() / 2..], rng());
+        (g, ok)
+    }
+
+    /// The saturating 2-bit counter: b0' = ¬b0 ∧ ¬b1; b1' = b1 ∨ b0, with
+    /// `ok` = the unreachable state 11 never occurs.
+    fn saturating() -> (Aig, Lit) {
         let mut g = Aig::new();
         let b0 = g.add_latch(false);
         let b1 = g.add_latch(false);
@@ -641,6 +970,218 @@ mod tests {
         g.set_next(b0, n0);
         g.set_next(b1, n1);
         let ok = g.and(b0, b1).negate();
+        (g, ok)
+    }
+
+    /// The 4-bit counter with `ok` = the count never reaches 12
+    /// (bad = ¬b0 ∧ ¬b1 ∧ b2 ∧ b3).
+    fn counter_to_12() -> (Aig, Lit) {
+        let (mut g, regs, _en) = counter(4);
+        let t0 = g.and(regs[0].negate(), regs[1].negate());
+        let t1 = g.and(regs[2], regs[3]);
+        let bad = g.and(t0, t1);
+        (g, bad.negate())
+    }
+
+    /// True when `prop` (a lane mask over simulated node values) holds
+    /// in every completion of `cube` under the input word `input`:
+    /// latches outside the cube take every combination of values, 64
+    /// combinations per simulation pass.
+    fn every_completion(
+        seq: &Aig,
+        cube: &[LatchLit],
+        input: &[bool],
+        prop: &dyn Fn(&[u64]) -> u64,
+    ) -> bool {
+        let mut fixed: Vec<Option<bool>> = vec![None; seq.n_latches()];
+        for l in cube {
+            fixed[l.latch as usize] = Some(!l.negated);
+        }
+        let free: Vec<usize> = (0..seq.n_latches())
+            .filter(|&l| fixed[l].is_none())
+            .collect();
+        let ins: Vec<u64> = input.iter().map(|&b| if b { !0 } else { 0 }).collect();
+        let total = 1u64 << free.len();
+        let mut base = 0u64;
+        while base < total {
+            let lanes = (total - base).min(64);
+            let mask = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
+            let mut words: Vec<u64> = fixed
+                .iter()
+                .map(|f| if *f == Some(true) { !0 } else { 0 })
+                .collect();
+            for (j, &l) in free.iter().enumerate() {
+                words[l] = (0..lanes)
+                    .filter(|lane| ((base + lane) >> j) & 1 == 1)
+                    .fold(0, |w, lane| w | 1 << lane);
+            }
+            if prop(&seq.simulate(&ins, &words)) & mask != mask {
+                return false;
+            }
+            base += 64;
+        }
+        true
+    }
+
+    /// Lifts every bad state and a random target sub-cube of every
+    /// successor, for every state and input word of `seq`, and checks
+    /// each lift: the cube is a sub-cube of the state, and every
+    /// completion of it under the same inputs violates `ok` (bad cube)
+    /// or steps into the target cube (predecessor). Returns the number
+    /// of lifts checked.
+    fn check_lifts(seq: &Aig, ok: Lit, rng: &mut impl FnMut() -> u64) -> usize {
+        let (n_l, n_i) = (seq.n_latches(), seq.n_inputs());
+        let mut lifter = Lifter::new(seq);
+        let mut lifts = 0;
+        for st in 0..1u64 << n_l {
+            let state: Vec<bool> = (0..n_l).map(|l| (st >> l) & 1 == 1).collect();
+            for iw in 0..1u64 << n_i {
+                let input: Vec<bool> = (0..n_i).map(|i| (iw >> i) & 1 == 1).collect();
+                let ins: Vec<u64> = input.iter().map(|&b| u64::from(b)).collect();
+                let sts: Vec<u64> = state.iter().map(|&b| u64::from(b)).collect();
+                let vals = seq.simulate(&ins, &sts);
+                let sub_cube = |cube: &[LatchLit]| cube.iter().all(|l| l.eval(&state));
+                if Aig::lit_value(&vals, ok.negate()) & 1 == 1 {
+                    let cube = lifter.lift(seq, &state, &input, &[ok.negate()]);
+                    assert!(sub_cube(&cube), "bad cube {cube:?} ⊄ state {state:?}");
+                    let bad = |v: &[u64]| Aig::lit_value(v, ok.negate());
+                    assert!(
+                        every_completion(seq, &cube, &input, &bad),
+                        "a completion of bad cube {cube:?} satisfies ok"
+                    );
+                    lifts += 1;
+                }
+                // A random non-empty sub-cube of the successor state.
+                let succ: Vec<LatchLit> = seq
+                    .latches()
+                    .iter()
+                    .enumerate()
+                    .map(|(n, l)| LatchLit {
+                        latch: n as u32,
+                        negated: Aig::lit_value(&vals, l.next.unwrap()) & 1 == 0,
+                    })
+                    .collect();
+                let keep = rng() | 1 << (rng() % n_l as u64);
+                let target: Vec<LatchLit> = succ
+                    .into_iter()
+                    .filter(|l| (keep >> l.latch) & 1 == 1)
+                    .collect();
+                let next_lits: Vec<Lit> = target
+                    .iter()
+                    .map(|l| {
+                        let nx = seq.latch_info(l.latch).next.unwrap();
+                        if l.negated {
+                            nx.negate()
+                        } else {
+                            nx
+                        }
+                    })
+                    .collect();
+                let pred = lifter.lift(seq, &state, &input, &next_lits);
+                assert!(sub_cube(&pred), "predecessor {pred:?} ⊄ state {state:?}");
+                let steps_in = |v: &[u64]| {
+                    next_lits
+                        .iter()
+                        .fold(!0u64, |w, &l| w & Aig::lit_value(v, l))
+                };
+                assert!(
+                    every_completion(seq, &pred, &input, &steps_in),
+                    "a completion of {pred:?} misses target {target:?}"
+                );
+                lifts += 1;
+            }
+        }
+        lifts
+    }
+
+    #[test]
+    fn lifted_cubes_are_sound_on_every_state_and_input() {
+        let mut rng = xorshift(0x11f7_ed00_c0be_5001);
+        let (g, ok) = counter_to_12();
+        assert!(check_lifts(&g, ok, &mut rng) > 32);
+        let (g, ok) = saturating();
+        assert!(check_lifts(&g, ok, &mut rng) >= 4);
+        let mut lifts = 0;
+        for _ in 0..240 {
+            let (g, ok) = random_aig(&mut rng);
+            lifts += check_lifts(&g, ok, &mut rng);
+        }
+        assert!(lifts > 10_000, "{lifts} lifts checked");
+    }
+
+    /// Brute-force reachability: the fewest steps from reset to a state
+    /// and input word violating `ok`, if any.
+    fn min_bad_depth(seq: &Aig, ok: Lit) -> Option<usize> {
+        let (n_l, n_i) = (seq.n_latches(), seq.n_inputs());
+        let init: u64 = seq
+            .latches()
+            .iter()
+            .enumerate()
+            .fold(0, |s, (n, l)| s | u64::from(l.init) << n);
+        let mut seen = vec![false; 1 << n_l];
+        seen[init as usize] = true;
+        let mut layer = vec![init];
+        for depth in 0.. {
+            if layer.is_empty() {
+                return None;
+            }
+            let mut next_layer = Vec::new();
+            for &st in &layer {
+                let sts: Vec<u64> = (0..n_l).map(|l| (st >> l) & 1).collect();
+                for iw in 0..1u64 << n_i {
+                    let ins: Vec<u64> = (0..n_i).map(|i| (iw >> i) & 1).collect();
+                    let vals = seq.simulate(&ins, &sts);
+                    if Aig::lit_value(&vals, ok) & 1 == 0 {
+                        return Some(depth);
+                    }
+                    let succ = seq.latches().iter().enumerate().fold(0u64, |s, (n, l)| {
+                        s | (Aig::lit_value(&vals, l.next.unwrap()) & 1) << n
+                    });
+                    if !seen[succ as usize] {
+                        seen[succ as usize] = true;
+                        next_layer.push(succ);
+                    }
+                }
+            }
+            layer = next_layer;
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn random_graphs_get_brute_force_verdicts() {
+        let mut rng = xorshift(0x9d2c_5680_0bad_f00d);
+        let (mut proved, mut falsified) = (0, 0);
+        for case in 0..240 {
+            let (g, ok) = random_aig(&mut rng);
+            let seq = Arc::new(g);
+            let want = min_bad_depth(&seq, ok);
+            let mut pdr = Pdr::new(Arc::clone(&seq), ok, PdrOptions::default());
+            match (pdr.run(), want) {
+                (PdrOutcome::Proved { invariant }, None) => {
+                    assert!(ProofCert::revalidate_inductive(&seq, ok, &invariant));
+                    proved += 1;
+                }
+                (PdrOutcome::Falsified { inputs }, Some(d)) => {
+                    assert_eq!(inputs.len(), d + 1, "case {case}: not minimal");
+                    assert!(replays(&seq, ok, &inputs), "case {case}");
+                    falsified += 1;
+                }
+                (got, want) => panic!("case {case}: {got:?}, brute force {want:?}"),
+            }
+        }
+        assert!(
+            proved > 20 && falsified > 20,
+            "{proved} proved, {falsified} falsified"
+        );
+    }
+
+    #[test]
+    fn proves_unreachable_state_with_checkable_invariant() {
+        // State 11 of the saturating counter is unreachable (it has no
+        // predecessor and is not the reset state), which is exactly the
+        // kind of fact PDR discovers.
+        let (g, ok) = saturating();
         let seq = Arc::new(g);
         let mut pdr = Pdr::new(Arc::clone(&seq), ok, PdrOptions::default());
         let PdrOutcome::Proved { invariant } = pdr.run() else {
@@ -655,12 +1196,7 @@ mod tests {
         // 4-bit counter: q == 12 is reachable only after 12 enabled
         // cycles — deep enough that BMC-style search must unroll, while
         // PDR walks predecessors.
-        let (mut g, regs, _en) = counter(4);
-        // bad = q == 12 = ¬b0 ∧ ¬b1 ∧ b2 ∧ b3.
-        let t0 = g.and(regs[0].negate(), regs[1].negate());
-        let t1 = g.and(regs[2], regs[3]);
-        let bad = g.and(t0, t1);
-        let ok = bad.negate();
+        let (g, ok) = counter_to_12();
         let seq = Arc::new(g);
         let mut pdr = Pdr::new(Arc::clone(&seq), ok, PdrOptions::default());
         let PdrOutcome::Falsified { inputs } = pdr.run() else {
@@ -671,20 +1207,16 @@ mod tests {
     }
 
     #[test]
-    fn propagation_budget_bounds_the_run_with_unknown() {
-        // Same deep-bug counter, but with no propagation budget: the
+    fn tick_budget_bounds_the_run_with_unknown() {
+        // Same deep-bug counter, but with no tick budget: the
         // run must give up soundly (Unknown) instead of claiming a
         // verdict it had no budget to establish.
-        let (mut g, regs, _en) = counter(4);
-        let t0 = g.and(regs[0].negate(), regs[1].negate());
-        let t1 = g.and(regs[2], regs[3]);
-        let bad = g.and(t0, t1);
-        let ok = bad.negate();
+        let (g, ok) = counter_to_12();
         let mut pdr = Pdr::new(
             Arc::new(g),
             ok,
             PdrOptions {
-                max_propagations: 0,
+                max_ticks: 0,
                 ..PdrOptions::default()
             },
         );
@@ -723,14 +1255,7 @@ mod tests {
 
     #[test]
     fn publishes_reach_clauses_to_exchange() {
-        let mut g = Aig::new();
-        let b0 = g.add_latch(false);
-        let b1 = g.add_latch(false);
-        let n0 = g.and(b0.negate(), b1.negate());
-        let n1 = g.or(b1, b0);
-        g.set_next(b0, n0);
-        g.set_next(b1, n1);
-        let ok = g.and(b0, b1).negate();
+        let (g, ok) = saturating();
         let seq = Arc::new(g);
         let x = Arc::new(ClauseExchange::new(64));
         let opts = PdrOptions {

@@ -85,13 +85,19 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse(source: &str) -> Result<Program, ParseError> {
     let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 enum Item {
@@ -141,6 +147,24 @@ impl Parser {
         } else {
             Err(self.err(format!("expected {t}, found {}", self.peek())))
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, rejecting the source past
+    /// [`MAX_NESTING`] levels. An error ends the whole parse, so the
+    /// level need not be restored on that path.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!(
+                "nesting deeper than the maximum of {MAX_NESTING} levels"
+            )));
+        }
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn err(&self, message: String) -> ParseError {
@@ -399,9 +423,19 @@ impl Parser {
         self.expect(&Tok::Colon)?;
         let width = self.logic_type()?;
         let depth = if self.eat(&Tok::LBracket) {
-            let d = self.int()? as usize;
+            let at = self.span();
+            let d = self.int()?;
             self.expect(&Tok::RBracket)?;
-            Some(d)
+            if d > (MAX_ARRAY_BITS / width) as u64 {
+                return Err(ParseError {
+                    message: format!(
+                        "register array of {d} × {width}-bit entries exceeds the maximum of \
+                         {MAX_ARRAY_BITS} bits"
+                    ),
+                    span: at,
+                });
+            }
+            Some(d as usize)
         } else {
             None
         };
@@ -496,7 +530,7 @@ impl Parser {
                 ),
             });
         }
-        let rest = self.seq()?;
+        let rest = self.nested(Parser::seq)?;
         Ok(match item {
             Item::Plain(t) => {
                 let span = t.span.join(rest.span);
@@ -531,7 +565,7 @@ impl Parser {
                 self.bump();
                 let name = self.ident()?;
                 self.expect(&Tok::Equals)?;
-                let value = match self.item()? {
+                let value = match self.nested(Parser::item)? {
                     Item::Plain(t) => t,
                     Item::Binding { .. } => {
                         return Err(self.err("`let` cannot directly bind another `let`".into()))
@@ -585,7 +619,7 @@ impl Parser {
 
     // Precedence climbing. Lowest: comparisons; highest: unary.
     fn expr(&mut self) -> Result<Term, ParseError> {
-        self.cmp_expr()
+        self.nested(Parser::cmp_expr)
     }
 
     fn cmp_expr(&mut self) -> Result<Term, ParseError> {
@@ -706,7 +740,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Parser::unary_expr)?;
             let span = start.join(inner.span);
             return Ok(Term::new(TermKind::Unop(op, Box::new(inner)), span));
         }
@@ -877,7 +911,7 @@ impl Parser {
                 };
                 let else_t = if self.eat(&Tok::Else) {
                     if matches!(self.peek(), Tok::If) {
-                        Some(Box::new(self.atom()?))
+                        Some(Box::new(self.nested(Parser::atom)?))
                     } else {
                         self.expect(&Tok::LBrace)?;
                         if self.eat(&Tok::RBrace) {
@@ -1100,6 +1134,84 @@ mod tests {
             assert_eq!(&text[err.span.start..err.span.end], w);
             assert!(err.render(&text).starts_with("1:"));
         }
+    }
+
+    #[test]
+    fn register_arrays_are_capped() {
+        let src = |w: usize, d: &str| {
+            format!("proc p() {{ reg m : logic[{w}][{d}]; loop {{ cycle 1 }} }}")
+        };
+        // At the cap: 2^16 bits in total, however they are shaped.
+        let prog = parse(&src(1, "65536")).unwrap();
+        assert_eq!(prog.procs[0].regs[0].depth, Some(MAX_ARRAY_BITS));
+        parse(&src(16, "4096")).unwrap();
+        parse(&src(MAX_WIDTH, "1")).unwrap();
+        for (w, d) in [
+            (8, "4294967296"),
+            (8, "18446744073709551615"),
+            (1, "65537"),
+            (17, "4096"),
+            (MAX_WIDTH, "2"),
+        ] {
+            let text = src(w, d);
+            let err = parse(&text).unwrap_err();
+            assert!(
+                err.message.contains("exceeds the maximum"),
+                "{w}×{d}: {err:?}"
+            );
+            assert_eq!(&text[err.span.start..err.span.end], d);
+            assert!(err.render(&text).starts_with("1:"));
+        }
+    }
+
+    /// A loop body whose deepest nesting level is exactly `depth`, built
+    /// from `kind`'s nesting construct.
+    fn nested(kind: &str, depth: usize) -> String {
+        let body = match kind {
+            // The loop body's expression is level 1; each `(…)` adds one.
+            "parens" => format!("{}1{}", "(".repeat(depth - 1), ")".repeat(depth - 1)),
+            // Level 1 is the `~1` expression, each `~` adds one.
+            "unary" => format!("{}1", "~".repeat(depth - 1)),
+            // A sequence nests to the right: item `n` sits at level `n`.
+            "sequence" => vec!["cycle 1"; depth].join(" >> "),
+            // Each block adds one level around its body.
+            "blocks" => format!(
+                "{}cycle 1{}",
+                "{ ".repeat(depth - 1),
+                " }".repeat(depth - 1)
+            ),
+            // Each `else if` adds one level.
+            "else_if" => format!(
+                "{}{{ cycle 1 }}",
+                "if 1 { cycle 1 } else ".repeat(depth - 1)
+            ),
+            _ => unreachable!("unknown nesting kind {kind}"),
+        };
+        format!("proc p() {{ loop {{ {body} }} }}")
+    }
+
+    #[test]
+    fn nesting_is_capped_at_256_levels() {
+        for kind in ["parens", "unary", "sequence", "blocks", "else_if"] {
+            let ok = nested(kind, MAX_NESTING);
+            parse(&ok).unwrap_or_else(|e| panic!("{kind} at {MAX_NESTING}: {}", e.render(&ok)));
+            let deep = nested(kind, MAX_NESTING + 1);
+            let err = parse(&deep).unwrap_err();
+            assert!(
+                err.message.contains("nesting deeper than"),
+                "{kind}: {err:?}"
+            );
+            assert!(err.render(&deep).starts_with("1:"), "{kind}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn let_chains_count_toward_nesting() {
+        // `let` cannot bind a `let`, but the parser must reject a long
+        // chain of them by depth before it recurses into the whole chain.
+        let src = format!("proc p() {{ loop {{ {}1 }} }}", "let x = ".repeat(10_000));
+        let err = parse(&src).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err:?}");
     }
 
     #[test]

@@ -56,7 +56,7 @@ use anvil_rtl::{Bits, BlastError, Expr, Module, SignalId, SignalKind};
 use anvil_sim::{Backend, Sim, SimError};
 use anvil_smt::{
     optimize, rewrite, Aig, AigCircuit, CertKind, ClauseExchange, ClauseKind, CnfEncoder, Control,
-    Deadline, ExchangeStats, LatchLit, Lit, Node, Pdr, PdrOptions, PdrOutcome, ProofCert,
+    Deadline, ExchangeStats, LatchLit, Lit, Node, Pdr, PdrOptions, PdrOutcome, PdrStats, ProofCert,
     Rewritten, SLit, SharedClause, SolveResult, Solver, Unroller,
 };
 
@@ -255,7 +255,8 @@ pub fn prove_pdr(
 ) -> Result<(ProveResult, ProveStats), ProveError> {
     let circuit = AigCircuit::from_module(module)?;
     let prep = Prepared::new(&circuit, assertion)?;
-    run_pdr_inner(&prep, max_frames, None, Deadline::none(), None).map(|(r, s, _)| (r, s))
+    run_pdr_inner(&prep, max_frames, None, Deadline::none(), None)
+        .map(|run| (run.result, run.stats))
 }
 
 /// A circuit readied for proving: the assertion blasted into a clone of
@@ -696,16 +697,25 @@ impl Engine {
 /// An inductive invariant as clauses over original-design latch space.
 type Invariant = Vec<Vec<LatchLit>>;
 
-/// Runs PDR on a prepared circuit, returning the verdict, the usual
-/// counters, and — on a proof — the inductive invariant already mapped
-/// back to the original design's latch space.
+/// One PDR run on a prepared circuit.
+struct PdrRun {
+    result: ProveResult,
+    stats: ProveStats,
+    /// PDR's own counters (SAT calls, obligations, solver ticks).
+    pdr: PdrStats,
+    /// On a proof, the inductive invariant already mapped back to the
+    /// original design's latch space.
+    invariant: Option<Invariant>,
+}
+
+/// Runs PDR on a prepared circuit.
 fn run_pdr_inner(
     prep: &Prepared,
     max_frames: usize,
     stop: Option<Arc<AtomicBool>>,
     deadline: Deadline,
     exchange: Option<Arc<ClauseExchange>>,
-) -> Result<(ProveResult, ProveStats, Option<Invariant>), ProveError> {
+) -> Result<PdrRun, ProveError> {
     let started = std::time::Instant::now();
     let base_stats = ProveStats {
         aig_nodes: prep.circuit.aig().len(),
@@ -714,7 +724,12 @@ fn run_pdr_inner(
         ..ProveStats::default()
     };
     if prep.ok == Lit::TRUE {
-        return Ok((ProveResult::Proved { k: 0 }, base_stats, Some(Vec::new())));
+        return Ok(PdrRun {
+            result: ProveResult::Proved { k: 0 },
+            stats: base_stats,
+            pdr: PdrStats::default(),
+            invariant: Some(Vec::new()),
+        });
     }
     let mut pdr = Pdr::new(
         Arc::clone(&prep.seq),
@@ -740,10 +755,16 @@ fn run_pdr_inner(
         wall_micros: started.elapsed().as_micros() as u64,
         ..base_stats
     };
+    let run = |result, invariant| PdrRun {
+        result,
+        stats,
+        pdr: ps,
+        invariant,
+    };
     match outcome {
         PdrOutcome::Proved { invariant } => {
             let orig = prep.to_original_latches(&invariant);
-            Ok((ProveResult::Proved { k: ps.frames }, stats, Some(orig)))
+            Ok(run(ProveResult::Proved { k: ps.frames }, Some(orig)))
         }
         PdrOutcome::Falsified { inputs } => {
             let trace = prep.trace_from_input_bits(&inputs)?;
@@ -758,11 +779,11 @@ fn run_pdr_inner(
                 Ok(_) => return Err(ProveError::UnconfirmedCounterexample { depth }),
                 Err(e) => return Err(ProveError::Sim(e)),
             }
-            Ok((ProveResult::Falsified { depth, trace }, stats, None))
+            Ok(run(ProveResult::Falsified { depth, trace }, None))
         }
         // `frames = n` means every level below n answered its bad-state
         // query Unsat, i.e. no violation within n cycles of reset.
-        PdrOutcome::Unknown => Ok((ProveResult::Unknown { depth: ps.frames }, stats, None)),
+        PdrOutcome::Unknown => Ok(run(ProveResult::Unknown { depth: ps.frames }, None)),
     }
 }
 
@@ -1022,10 +1043,12 @@ fn conclusive(r: &ProveResult) -> bool {
 
 /// Closes one portfolio engine's run: a conclusive verdict or an error
 /// raises the shared stop flag so the other engine winds down, and the
-/// engine span records the engine's own outcome and solver counters.
+/// engine span records the engine's own outcome and solver counters
+/// (for PDR also its SAT calls, obligations and solver ticks).
 fn finish_engine(
     sp: &mut anvil_trace::SpanGuard,
     outcome: Result<(&ProveResult, &ProveStats), &ProveError>,
+    pdr: Option<&PdrStats>,
     stop: &AtomicBool,
     deadline: Deadline,
 ) {
@@ -1048,10 +1071,17 @@ fn finish_engine(
             ProveResult::Unknown { .. } if stopped => "stopped".to_string(),
             ProveResult::Unknown { depth } => format!("unknown d={depth}"),
         };
-        format!(
+        let mut detail = format!(
             "{verdict} conflicts={} decisions={} propagations={}",
             stats.conflicts, stats.decisions, stats.propagations
-        )
+        );
+        if let Some(p) = pdr {
+            detail += &format!(
+                " sat_calls={} obligations={} ticks={}",
+                p.sat_calls, p.obligations, p.solver.ticks
+            );
+        }
+        detail
     });
 }
 
@@ -1075,7 +1105,8 @@ fn finish_engine(
 /// [`ProofCert`] for proof caching. Each engine's `prove.symbolic` /
 /// `prove.pdr` span carries its own outcome (`proved k=…`,
 /// `falsified d=…`, `unknown d=…` or `stopped`) and its conflict,
-/// decision and propagation counts.
+/// decision and propagation counts; the PDR span adds its SAT calls,
+/// proof obligations and solver ticks.
 ///
 /// `control.stop` is an *external* cancellation flag (e.g. a service
 /// request's): raising it makes both engines wind down to `Unknown`. The
@@ -1119,7 +1150,13 @@ pub fn prove_portfolio(
                 deadline,
                 Some(Arc::clone(&exchange)),
             );
-            finish_engine(&mut sp, r.as_ref().map(|(r, s, _)| (r, s)), &stop, deadline);
+            finish_engine(
+                &mut sp,
+                r.as_ref().map(|run| (&run.result, &run.stats)),
+                r.as_ref().ok().map(|run| &run.pdr),
+                &stop,
+                deadline,
+            );
             r
         });
         let mut sp = anvil_trace::span("prove", "symbolic");
@@ -1133,6 +1170,7 @@ pub fn prove_portfolio(
         finish_engine(
             &mut sp,
             symbolic.as_ref().map(|(r, s)| (r, s)),
+            None,
             &stop,
             deadline,
         );
@@ -1143,7 +1181,12 @@ pub fn prove_portfolio(
         (symbolic, pdr)
     });
     let (sym_result, symbolic_stats) = symbolic?;
-    let (pdr_result, pdr_stats, invariant) = pdr?;
+    let PdrRun {
+        result: pdr_result,
+        stats: pdr_stats,
+        invariant,
+        ..
+    } = pdr?;
 
     let (result, winner) = if conclusive(&sym_result) {
         (sym_result, Some(Prover::Symbolic))
@@ -1350,12 +1393,11 @@ mod tests {
         let (m, a) = saturating_counter();
         let circuit = AigCircuit::from_module(&m).unwrap();
         let prep = Prepared::new(&circuit, &a).unwrap();
-        let (result, _, invariant) =
-            run_pdr_inner(&prep, 32, None, Deadline::none(), None).unwrap();
-        assert!(matches!(result, ProveResult::Proved { .. }));
+        let run = run_pdr_inner(&prep, 32, None, Deadline::none(), None).unwrap();
+        assert!(matches!(run.result, ProveResult::Proved { .. }));
         let cert = ProofCert {
             kind: CertKind::Inductive {
-                clauses: invariant.unwrap(),
+                clauses: run.invariant.unwrap(),
             },
             engine: "pdr",
         };

@@ -409,6 +409,11 @@ fn traced_cold_prove_shows_one_compile_and_two_engines_with_counters() {
         for counter in ["conflicts=", "decisions=", "propagations="] {
             assert!(detail.contains(counter), "{detail}");
         }
+        if engine.get("name").and_then(Json::as_str) == Some("pdr") {
+            for counter in ["sat_calls=", "obligations=", "ticks="] {
+                assert!(detail.contains(counter), "{detail}");
+            }
+        }
     }
 }
 

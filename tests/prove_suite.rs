@@ -5,9 +5,12 @@
 //! or state budgets) — and every seeded violation must be falsified with
 //! a trace that concretely replays on both simulation backends.
 
+use std::sync::Arc;
+
 use anvil_designs::props::{seeded_violations, suite_properties};
+use anvil_rtl::Expr;
 use anvil_sim::{Backend, SimBatch, Waveform};
-use anvil_smt::{optimize, AigCircuit};
+use anvil_smt::{optimize, AigCircuit, Pdr, PdrOptions, PdrOutcome, ProofCert};
 use anvil_verify::{
     bmc_with_backend, prove, prove_portfolio, replay_trace, BmcResult, Control, Deadline,
     ProveResult, Prover,
@@ -193,4 +196,42 @@ fn aes_prove_with_a_10ms_deadline_bails_out_well_under_a_second() {
         elapsed < std::time::Duration::from_secs(1),
         "deadline overrun: {elapsed:?}"
     );
+}
+
+/// The FIFO occupancy monitor, built exactly as the `prove_mix`
+/// benchmark builds its `fifo_mon` target: the FIFO source plus a `mon`
+/// register that keeps `(wr - rd) <= DEPTH`. Standalone PDR on its
+/// optimized cone (17 latches) must prove it within 11 frames and at
+/// most 2,000 SAT calls; with full-state obligation cubes it took 7,675.
+#[test]
+fn pdr_proves_the_fifo_monitor_within_its_work_pin() {
+    let src = anvil_designs::fifo::anvil_source().replace("fifo_anvil", "fifo_mon");
+    let reg_at = src.find("reg ").expect("the design declares registers");
+    let end = src.rfind('}').expect("the proc is closed");
+    let text = format!(
+        "{}reg mon : logic := 1;\n            {}    loop {{ set mon := (*wr - *rd) <= {} }}\n{}",
+        &src[..reg_at],
+        &src[reg_at..end],
+        anvil_designs::fifo::DEPTH,
+        &src[end..]
+    );
+    let flat = anvil_core::Session::new()
+        .compile_flat_aig(&text, "fifo_mon", &Control::none())
+        .unwrap_or_else(|e| panic!("{}", e.render(&text)));
+    let mut circuit = (*flat.circuit).clone();
+    let mon = circuit.module().find("mon").expect("monitor register");
+    let ok0 = circuit.blast_assertion(&Expr::Signal(mon)).unwrap();
+    let (rw, _) = optimize(circuit.aig(), &[ok0], false);
+    let ok = rw.map_lit(ok0).expect("property root survives");
+    let seq = Arc::new(rw.aig);
+    assert_eq!(seq.n_latches(), 17);
+    let mut pdr = Pdr::new(Arc::clone(&seq), ok, PdrOptions::default());
+    let PdrOutcome::Proved { invariant } = pdr.run() else {
+        panic!("PDR must prove the FIFO monitor: {:?}", pdr.stats());
+    };
+    assert!(ProofCert::revalidate_inductive(&seq, ok, &invariant));
+    let stats = pdr.stats();
+    assert!(stats.frames <= 11, "{stats:?}");
+    assert!(stats.sat_calls <= 2_000, "{stats:?}");
+    assert!(stats.lifted_away > 0, "{stats:?}");
 }
