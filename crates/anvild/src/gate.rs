@@ -135,6 +135,20 @@ impl AdmissionGate {
         self.turn.notify_one();
     }
 
+    /// Gives back an admission whose request never started (its worker
+    /// thread could not be spawned): frees the running slot or the queue
+    /// slot it held.
+    pub fn withdraw(&self, admission: Admission) {
+        match admission {
+            Admission::Run => self.depart(),
+            Admission::Queued => {
+                let mut state = self.lock();
+                state.queued = state.queued.saturating_sub(1);
+            }
+            Admission::Shed => {}
+        }
+    }
+
     /// Current `(running, queued)` gauges, for `health` and shed hints.
     pub fn gauges(&self) -> (usize, usize) {
         let state = self.lock();
@@ -271,6 +285,19 @@ mod tests {
             waiter.join().unwrap();
         });
         assert_eq!(gate.gauges(), (1, 0));
+    }
+
+    #[test]
+    fn withdrawing_frees_the_slot_an_admission_held() {
+        let gate = AdmissionGate::new(1, 1);
+        assert_eq!(gate.try_admit(), Admission::Run);
+        assert_eq!(gate.try_admit(), Admission::Queued);
+        assert_eq!(gate.try_admit(), Admission::Shed);
+        gate.withdraw(Admission::Queued);
+        assert_eq!(gate.gauges(), (1, 0));
+        gate.withdraw(Admission::Run);
+        assert_eq!(gate.gauges(), (0, 0));
+        assert_eq!(gate.try_admit(), Admission::Run);
     }
 
     #[test]

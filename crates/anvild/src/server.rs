@@ -75,6 +75,18 @@ const WATCHDOG_TICK_MS: u64 = 10;
 /// earliest (coarsest) ones and flags `spanTreeTruncated`.
 const MAX_TRACE_SPANS: usize = 4096;
 
+/// Stack size of the threads heavy requests run on, rather than the
+/// platform default (2 MiB, or `RUST_MIN_STACK`). The compile passes
+/// recurse once per nesting level of the source. At the parser's limit
+/// of 256 levels, the deepest-measured sources (256 prefix operators or
+/// `>>` items) need 0.44 MiB of stack through every compile pass in a
+/// release build and 7.3 MiB in the unoptimised test profile; 256
+/// parentheses or blocks need 1.2 and 1.3 MiB, and a 256-link `else if`
+/// chain 4–8 MiB unoptimised. 16 MiB covers both profiles with room to
+/// spare, and stays well under glibc's 40 MiB cache of freed thread
+/// stacks, so later requests reuse them.
+const WORKER_STACK_BYTES: usize = 16 << 20;
+
 /// One open file: the registry holds full-text versioned buffers (the
 /// `sus-compiler`-style `add_file`/`update_file` model — full-text
 /// replacement, no incremental deltas; the fingerprint cache already
@@ -984,7 +996,10 @@ impl CompileService {
     /// threads (so the loop keeps reading — that is what lets a `cancel`
     /// frame reach an in-flight compile), or shed immediately with
     /// `OVERLOADED` when the queue is full. Responses may therefore
-    /// arrive out of order; clients match on `id`.
+    /// arrive out of order; clients match on `id`. Worker threads get a
+    /// 16 MiB stack, sized for sources at the parser's nesting limit; if
+    /// one cannot be started, the request gets `INTERNAL_ERROR` and
+    /// gives its gate slot back.
     ///
     /// A watchdog thread scans the in-flight table every few
     /// milliseconds, raising the stop flag of any worker past its
@@ -1066,20 +1081,37 @@ impl CompileService {
                                         self.register(id, &msg.method, deadline);
                                     }
                                 }
+                                let id = msg.id.clone();
                                 let send = &send;
                                 let enqueued = Instant::now();
-                                scope.spawn(move || {
-                                    if admission == Admission::Queued {
-                                        self.gate.wait_turn();
+                                let spawned = std::thread::Builder::new()
+                                    .stack_size(WORKER_STACK_BYTES)
+                                    .spawn_scoped(scope, move || {
+                                        if admission == Admission::Queued {
+                                            self.gate.wait_turn();
+                                        }
+                                        let admitted = Some((enqueued, Instant::now()));
+                                        let frame =
+                                            self.handle_admitted(msg, &mut |n| send(&n), admitted);
+                                        self.gate.depart();
+                                        if let Some(frame) = frame {
+                                            send(&frame);
+                                        }
+                                    });
+                                if let Err(e) = spawned {
+                                    // Answered without running: counted as
+                                    // a request and a completion, like any
+                                    // error response.
+                                    self.gate.withdraw(admission);
+                                    self.counters.requests.inc();
+                                    self.counters.completed.inc();
+                                    if let Some(id) = &id {
+                                        self.unregister(id);
+                                        let message = format!("could not start a worker: {e}");
+                                        let err = RpcError::new(INTERNAL_ERROR, message);
+                                        send(&error_response(Some(id), &err));
                                     }
-                                    let admitted = Some((enqueued, Instant::now()));
-                                    let frame =
-                                        self.handle_admitted(msg, &mut |n| send(&n), admitted);
-                                    self.gate.depart();
-                                    if let Some(frame) = frame {
-                                        send(&frame);
-                                    }
-                                });
+                                }
                             }
                         }
                     } else {

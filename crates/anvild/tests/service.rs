@@ -238,6 +238,62 @@ fn deeply_nested_source_is_a_compile_error_over_the_wire() {
     });
 }
 
+/// Sources at the parser's nesting limit are accepted, so every compile
+/// pass recurses 256 levels deep on a serve worker thread. Unoptimised,
+/// as in this test profile, 256 prefix operators or `>>` items need
+/// about 7.3 MiB of stack: they overflowed the 2 MiB default threads
+/// workers used to get. Each compiles to SystemVerilog, and the
+/// connection keeps serving.
+#[test]
+fn sources_at_the_nesting_limit_compile_over_the_wire() {
+    let service = CompileService::new();
+    let unary = format!(
+        "proc p() {{ reg r : logic[8]; loop {{ set r := {}*r }} }}",
+        "~".repeat(255)
+    );
+    let sequence = format!(
+        "proc p() {{ reg r : logic[8]; loop {{ set r := *r + 1 >> {} }} }}",
+        vec!["cycle 1"; 255].join(" >> ")
+    );
+    std::thread::scope(|scope| {
+        let mut c = serve_pair(scope, &service);
+        let mut r = BufReader::new(c.try_clone().unwrap());
+        let sources = [
+            ("unary.anv", unary.as_str()),
+            ("sequence.anv", sequence.as_str()),
+            ("a.anv", GOOD),
+        ];
+        for (id, (uri, text)) in (1..).zip(sources) {
+            let open = Incoming::request(
+                id,
+                "open",
+                Json::obj([("uri", Json::str(uri)), ("text", Json::str(text))]),
+            )
+            .to_frame()
+            .to_string();
+            call_over_wire(&mut c, &mut r, &open);
+            let compile =
+                Incoming::request(10 + id, "compile", Json::obj([("uri", Json::str(uri))]))
+                    .to_frame()
+                    .to_string();
+            let resp = call_over_wire(&mut c, &mut r, &compile);
+            assert!(
+                result(&resp, "systemverilog")
+                    .as_str()
+                    .unwrap()
+                    .contains("module p"),
+                "{uri}: {resp}"
+            );
+        }
+        call_over_wire(
+            &mut c,
+            &mut r,
+            r#"{"jsonrpc":"2.0","id":9,"method":"shutdown"}"#,
+        );
+        drop(c);
+    });
+}
+
 #[test]
 fn broken_file_answers_compile_failed_and_streams_diagnostics() {
     let service = CompileService::new();

@@ -16,6 +16,11 @@
 //! where a scalar [`Sim`](crate::Sim) per stimulus pays full dispatch per
 //! lane.
 //!
+//! Memories with no write port (ROMs, such as the AES core's S-boxes) are
+//! not widened: every lane of every batch reads the one image the
+//! [`TapeProgram`] holds, so building, resetting and fingerprinting a
+//! batch costs nothing per ROM element.
+//!
 //! Lane-divergent behaviour is fully supported: every lane has its own
 //! inputs ([`SimBatch::poke`]), outputs ([`SimBatch::peek`]), debug-print
 //! log ([`SimBatch::log`]), toggle counters, and state fingerprint, and
@@ -270,6 +275,15 @@ impl SimBatch {
         self.groups.iter().map(|g| g.arena_words()).sum()
     }
 
+    /// Total laned memory words across all groups. Writable memories are
+    /// laned in every group. A ROM — a memory with no write port — is not:
+    /// every lane reads the one image the program's tape holds, until
+    /// [`SimBatch::poke_array`] writes it and that lane's group makes a
+    /// laned copy, which [`SimBatch::reset`] drops again.
+    pub fn memory_words(&self) -> usize {
+        self.groups.iter().map(|g| g.memory_words()).sum()
+    }
+
     /// Resolves an input port's id for the hot poke path
     /// ([`SimBatch::poke_id`]): resolve once, poke every cycle without
     /// the name lookup.
@@ -452,7 +466,9 @@ impl SimBatch {
     }
 
     /// Writes one element of a memory on one lane (test setup). The value
-    /// is resized to the declared element width.
+    /// is resized to the declared element width. Poking a ROM gives the
+    /// lane's group a laned copy of it (see [`SimBatch::memory_words`]);
+    /// the other lanes' contents do not change.
     pub fn poke_array(&mut self, lane: usize, array: ArrayId, index: usize, value: Bits) {
         let width = self.module.arrays[array.0].width;
         let value = if value.width() == width {
@@ -474,13 +490,20 @@ impl SimBatch {
 
     /// Architectural-state hash of one lane — identical to
     /// [`Sim::state_fingerprint`](crate::Sim::state_fingerprint) for
-    /// identical per-lane state.
+    /// identical per-lane state, under the same rule: registers and
+    /// writable memories hash their words, and a ROM adds one digest of
+    /// its contents. The digest of a ROM's shared image is taken once per
+    /// program, so a lane's fingerprint costs nothing per ROM element;
+    /// a ROM that [`SimBatch::poke_array`] wrote is digested from the
+    /// lane's own copy until [`SimBatch::reset`].
     pub fn state_fingerprint(&mut self, lane: usize) -> u64 {
         let sub = lane % self.stride;
         self.group(lane).state_fingerprint_lane(sub)
     }
 
-    /// State fingerprints of every lane, in lane order.
+    /// State fingerprints of every lane, in lane order (see
+    /// [`SimBatch::state_fingerprint`]; shared ROMs add no per-lane
+    /// hashing work).
     pub fn fingerprints(&mut self) -> Vec<u64> {
         (0..self.lanes).map(|l| self.state_fingerprint(l)).collect()
     }

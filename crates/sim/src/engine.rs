@@ -209,8 +209,9 @@ pub trait SimBackend: Send {
     fn poke_array(&mut self, array: ArrayId, index: usize, value: Bits);
     /// Evaluates an arbitrary expression against the settled state.
     fn eval(&self, e: &Expr) -> Bits;
-    /// Hash of the architectural state (registers and memories); equal
-    /// across backends for equal states.
+    /// Hash of the architectural state (registers and memories, a ROM as
+    /// one digest of its contents); equal across backends for equal
+    /// states.
     fn state_fingerprint(&self) -> u64;
     /// Total observed bit toggles per signal.
     fn toggle_counts(&self) -> &[u64];
@@ -295,6 +296,11 @@ pub(crate) fn eval_expr(e: &Expr, src: &dyn ValueSource) -> Bits {
 /// Canonical architectural-state hasher. Both backends feed it the same
 /// `(width, words)` stream — registers in id order, then memories in
 /// declaration order — so fingerprints agree bit-for-bit across engines.
+///
+/// A writable memory adds one entry per element. A ROM (a memory no
+/// write port targets, see [`rom_flags`]) adds the single entry
+/// `(width, [rom_digest(..)])`: the tape executor digests each shared
+/// ROM image once per tape instead of re-hashing it per lane.
 pub(crate) struct StateHasher(std::collections::hash_map::DefaultHasher);
 
 impl StateHasher {
@@ -310,6 +316,24 @@ impl StateHasher {
     pub(crate) fn finish(self) -> u64 {
         self.0.finish()
     }
+}
+
+/// Digest of a ROM's contents: one `(width, image)` entry hashed on its
+/// own, where `image` is the word-packed elements in index order.
+pub(crate) fn rom_digest(width: usize, image: &[u64]) -> u64 {
+    let mut h = StateHasher::new();
+    h.add(width, image);
+    h.finish()
+}
+
+/// Which memories are ROMs, indexed by [`ArrayId`]: a memory is read-only
+/// when no entry of `module.array_writes` targets it.
+pub(crate) fn rom_flags(module: &Module) -> Vec<bool> {
+    let mut rom = vec![true; module.arrays.len()];
+    for w in &module.array_writes {
+        rom[w.array.0] = false;
+    }
+    rom
 }
 
 /// Rejects modules whose drivers fail to width-check, so both backends
@@ -366,6 +390,8 @@ pub(crate) struct TreeEngine {
     /// Previous settled values, for toggle counting.
     prev_values: Vec<Bits>,
     arrays: Vec<Vec<Bits>>,
+    /// [`rom_flags`]: which memories fingerprint as one digest.
+    roms: Vec<bool>,
     comb_order: Vec<SignalId>,
     /// Register next-value pairs in id order (deterministic iteration).
     reg_next: Vec<(SignalId, Expr)>,
@@ -420,6 +446,7 @@ impl TreeEngine {
         let n = values.len();
         let regs = reg_next.len();
         Ok(TreeEngine {
+            roms: rom_flags(&module),
             module,
             prev_values: values.clone(),
             values,
@@ -552,9 +579,14 @@ impl SimBackend for TreeEngine {
                 h.add(sig.width, self.values[id.0].as_words());
             }
         }
-        for arr in &self.arrays {
-            for elem in arr {
-                h.add(elem.width(), elem.as_words());
+        for ((arr, decl), rom) in self.arrays.iter().zip(&self.module.arrays).zip(&self.roms) {
+            if *rom {
+                let image: Vec<u64> = arr.iter().flat_map(Bits::as_words).copied().collect();
+                h.add(decl.width, &[rom_digest(decl.width, &image)]);
+            } else {
+                for elem in arr {
+                    h.add(elem.width(), elem.as_words());
+                }
             }
         }
         h.finish()
@@ -773,9 +805,17 @@ impl Sim {
         self.backend.settle();
     }
 
-    /// A hash of the architectural state (registers and memories), used by
-    /// the bounded model checker to prune revisited states. Identical
-    /// across backends for identical states.
+    /// A hash of the architectural state, used by the bounded model
+    /// checker to prune revisited states. Identical across backends for
+    /// identical states.
+    ///
+    /// Registers (in id order) and writable memories (element by element)
+    /// each add a `(width, words)` entry. A ROM — a memory with no write
+    /// port — adds one `(width, digest)` entry, the digest covering its
+    /// elements in index order. The compiled backend digests each ROM's
+    /// shared image once when it lowers the tape, so a fingerprint costs
+    /// nothing per ROM element; after [`Sim::poke_array`] writes a ROM,
+    /// the digest is taken from the poked contents until [`Sim::reset`].
     pub fn state_fingerprint(&self) -> u64 {
         self.backend.state_fingerprint()
     }
@@ -953,19 +993,49 @@ mod tests {
             assert_eq!(s.peek("q").unwrap().to_u64(), 0x33, "{kind}");
         }
 
-        // One batch lane, beside a lane that reads element 0.
-        let mut b = crate::SimBatch::new(&m, 3).unwrap();
-        b.poke(1, "raddr", addr.clone()).unwrap();
-        assert_eq!(b.peek(1, "q").unwrap().to_u64(), 0x33);
-        b.poke_array(1, arr, 2, new);
-        assert_eq!(b.peek(1, "q").unwrap().to_u64(), 0xAB);
-        assert_eq!(b.peek(0, "q").unwrap().to_u64(), 0x11);
-        assert_eq!(b.peek_array(0, arr, 2).to_u64(), 0x33);
+        // `mem` has no write port, so it is a ROM: batch lanes share the
+        // tape's image until a poke copies it for one group. Twenty lanes
+        // are a 16-lane group plus a 4-lane tail; poke one tail lane.
+        let opts = crate::TapeOptions {
+            stride: Some(16),
+            ..crate::TapeOptions::default()
+        };
+        let program = crate::TapeProgram::compile_with(&m, opts).unwrap();
+        let mut b = program.batch(20);
+        assert_eq!(b.group_strides(), [16, 4]);
+        assert_eq!(b.memory_words(), 0, "no lane holds a ROM copy");
+        let read = Expr::ArrayRead {
+            array: arr,
+            index: Box::new(Expr::Signal(raddr)),
+        };
+        for lane in 0..20 {
+            b.poke(lane, "raddr", addr.clone()).unwrap();
+        }
+        let unpoked = b.fingerprints();
+        let poked = 17;
+        b.poke_array(poked, arr, 2, new.clone());
+        assert_eq!(b.memory_words(), 4 * 4, "one copy, in the 4-lane tail");
+        for (lane, before) in unpoked.iter().enumerate() {
+            let want = if lane == poked { 0xAB } else { 0x33 };
+            assert_eq!(b.peek(lane, "q").unwrap().to_u64(), want, "lane {lane}");
+            assert_eq!(b.peek_array(lane, arr, 2).to_u64(), want, "lane {lane}");
+            assert_eq!(b.eval(lane, &read).to_u64(), want, "lane {lane}");
+            let fp = b.state_fingerprint(lane);
+            assert_eq!(fp == *before, lane != poked, "lane {lane}");
+        }
+        for mut s in both(&m) {
+            s.poke("raddr", addr.clone()).unwrap();
+            s.poke_array(arr, 2, new.clone());
+            let kind = s.backend_kind();
+            assert_eq!(b.state_fingerprint(poked), s.state_fingerprint(), "{kind}");
+        }
         b.reset();
-        assert_eq!(b.peek_array(1, arr, 2).to_u64(), 0x33);
-        assert_eq!(b.peek(1, "q").unwrap().to_u64(), 0x11);
-        b.poke(1, "raddr", addr).unwrap();
-        assert_eq!(b.peek(1, "q").unwrap().to_u64(), 0x33);
+        assert_eq!(b.memory_words(), 0, "reset drops the copy");
+        assert_eq!(b.fingerprints(), unpoked);
+        assert_eq!(b.peek_array(poked, arr, 2).to_u64(), 0x33);
+        assert_eq!(b.peek(poked, "q").unwrap().to_u64(), 0x11);
+        b.poke(poked, "raddr", addr).unwrap();
+        assert_eq!(b.peek(poked, "q").unwrap().to_u64(), 0x33);
     }
 
     #[test]

@@ -61,7 +61,9 @@ use std::sync::Arc;
 
 use anvil_rtl::{ArrayId, BinaryOp, Bits, Expr, Module, SignalId, SignalKind, UnaryOp};
 
-use crate::engine::{eval_expr, Backend, SimBackend, SimError, StateHasher, ValueSource};
+use crate::engine::{
+    eval_expr, rom_digest, rom_flags, Backend, SimBackend, SimError, StateHasher, ValueSource,
+};
 
 /// A pre-resolved storage location in the arena: `words` little-endian
 /// `u64`s starting at word offset `off`, holding a `width`-bit value with
@@ -378,14 +380,21 @@ struct TapePrint {
     value: Option<Slot>,
 }
 
-/// Word-packed memory metadata: element `e` lives at
-/// `data[e * wpe .. (e + 1) * wpe]`.
+/// One memory of the tape: its shape and its word-packed power-on image,
+/// element `e` at `init[e * wpe .. (e + 1) * wpe]`.
+///
+/// A memory that no write port targets is a ROM. Its image lives only
+/// here, once per tape: every [`LaneEngine`] sharing the tape reads `init`
+/// directly, and only a test poke makes a laned copy. Its fingerprint
+/// entry is `rom_digest`, taken once at lowering.
 #[derive(Clone, Debug)]
 struct TapeArray {
     width: u32,
     depth: u32,
     wpe: u32,
     init: Vec<u64>,
+    /// `Some(digest of init)` for a ROM, `None` for a writable memory.
+    rom_digest: Option<u64>,
 }
 
 /// Compile-time knobs for the tape optimization layer. The defaults
@@ -814,11 +823,12 @@ impl Tape {
             });
         }
 
-        // 6. Word-packed memory images.
+        // 6. Word-packed memory images; each ROM's digested once here.
         let arrays = module
             .arrays
             .iter()
-            .map(|a| {
+            .zip(rom_flags(&module))
+            .map(|(a, rom)| {
                 let wpe = words_for(a.width);
                 let mut init = vec![0u64; wpe * a.depth];
                 for (i, v) in a.init.iter().enumerate() {
@@ -830,6 +840,7 @@ impl Tape {
                     width: a.width as u32,
                     depth: a.depth as u32,
                     wpe: wpe as u32,
+                    rom_digest: rom.then(|| rom_digest(a.width, &init)),
                     init,
                 }
             })
@@ -1603,13 +1614,39 @@ fn zero_slot_lanes<const L: usize>(arena: &mut [u64], s: Slot) {
     }
 }
 
+/// One asynchronous memory read on every lane: lane `l` copies element
+/// `arena[index][l]` into `dst`, or zeros `dst` when the index is out of
+/// range. `word(w, l)` is word `w` of the memory's flat image as lane
+/// `l` sees it.
+#[inline(always)]
+fn read_lanes<const L: usize>(
+    arena: &mut [u64],
+    dst: Slot,
+    index: Slot,
+    meta: &TapeArray,
+    word: impl Fn(usize, usize) -> u64,
+) {
+    let wpe = meta.wpe as usize;
+    for l in 0..L {
+        let idx = arena[index.off() * L + l] as usize;
+        if idx < meta.depth as usize {
+            for k in 0..wpe {
+                arena[lane_base::<L>(dst, k) + l] = word(idx * wpe + k, l);
+            }
+        } else {
+            zero_slot_lane::<L>(arena, dst, l);
+        }
+    }
+}
+
 /// Executes one op across all lanes. `scratch` holds `L` lane-major
-/// segments for multi-word multiplication.
+/// segments for multi-word multiplication; `arrays` is the engine's
+/// memory store (see [`LaneEngine`]).
 fn exec_op_lanes<const L: usize>(
     op: &Op,
     arena: &mut [u64],
     scratch: &mut [u64],
-    arrays: &[Vec<u64>],
+    arrays: &[Option<Vec<u64>>],
     metas: &[TapeArray],
 ) {
     match op {
@@ -1951,17 +1988,10 @@ fn exec_op_lanes<const L: usize>(
         }
         Op::ArrayRead { dst, array, index } => {
             let meta = &metas[*array as usize];
-            let wpe = meta.wpe as usize;
-            let store = &arrays[*array as usize];
-            for l in 0..L {
-                let idx = arena[index.off() * L + l] as usize;
-                if idx < meta.depth as usize {
-                    for k in 0..wpe {
-                        arena[lane_base::<L>(*dst, k) + l] = store[(idx * wpe + k) * L + l];
-                    }
-                } else {
-                    zero_slot_lane::<L>(arena, *dst, l);
-                }
+            match &arrays[*array as usize] {
+                Some(store) => read_lanes::<L>(arena, *dst, *index, meta, |w, l| store[w * L + l]),
+                // A ROM no poke has copied: every lane reads the shared image.
+                None => read_lanes::<L>(arena, *dst, *index, meta, |w, _| meta.init[w]),
             }
         }
         Op::Add3 { dst, a, b, c } => {
@@ -2068,9 +2098,14 @@ pub(crate) struct LaneEngine<const L: usize> {
     arena: Vec<u64>,
     /// Previous settled arena (per-lane toggle counting).
     prev_arena: Vec<u64>,
-    /// Laned memories: element `e`, word `k`, lane `l` ↦
-    /// `arrays[a][(e * wpe + k) * L + l]`.
-    arrays: Vec<Vec<u64>>,
+    /// The memory store, one entry per memory. A writable memory is
+    /// laned: element `e`, word `k`, lane `l` ↦
+    /// `arrays[a][(e * wpe + k) * L + l]`. A ROM is `None`: every lane
+    /// reads the tape's shared image ([`TapeArray::init`]), so building,
+    /// resetting and fingerprinting an engine costs nothing per ROM
+    /// element. A poke into a ROM makes a laned copy (`Some`), which the
+    /// next reset drops again.
+    arrays: Vec<Option<Vec<u64>>>,
     /// Per-signal, per-lane toggle counters (`sig * L + lane`).
     toggles: Vec<u64>,
     /// Lane-major multiplication scratch (`L` segments).
@@ -2087,10 +2122,14 @@ pub(crate) struct LaneEngine<const L: usize> {
 impl<const L: usize> LaneEngine<L> {
     pub(crate) fn new(tape: Arc<Tape>) -> Self {
         let arena = Bits::broadcast_slab(&tape.init_arena, L);
-        let arrays: Vec<Vec<u64>> = tape
+        let arrays = tape
             .arrays
             .iter()
-            .map(|a| Bits::broadcast_slab(&a.init, L))
+            .map(|a| {
+                a.rom_digest
+                    .is_none()
+                    .then(|| Bits::broadcast_slab(&a.init, L))
+            })
             .collect();
         let n = tape.sig_slots.len();
         let mul_words = tape
@@ -2212,13 +2251,16 @@ impl<const L: usize> LaneEngine<L> {
         for w in &tape.writes {
             let meta = &tape.arrays[w.array as usize];
             let wpe = meta.wpe as usize;
+            let store = self.arrays[w.array as usize]
+                .as_mut()
+                .expect("a memory with a write port is laned");
             let mut wrote = false;
             for l in 0..L {
                 if any_set_lane::<L>(&self.arena, w.enable, l) {
                     let idx = self.arena[w.index.off() * L + l] as usize;
                     if idx < meta.depth as usize {
                         for k in 0..wpe {
-                            self.arrays[w.array as usize][(idx * wpe + k) * L + l] =
+                            store[(idx * wpe + k) * L + l] =
                                 self.arena[lane_base::<L>(w.data, k) + l];
                         }
                         wrote = true;
@@ -2309,6 +2351,22 @@ impl<const L: usize> LaneEngine<L> {
         }
     }
 
+    /// One lane's value of an in-range memory element: from the laned
+    /// store, or from the tape's shared image for an uncopied ROM.
+    fn array_elem_lane(&self, array: usize, index: usize, lane: usize) -> Bits {
+        let meta = &self.tape.arrays[array];
+        let (width, wpe) = (meta.width as usize, meta.wpe as usize);
+        match &self.arrays[array] {
+            Some(store) => Bits::from_lane_slab(
+                width,
+                &store[index * wpe * L..(index + 1) * wpe * L],
+                L,
+                lane,
+            ),
+            None => Bits::from_words(width, &meta.init[index * wpe..(index + 1) * wpe]),
+        }
+    }
+
     /// Reads one lane of one memory element.
     pub(crate) fn peek_array_lane(&self, array: ArrayId, index: usize, lane: usize) -> Bits {
         let meta = &self.tape.arrays[array.0];
@@ -2317,17 +2375,13 @@ impl<const L: usize> LaneEngine<L> {
             "array index {index} out of range for depth {}",
             meta.depth
         );
-        let wpe = meta.wpe as usize;
-        Bits::from_lane_slab(
-            meta.width as usize,
-            &self.arrays[array.0][index * wpe * L..(index + 1) * wpe * L],
-            L,
-            lane,
-        )
+        self.array_elem_lane(array.0, index, lane)
     }
 
     /// Writes one lane of one memory element (width pre-matched by the
-    /// facade).
+    /// facade). The first poke into a ROM gives this engine a laned copy
+    /// of the shared image; the other lanes keep reading the same
+    /// contents, from the copy.
     pub(crate) fn poke_array_lane(
         &mut self,
         array: ArrayId,
@@ -2335,22 +2389,25 @@ impl<const L: usize> LaneEngine<L> {
         value: &Bits,
         lane: usize,
     ) {
-        let meta = &self.tape.arrays[array.0];
+        let tape = Arc::clone(&self.tape);
+        let meta = &tape.arrays[array.0];
         assert!(
             index < meta.depth as usize,
             "array index {index} out of range for depth {}",
             meta.depth
         );
         let wpe = meta.wpe as usize;
-        value.write_lane_slab(
-            &mut self.arrays[array.0][index * wpe * L..(index + 1) * wpe * L],
-            L,
-            lane,
-        );
-        let tape = Arc::clone(&self.tape);
+        let store = self.arrays[array.0].get_or_insert_with(|| Bits::broadcast_slab(&meta.init, L));
+        value.write_lane_slab(&mut store[index * wpe * L..(index + 1) * wpe * L], L, lane);
         for r in &tape.array_regions[array.0] {
             self.mark_region(*r);
         }
+    }
+
+    /// Laned memory words this engine holds: every writable memory, plus
+    /// the copy of each ROM a poke has written since the last reset.
+    pub(crate) fn memory_words(&self) -> usize {
+        self.arrays.iter().flatten().map(Vec::len).sum()
     }
 
     /// Evaluates an expression against one settled lane.
@@ -2360,7 +2417,8 @@ impl<const L: usize> LaneEngine<L> {
 
     /// Canonical architectural-state hash of one lane — equal to
     /// [`SimBackend::state_fingerprint`] for equal states. Reuses the
-    /// engine's pre-sized gather scratch, so the call is allocation-free.
+    /// engine's pre-sized gather scratch, so the call is allocation-free
+    /// unless a poke has copied a ROM.
     pub(crate) fn state_fingerprint_lane(&mut self, lane: usize) -> u64 {
         let tape = Arc::clone(&self.tape);
         let mut h = StateHasher::new();
@@ -2371,13 +2429,23 @@ impl<const L: usize> LaneEngine<L> {
             }
             h.add(s.width(), &self.fp_scratch[..n]);
         }
-        for (i, meta) in tape.arrays.iter().enumerate() {
-            let wpe = meta.wpe as usize;
-            for e in 0..meta.depth as usize {
-                for k in 0..wpe {
-                    self.fp_scratch[k] = self.arrays[i][(e * wpe + k) * L + lane];
+        for (meta, store) in tape.arrays.iter().zip(&self.arrays) {
+            let (width, wpe) = (meta.width as usize, meta.wpe as usize);
+            match (store, meta.rom_digest) {
+                (None, Some(digest)) => h.add(width, &[digest]),
+                (Some(copy), Some(_)) => {
+                    let image: Vec<u64> = copy.iter().skip(lane).step_by(L).copied().collect();
+                    h.add(width, &[rom_digest(width, &image)]);
                 }
-                h.add(meta.width as usize, &self.fp_scratch[..wpe]);
+                (Some(store), None) => {
+                    for e in 0..meta.depth as usize {
+                        for k in 0..wpe {
+                            self.fp_scratch[k] = store[(e * wpe + k) * L + lane];
+                        }
+                        h.add(width, &self.fp_scratch[..wpe]);
+                    }
+                }
+                (None, None) => unreachable!("a writable memory is always laned"),
             }
         }
         h.finish()
@@ -2391,7 +2459,9 @@ impl<const L: usize> LaneEngine<L> {
             .collect()
     }
 
-    /// Restores every lane to power-on state.
+    /// Restores every lane to power-on state: writable memories refill
+    /// from their images, and a poked ROM's copy is dropped so its lanes
+    /// read the shared image again.
     pub(crate) fn reset(&mut self) {
         let tape = Arc::clone(&self.tape);
         for (k, w) in tape.init_arena.iter().enumerate() {
@@ -2399,8 +2469,13 @@ impl<const L: usize> LaneEngine<L> {
         }
         self.prev_arena.copy_from_slice(&self.arena);
         for (store, meta) in self.arrays.iter_mut().zip(&tape.arrays) {
-            for (k, w) in meta.init.iter().enumerate() {
-                store[k * L..(k + 1) * L].fill(*w);
+            match store {
+                Some(store) if meta.rom_digest.is_none() => {
+                    for (k, w) in meta.init.iter().enumerate() {
+                        store[k * L..(k + 1) * L].fill(*w);
+                    }
+                }
+                _ => *store = None,
             }
         }
         self.toggles.fill(0);
@@ -2418,6 +2493,9 @@ pub(crate) trait LaneGroup: Send + Sync {
     /// Words of laned arena storage this group owns (tail-group sizing
     /// tests assert the footprint shrinks with the stride).
     fn arena_words(&self) -> usize;
+    /// Words of laned memory storage this group owns (ROMs share the
+    /// tape's image until poked).
+    fn memory_words(&self) -> usize;
     fn settle(&mut self);
     fn commit(&mut self, sink: &mut dyn FnMut(usize, String));
     fn peek_lane(&self, id: SignalId, lane: usize) -> Bits;
@@ -2438,6 +2516,10 @@ impl<const L: usize> LaneGroup for LaneEngine<L> {
 
     fn arena_words(&self) -> usize {
         self.arena.len()
+    }
+
+    fn memory_words(&self) -> usize {
+        LaneEngine::memory_words(self)
     }
 
     fn settle(&mut self) {
@@ -2549,8 +2631,16 @@ impl SimBackend for LaneEngine<1> {
             h.add(s.width(), &self.arena[s.range()]);
         }
         for (store, meta) in self.arrays.iter().zip(&self.tape.arrays) {
-            for elem in store.chunks_exact(meta.wpe as usize) {
-                h.add(meta.width as usize, elem);
+            let (width, wpe) = (meta.width as usize, meta.wpe as usize);
+            match (store, meta.rom_digest) {
+                (None, Some(digest)) => h.add(width, &[digest]),
+                (Some(copy), Some(_)) => h.add(width, &[rom_digest(width, copy)]),
+                (Some(store), None) => {
+                    for elem in store.chunks_exact(wpe) {
+                        h.add(width, elem);
+                    }
+                }
+                (None, None) => unreachable!("a writable memory is always laned"),
             }
         }
         h.finish()
@@ -2581,13 +2671,7 @@ impl<const L: usize> ValueSource for LaneView<'_, L> {
     fn array_read(&self, array: ArrayId, index: usize) -> Bits {
         let meta = &self.engine.tape.arrays[array.0];
         if index < meta.depth as usize {
-            let wpe = meta.wpe as usize;
-            Bits::from_lane_slab(
-                meta.width as usize,
-                &self.engine.arrays[array.0][index * wpe * L..(index + 1) * wpe * L],
-                L,
-                self.lane,
-            )
+            self.engine.array_elem_lane(array.0, index, self.lane)
         } else {
             Bits::zero(meta.width as usize)
         }

@@ -19,7 +19,7 @@
 
 use anvil_designs::tb::{input_ports, xorshift64};
 use anvil_rtl::{Bits, Expr, Module, SignalKind};
-use anvil_sim::{Backend, Sim, SimBatch};
+use anvil_sim::{Backend, Sim, SimBatch, TapeOptions, TapeProgram};
 use anvil_verify::{bmc, bmc_sweep, BmcResult};
 use proptest::prelude::*;
 
@@ -199,4 +199,41 @@ fn bmc_sweep_agrees_on_every_suite_design() {
             assert_eq!(seq_stats.depth_reached, sweep_stats.depth_reached);
         }
     }
+}
+
+/// The AES core reads its S-boxes from ROMs (memories with no write
+/// port). A batch reads every ROM from the program's one shared image,
+/// so a 32-lane batch holds no laned memory words — not after stepping,
+/// not after a reset — until a poke writes a ROM; then only the poked
+/// lane's 16-lane group holds a copy of that one ROM, until the next
+/// reset.
+#[test]
+fn aes_batch_holds_no_laned_rom_words_until_a_rom_is_poked() {
+    let m = anvil_designs::aes::anvil_flat();
+    assert_eq!(m.arrays.len(), 20, "twenty S-box instances");
+    assert!(m.array_writes.is_empty());
+    let opts = TapeOptions {
+        stride: Some(16),
+        ..TapeOptions::default()
+    };
+    let mut batch = TapeProgram::compile_with(&m, opts).unwrap().batch(32);
+    assert_eq!(batch.memory_words(), 0);
+    let mut rngs = lane_seeds(7, 32);
+    for _ in 0..12 {
+        for (name, _) in input_ports(&m) {
+            let vals: Vec<u64> = rngs.iter_mut().map(xorshift64).collect();
+            batch.poke_u64s(batch.input_id(&name).unwrap(), &vals);
+        }
+        batch.step();
+    }
+    batch.fingerprints();
+    assert_eq!(batch.memory_words(), 0);
+    batch.reset();
+    assert_eq!(batch.memory_words(), 0);
+    let rom = anvil_rtl::ArrayId(3);
+    let depth = m.arrays[rom.0].depth;
+    batch.poke_array(20, rom, 7, Bits::from_u64(0x5A, 8));
+    assert_eq!(batch.memory_words(), depth * 16);
+    batch.reset();
+    assert_eq!(batch.memory_words(), 0);
 }

@@ -12,7 +12,7 @@ use anvil_rtl::Expr;
 use anvil_sim::{Backend, SimBatch, Waveform};
 use anvil_smt::{optimize, AigCircuit, Pdr, PdrOptions, PdrOutcome, ProofCert};
 use anvil_verify::{
-    bmc_with_backend, prove, prove_portfolio, replay_trace, BmcResult, Control, Deadline,
+    bmc, bmc_with_backend, prove, prove_portfolio, replay_trace, BmcResult, Control, Deadline,
     ProveResult, Prover,
 };
 
@@ -234,4 +234,30 @@ fn pdr_proves_the_fifo_monitor_within_its_work_pin() {
     assert!(stats.frames <= 11, "{stats:?}");
     assert!(stats.sat_calls <= 2_000, "{stats:?}");
     assert!(stats.lifted_away > 0, "{stats:?}");
+}
+
+/// Explicit-state `bmc` prunes by state fingerprint, so its visited-state
+/// count moves whenever the fingerprint starts merging or splitting
+/// states. These are the counts at `bench_prove`'s bound (depth 8,
+/// 20,000 states) for the suite properties whose designs have memories:
+/// the FIFOs' and the TLB's memories are writable, the AES S-boxes are
+/// ROMs that fingerprint as one digest each.
+#[test]
+fn explicit_bmc_state_counts_hold_on_designs_with_memories() {
+    let pins = [
+        ("FIFO Buffer", 2_832),
+        ("Passthrough Stream FIFO", 392),
+        ("Translation Lookaside Buffer", 544),
+        ("AES Cipher Core", 128),
+    ];
+    let props = suite_properties();
+    for prop in props.iter().filter(|p| !p.module.arrays.is_empty()) {
+        let want = pins
+            .iter()
+            .find(|(design, _)| *design == prop.design)
+            .unwrap_or_else(|| panic!("no state-count pin for `{}`", prop.design))
+            .1;
+        let (_, stats) = bmc(&prop.module, &prop.assertion, 8, 20_000).unwrap();
+        assert_eq!(stats.states_visited, want, "`{}`", prop.design);
+    }
 }
