@@ -83,4 +83,4 @@ pub use proto::{
     DEADLINE_EXCEEDED, FILE_NOT_OPEN, INTERNAL_ERROR, INVALID_PARAMS, INVALID_REQUEST,
     METHOD_NOT_FOUND, OVERLOADED, PARSE_ERROR, PROVE_FAILED, REQUEST_CANCELLED,
 };
-pub use server::{CompileService, PROTOCOL_VERSION};
+pub use server::{CompileService, MAX_FRAME_BYTES, PROTOCOL_VERSION};

@@ -42,7 +42,7 @@
 //! all of this observable.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -60,12 +60,18 @@ use crate::gate::{Admission, AdmissionGate, ServiceConfig, ServiceCounters, Serv
 use crate::json::Json;
 use crate::proto::{
     self, error_response, notification, parse_incoming, Incoming, RpcError, COMPILE_FAILED,
-    DEADLINE_EXCEEDED, FILE_NOT_OPEN, INTERNAL_ERROR, METHOD_NOT_FOUND, OVERLOADED, PARSE_ERROR,
-    PROVE_FAILED, REQUEST_CANCELLED,
+    DEADLINE_EXCEEDED, FILE_NOT_OPEN, INTERNAL_ERROR, INVALID_REQUEST, METHOD_NOT_FOUND,
+    OVERLOADED, PARSE_ERROR, PROVE_FAILED, REQUEST_CANCELLED,
 };
 
 /// Wire-protocol version reported by `ping`.
 pub const PROTOCOL_VERSION: i64 = 1;
+
+/// The longest frame [`CompileService::serve`] reads, in bytes before
+/// the newline. The largest suite source is 12 KB, so 16 MiB is over a
+/// thousand times any real frame; a longer line is skipped to its
+/// newline without being buffered and answered with `INVALID_REQUEST`.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// How often the serve-loop watchdog scans the in-flight table.
 const WATCHDOG_TICK_MS: u64 = 10;
@@ -985,7 +991,9 @@ impl CompileService {
     /// in one `write_all` plus `flush`, so an unbuffered socket sees one
     /// write per frame. A frame that is not UTF-8 or not JSON (including
     /// one nested too deeply) is answered with `PARSE_ERROR` and `id:
-    /// null`, and the loop keeps reading.
+    /// null`, and the loop keeps reading. So is a frame longer than
+    /// [`MAX_FRAME_BYTES`], with `INVALID_REQUEST`: the loop buffers at
+    /// most that many bytes of it and skips the rest of the line.
     ///
     /// Registry and control methods (`open`, `update`, `close`,
     /// `cancel`, `cacheStats`, `health`, `ping`, `shutdown`) are handled
@@ -1035,10 +1043,21 @@ impl CompileService {
             });
             let result = (|| -> std::io::Result<()> {
                 let mut buf = Vec::new();
+                let limit = MAX_FRAME_BYTES as u64 + 1;
                 loop {
                     buf.clear();
-                    if reader.read_until(b'\n', &mut buf)? == 0 {
+                    if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
                         break;
+                    }
+                    if buf.len() as u64 == limit && !buf.ends_with(b"\n") {
+                        reader.skip_until(b'\n')?;
+                        buf = Vec::new();
+                        let message = format!("frame longer than {MAX_FRAME_BYTES} bytes");
+                        send(&error_response(
+                            None,
+                            &RpcError::new(INVALID_REQUEST, message),
+                        ));
+                        continue;
                     }
                     let bytes = match buf.strip_suffix(b"\n") {
                         Some(bytes) => bytes.strip_suffix(b"\r").unwrap_or(bytes),

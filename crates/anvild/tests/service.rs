@@ -757,6 +757,53 @@ fn serve_writes_each_frame_in_one_call() {
     );
 }
 
+/// A line longer than the frame cap gets `INVALID_REQUEST` naming the
+/// cap, and the next frame on the same connection is served as usual.
+#[test]
+fn oversize_frame_is_refused_and_the_connection_keeps_serving() {
+    let service = CompileService::new();
+    let open = Incoming::request(
+        1,
+        "open",
+        Json::obj([("uri", Json::str("p.anv")), ("text", Json::str(GOOD))]),
+    );
+    let compile = Incoming::request(2, "compile", Json::obj([("uri", Json::str("p.anv"))]));
+    let mut input = format!("{}\n", open.to_frame()).into_bytes();
+    input.extend(std::iter::repeat_n(b' ', anvild::MAX_FRAME_BYTES + 4096));
+    input.extend(format!("\n{}\n", compile.to_frame()).into_bytes());
+    let writes = Mutex::new(Vec::new());
+    service
+        .serve(input.as_slice(), WriteLog(&writes))
+        .expect("serve");
+
+    let frames: Vec<Json> = writes
+        .into_inner()
+        .unwrap()
+        .iter()
+        .map(|call| Json::parse(std::str::from_utf8(call).expect("UTF-8")).expect("a frame"))
+        .collect();
+    let refused: Vec<&Json> = frames
+        .iter()
+        .filter(|f| f.get("id") == Some(&Json::Null))
+        .collect();
+    assert_eq!(refused.len(), 1, "{frames:?}");
+    assert_eq!(error_code(refused[0]), anvild::INVALID_REQUEST);
+    let message = refused[0]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(
+        message.contains(&anvild::MAX_FRAME_BYTES.to_string()),
+        "{message}"
+    );
+    let compiled = frames
+        .iter()
+        .find(|f| f.get("id").and_then(Json::as_i64) == Some(2))
+        .expect("the compile after the oversize frame is answered");
+    assert!(result(compiled, "systemverilog").as_str().is_some());
+}
+
 #[test]
 fn rpc_error_type_is_usable_downstream() {
     let err = RpcError::invalid_params("nope");

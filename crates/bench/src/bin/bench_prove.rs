@@ -19,8 +19,11 @@
 //!   total cold over total warm wall time.
 //!
 //! Per engine the record carries the verdict and wall time; the symbolic
-//! engines also report SAT clause/conflict counts. The seeded-violation
-//! designs ride along so the falsification path is timed too.
+//! engines also report SAT clause, conflict, decision and propagation
+//! counts. The seeded-violation designs ride along so the falsification
+//! path is timed too. The four single-engine rows are deterministic, and
+//! `bench_prove_compare` gates them exactly against the committed record;
+//! the racing `portfolio_cold` row and the `warm_cache` row are not.
 //!
 //! Usage: `bench_prove [output-path]` (default `BENCH_prove.json`).
 
@@ -49,6 +52,8 @@ struct Row {
     millis: f64,
     clauses: u64,
     conflicts: u64,
+    decisions: u64,
+    propagations: u64,
     /// Per-engine self-reported wall time inside the portfolio
     /// (`symbolic`, `pdr`), milliseconds; only the portfolio row has it.
     portfolio_walls: Option<(f64, f64)>,
@@ -86,6 +91,8 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         millis: t.elapsed().as_secs_f64() * 1e3,
         clauses: 0,
         conflicts: 0,
+        decisions: 0,
+        propagations: 0,
         portfolio_walls: None,
     });
 
@@ -101,6 +108,8 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         millis: t.elapsed().as_secs_f64() * 1e3,
         clauses: stats.clauses,
         conflicts: stats.conflicts,
+        decisions: stats.decisions,
+        propagations: stats.propagations,
         portfolio_walls: None,
     });
 
@@ -115,6 +124,8 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         millis: t.elapsed().as_secs_f64() * 1e3,
         clauses: stats.clauses,
         conflicts: stats.conflicts,
+        decisions: stats.decisions,
+        propagations: stats.propagations,
         portfolio_walls: None,
     });
 
@@ -129,6 +140,8 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         millis: t.elapsed().as_secs_f64() * 1e3,
         clauses: stats.clauses,
         conflicts: stats.conflicts,
+        decisions: stats.decisions,
+        propagations: stats.propagations,
         portfolio_walls: None,
     });
 
@@ -146,6 +159,8 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         millis: cold,
         clauses: out.symbolic_stats.clauses + out.pdr_stats.clauses,
         conflicts: out.symbolic_stats.conflicts + out.pdr_stats.conflicts,
+        decisions: out.symbolic_stats.decisions + out.pdr_stats.decisions,
+        propagations: out.symbolic_stats.propagations + out.pdr_stats.propagations,
         portfolio_walls: Some((
             out.symbolic_stats.wall_micros as f64 / 1e3,
             out.pdr_stats.wall_micros as f64 / 1e3,
@@ -169,6 +184,8 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         millis: warm_ms,
         clauses: 0,
         conflicts: 0,
+        decisions: 0,
+        propagations: 0,
         portfolio_walls: None,
     });
     Some(CachePair {
@@ -247,8 +264,16 @@ fn main() {
             json,
             "    {{\"design\": \"{}\", \"property\": \"{}\", \"engine\": \"{}\", \
              \"verdict\": \"{}\", \"millis\": {:.3}, \"clauses\": {}, \
-             \"conflicts\": {}{walls}}}{comma}",
-            r.design, r.property, r.engine, r.verdict, r.millis, r.clauses, r.conflicts
+             \"conflicts\": {}, \"decisions\": {}, \"propagations\": {}{walls}}}{comma}",
+            r.design,
+            r.property,
+            r.engine,
+            r.verdict,
+            r.millis,
+            r.clauses,
+            r.conflicts,
+            r.decisions,
+            r.propagations
         );
     }
     let _ = writeln!(json, "  ]");
@@ -257,13 +282,20 @@ fn main() {
 
     println!("wrote {out_path}");
     println!(
-        "{:<28} {:<13} {:<22} {:>9} {:>9} {:>10}",
-        "design", "engine", "verdict", "ms", "clauses", "conflicts"
+        "{:<28} {:<13} {:<22} {:>9} {:>9} {:>10} {:>10} {:>12}",
+        "design", "engine", "verdict", "ms", "clauses", "conflicts", "decisions", "propagations"
     );
     for r in &rows {
         println!(
-            "{:<28} {:<13} {:<22} {:>9.2} {:>9} {:>10}",
-            r.design, r.engine, r.verdict, r.millis, r.clauses, r.conflicts
+            "{:<28} {:<13} {:<22} {:>9.2} {:>9} {:>10} {:>10} {:>12}",
+            r.design,
+            r.engine,
+            r.verdict,
+            r.millis,
+            r.clauses,
+            r.conflicts,
+            r.decisions,
+            r.propagations
         );
     }
     println!("k-induction: {proved} proved for all time, {falsified} falsified");

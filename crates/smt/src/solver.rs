@@ -17,8 +17,42 @@
 //! when it could branch on every variable (2-vCPU x86-64 container).
 //! [`SolverStats::ticks`] counts watcher visits plus literals scanned
 //! for a new watch, a work measure that, unlike propagations, grows
-//! with the clauses each propagation has to visit; those runs spent
-//! 13–14 ns per tick.
+//! with the clauses each propagation has to visit.
+//!
+//! # Clause storage
+//!
+//! As in MiniSat's clause allocator, every clause lives in one flat
+//! `Vec<u32>` arena: a header word (length, learnt and deleted bits),
+//! the clause's creation index into a side table of activities, then
+//! its literals. Reasons, conflicts and watchers name a clause by its
+//! arena offset, so a watcher visit reads the literals next to the
+//! header instead of following a pointer to a separate allocation. The
+//! arena only grows: `reduce_db` marks clauses deleted and rebuilds the
+//! watcher lists without them, which keeps offsets, and therefore
+//! [`Solver::export_learnt`]'s cursors, valid across solves.
+//!
+//! Two thirds of the clauses of a Tseitin AND gate have two literals.
+//! Their watchers carry a tag bit and the other literal as blocker, so
+//! propagation decides "satisfied", "unit" or "conflict" from the
+//! blocker alone and only *stores* the `[implied, falsified]` literal
+//! order into the arena, without reading it. Literal values come from a
+//! per-literal table, one load per check.
+//!
+//! # Same search
+//!
+//! How clauses are stored does not change what the solver decides.
+//! Each clause keeps the literal order the two-watched-literal scheme
+//! leaves (the watches first, a falsified watch swapped second), each
+//! watcher list keeps its `swap_remove` order (the list being scanned is
+//! taken out of the table while it is scanned, and a moved watch never
+//! lands back on it), and `reduce_db` rebuilds the lists in creation
+//! order. With the heap, phase saving, restarts and clause activities,
+//! that makes every counter in [`SolverStats`] a fixed function of the
+//! clauses and calls the solver is given, so the prover's tests and
+//! `bench_prove_compare` pin them exactly: a change that only makes
+//! the solver faster leaves them unchanged. On the Pipelined ALU PDR
+//! run to its tick budget a tick costs 11.2–11.6 ns (two runs, 2-vCPU
+//! x86-64 container).
 //!
 //! Like the rest of the workspace it is dependency-free (`crates/shims`
 //! covers the dev-only externals); nothing here talks to crates.io.
@@ -98,29 +132,54 @@ pub struct SolverStats {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum LB {
     True,
     False,
     Undef,
 }
 
-struct Clause {
-    lits: Vec<SLit>,
-    learnt: bool,
-    act: f64,
-    deleted: bool,
-}
+/// A clause's arena offset: its header word, followed by its creation
+/// index and its literals.
+type CRef = u32;
 
-const NO_REASON: u32 = u32::MAX;
+const NO_REASON: CRef = u32::MAX;
+
+/// Header bit of a learnt clause; the length sits above the two flags.
+const LEARNT: u32 = 1;
+/// Header bit of a clause `reduce_db` deleted.
+const DELETED: u32 = 2;
+/// Arena words before a clause's first literal.
+const LITS: usize = 2;
+/// Watcher tag of a 2-literal clause (arena offsets stay below it).
+const BINARY: u32 = 1 << 31;
+
+/// One entry of a watcher list: the clause (tagged with [`BINARY`] for a
+/// 2-literal clause) and a literal of it whose truth satisfies the
+/// clause without reading it. A 2-literal clause's blocker is always its
+/// other literal.
+#[derive(Clone, Copy)]
+struct Watcher {
+    cref: u32,
+    blocker: SLit,
+}
 
 /// The CDCL solver.
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// Per-literal watcher lists: `(clause index, blocker literal)`.
-    watches: Vec<Vec<(u32, SLit)>>,
-    assign: Vec<LB>,
+    /// Every clause ever attached, in creation order (see the module
+    /// docs for the layout).
+    arena: Vec<u32>,
+    /// Activity of each clause by creation index (only learnt clauses
+    /// are ever bumped).
+    clause_act: Vec<f64>,
+    /// Per-literal watcher lists: the clauses watching a literal's
+    /// complement, filed under the literal that falsifies the watch.
+    watches: Vec<Vec<Watcher>>,
+    /// Per-literal value: `vals[l]` is `l`'s truth under the current
+    /// assignment.
+    vals: Vec<LB>,
     level: Vec<u32>,
-    reason: Vec<u32>,
+    reason: Vec<CRef>,
     trail: Vec<SLit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -134,6 +193,7 @@ pub struct Solver {
     /// Per-variable decision flag (see [`Solver::set_decision`]).
     decision: Vec<bool>,
     seen: Vec<bool>,
+    /// The last model, per literal like `vals`.
     model: Vec<LB>,
     ok: bool,
     n_learnt: usize,
@@ -154,9 +214,10 @@ impl Solver {
     /// An empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            clause_act: Vec::new(),
             watches: Vec::new(),
-            assign: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -212,13 +273,12 @@ impl Solver {
     /// as antecedents — which is what makes cross-solver clause sharing
     /// sound when both solvers encode the same CNF.
     pub fn export_learnt(&self, cursor: &mut usize, max_len: usize) -> Vec<Vec<SLit>> {
-        let mut out = Vec::new();
-        for c in &self.clauses[(*cursor).min(self.clauses.len())..] {
-            if c.learnt && !c.deleted && c.lits.len() <= max_len {
-                out.push(c.lits.clone());
-            }
-        }
-        *cursor = self.clauses.len();
+        let out = self
+            .clauses_from((*cursor).min(self.arena.len()))
+            .filter(|&(_, h)| h & (LEARNT | DELETED) == LEARNT && clause_len(h) <= max_len)
+            .map(|(c, _)| self.lits(c).map(SLit).collect())
+            .collect();
+        *cursor = self.arena.len();
         out
     }
 
@@ -229,13 +289,13 @@ impl Solver {
 
     /// Number of variables.
     pub fn n_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = self.assign.len() as Var;
-        self.assign.push(LB::Undef);
+        let v = self.level.len() as Var;
+        self.vals.extend([LB::Undef, LB::Undef]);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -265,31 +325,15 @@ impl Solver {
     }
 
     fn value(&self, l: SLit) -> LB {
-        match self.assign[l.var() as usize] {
-            LB::Undef => LB::Undef,
-            LB::True => {
-                if l.sign() {
-                    LB::False
-                } else {
-                    LB::True
-                }
-            }
-            LB::False => {
-                if l.sign() {
-                    LB::True
-                } else {
-                    LB::False
-                }
-            }
-        }
+        self.vals[l.index()]
     }
 
     /// The last model's value for a literal (valid after a `Sat` result);
     /// unassigned variables read as `false`.
     pub fn model_value(&self, l: SLit) -> bool {
-        match self.model.get(l.var() as usize) {
-            Some(LB::True) => !l.sign(),
-            Some(LB::False) => l.sign(),
+        match self.model.get(l.index()) {
+            Some(LB::True) => true,
+            Some(LB::False) => false,
             _ => l.sign(),
         }
     }
@@ -374,21 +418,32 @@ impl Solver {
         }
     }
 
-    fn bump_clause(&mut self, c: usize) {
-        let cl = &mut self.clauses[c];
-        if !cl.learnt {
+    fn bump_clause(&mut self, c: CRef) {
+        let c = c as usize;
+        if self.arena[c] & LEARNT == 0 {
             return;
         }
-        cl.act += self.cla_inc;
-        if cl.act > 1e100 {
-            for cl in self.clauses.iter_mut().filter(|c| c.learnt) {
-                cl.act *= 1e-100;
+        let act = &mut self.clause_act[self.arena[c + 1] as usize];
+        *act += self.cla_inc;
+        if *act > 1e100 {
+            // Problem clauses keep activity 0, so scaling every entry
+            // scales exactly the learnt ones.
+            for a in &mut self.clause_act {
+                *a *= 1e-100;
             }
             self.cla_inc *= 1e-100;
         }
     }
 
     // ---- Clause management. ----
+
+    /// The literal codes of the clause at `c`.
+    fn lits(&self, c: CRef) -> impl Iterator<Item = u32> + '_ {
+        let c = c as usize;
+        self.arena[c + LITS..c + LITS + clause_len(self.arena[c])]
+            .iter()
+            .copied()
+    }
 
     /// Adds a problem clause (between solves, at decision level 0).
     /// Top-level simplification removes duplicate and already-false
@@ -424,64 +479,97 @@ impl Solver {
             }
             _ => {
                 self.stats.clauses += 1;
-                self.attach(simplified, false);
+                self.attach(&simplified, false);
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<SLit>, learnt: bool) -> u32 {
-        let idx = self.clauses.len() as u32;
-        self.watches[lits[0].negate().index()].push((idx, lits[1]));
-        self.watches[lits[1].negate().index()].push((idx, lits[0]));
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            act: 0.0,
-            deleted: false,
-        });
+    /// Appends a clause of at least two literals to the arena and
+    /// watches its first two.
+    fn attach(&mut self, lits: &[SLit], learnt: bool) -> CRef {
+        let c = self.arena.len() as CRef;
+        assert!(
+            self.arena.len() + LITS + lits.len() < BINARY as usize,
+            "clause arena full"
+        );
+        self.arena
+            .push(((lits.len() as u32) << 2) | if learnt { LEARNT } else { 0 });
+        self.arena.push(self.clause_act.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.clause_act.push(0.0);
+        self.watch(c, lits[0], lits[1]);
         if learnt {
             self.n_learnt += 1;
         }
-        idx
+        c
+    }
+
+    /// Files the clause at `c` under the complements of its watched
+    /// literals `a` and `b`, each with the other as blocker.
+    fn watch(&mut self, c: CRef, a: SLit, b: SLit) {
+        let cref = if clause_len(self.arena[c as usize]) == 2 {
+            c | BINARY
+        } else {
+            c
+        };
+        self.watches[a.negate().index()].push(Watcher { cref, blocker: b });
+        self.watches[b.negate().index()].push(Watcher { cref, blocker: a });
+    }
+
+    /// The clauses from arena offset `start` on, in creation order:
+    /// `(offset, header)`.
+    fn clauses_from(&self, start: usize) -> impl Iterator<Item = (CRef, u32)> + '_ {
+        let mut c = start;
+        std::iter::from_fn(move || {
+            let header = *self.arena.get(c)?;
+            let at = c as CRef;
+            c += LITS + clause_len(header);
+            Some((at, header))
+        })
+    }
+
+    fn clause_activity(&self, c: CRef) -> f64 {
+        self.clause_act[self.arena[c as usize + 1] as usize]
     }
 
     /// Deletes poorly scoring learnt clauses when the database grows past
     /// its cap (locked clauses — reasons of current assignments — stay).
     fn reduce_db(&mut self) {
-        let mut acts: Vec<f64> = self
-            .clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted)
-            .map(|c| c.act)
+        let learnt: Vec<CRef> = self
+            .clauses_from(0)
+            .filter(|&(_, h)| h & (LEARNT | DELETED) == LEARNT)
+            .map(|(c, _)| c)
             .collect();
-        if acts.is_empty() {
+        if learnt.is_empty() {
             return;
         }
+        let mut acts: Vec<f64> = learnt.iter().map(|&c| self.clause_activity(c)).collect();
         acts.sort_by(|a, b| a.partial_cmp(b).expect("activities are finite"));
         let median = acts[acts.len() / 2];
-        for ci in 0..self.clauses.len() {
-            let c = &self.clauses[ci];
-            if !c.learnt || c.deleted || c.lits.len() <= 2 || c.act >= median {
+        for c in learnt {
+            if clause_len(self.arena[c as usize]) <= 2 || self.clause_activity(c) >= median {
                 continue;
             }
-            let locked = self.reason[c.lits[0].var() as usize] == ci as u32
-                && self.value(c.lits[0]) == LB::True;
+            let first = SLit(self.arena[c as usize + LITS]);
+            let locked = self.reason[first.var() as usize] == c && self.value(first) == LB::True;
             if locked {
                 continue;
             }
-            self.clauses[ci].deleted = true;
+            self.arena[c as usize] |= DELETED;
             self.n_learnt -= 1;
         }
         // Rebuild the watcher lists without the deleted clauses.
         for w in &mut self.watches {
             w.clear();
         }
-        for (ci, c) in self.clauses.iter().enumerate() {
-            if c.deleted {
-                continue;
+        let mut c = 0;
+        while c < self.arena.len() {
+            let header = self.arena[c];
+            if header & DELETED == 0 {
+                let (a, b) = (self.arena[c + LITS], self.arena[c + LITS + 1]);
+                self.watch(c as CRef, SLit(a), SLit(b));
             }
-            self.watches[c.lits[0].negate().index()].push((ci as u32, c.lits[1]));
-            self.watches[c.lits[1].negate().index()].push((ci as u32, c.lits[0]));
+            c += LITS + clause_len(header);
         }
         self.max_learnt += self.max_learnt / 2;
     }
@@ -492,70 +580,100 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    fn enqueue(&mut self, l: SLit, reason: u32) {
+    fn enqueue(&mut self, l: SLit, reason: CRef) {
         debug_assert!(self.value(l) == LB::Undef);
+        self.vals[l.index()] = LB::True;
+        self.vals[l.negate().index()] = LB::False;
         let v = l.var() as usize;
-        self.assign[v] = if l.sign() { LB::False } else { LB::True };
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
-    /// Unit propagation; returns the conflicting clause index, if any.
-    fn propagate(&mut self) -> Option<u32> {
+    /// Unit propagation; returns the conflicting clause, if any.
+    fn propagate(&mut self) -> Option<CRef> {
+        let mut ticks = 0u64;
+        let mut conflict = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             // Clauses whose watched literal just became false (they are
             // filed under its complement, `p`) must find a new watch or
-            // propagate.
+            // propagate. Every watch moved off this list goes to a
+            // literal of its clause other than `false_lit`, so never
+            // back onto it.
+            let false_lit = p.negate();
+            let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut i = 0;
-            let widx = p.index();
-            'watchers: while i < self.watches[widx].len() {
-                self.stats.ticks += 1;
-                let (ci, blocker) = self.watches[widx][i];
-                if self.value(blocker) == LB::True {
+            'watchers: while i < ws.len() {
+                ticks += 1;
+                let Watcher { cref, blocker } = ws[i];
+                let blocker_value = self.value(blocker);
+                if blocker_value == LB::True {
                     i += 1;
                     continue;
                 }
-                let false_lit = p.negate();
-                // Make sure the falsified watch is lits[1].
-                let (first, len) = {
-                    let c = &mut self.clauses[ci as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
+                if cref & BINARY != 0 {
+                    // The blocker is the other literal: unit or conflict.
+                    // Store the order the long-clause path would leave.
+                    let at = (cref & !BINARY) as usize + LITS;
+                    self.arena[at] = blocker.0;
+                    self.arena[at + 1] = false_lit.0;
+                    i += 1;
+                    if blocker_value == LB::False {
+                        conflict = Some(cref & !BINARY);
+                        break;
                     }
-                    (c.lits[0], c.lits.len())
-                };
-                debug_assert_eq!(self.clauses[ci as usize].lits[1], false_lit);
-                if first != blocker && self.value(first) == LB::True {
-                    self.watches[widx][i] = (ci, first);
+                    self.enqueue(blocker, cref & !BINARY);
+                    continue;
+                }
+                // Make sure the falsified watch is the second literal.
+                let at = cref as usize + LITS;
+                if self.arena[at] == false_lit.0 {
+                    self.arena.swap(at, at + 1);
+                }
+                debug_assert_eq!(self.arena[at + 1], false_lit.0);
+                let first = SLit(self.arena[at]);
+                let first_value = self.value(first);
+                if first != blocker && first_value == LB::True {
+                    ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a non-false literal to watch instead.
-                for k in 2..len {
-                    self.stats.ticks += 1;
-                    let lk = self.clauses[ci as usize].lits[k];
+                for k in at + 2..at + clause_len(self.arena[cref as usize]) {
+                    ticks += 1;
+                    let lk = SLit(self.arena[k]);
                     if self.value(lk) != LB::False {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[widx].swap_remove(i);
-                        self.watches[lk.negate().index()].push((ci, first));
+                        self.arena.swap(at + 1, k);
+                        ws.swap_remove(i);
+                        self.watches[lk.negate().index()].push(Watcher {
+                            cref,
+                            blocker: first,
+                        });
                         continue 'watchers;
                     }
                 }
                 // No replacement: unit or conflict.
-                self.watches[widx][i] = (ci, first);
+                ws[i].blocker = first;
                 i += 1;
-                match self.value(first) {
-                    LB::False => return Some(ci),
-                    LB::Undef => self.enqueue(first, ci),
+                match first_value {
+                    LB::False => {
+                        conflict = Some(cref);
+                        break;
+                    }
+                    LB::Undef => self.enqueue(first, cref),
                     LB::True => {}
                 }
             }
+            self.watches[p.index()] = ws;
+            if conflict.is_some() {
+                break;
+            }
         }
-        None
+        self.stats.ticks += ticks;
+        conflict
     }
 
     fn cancel_until(&mut self, lvl: u32) {
@@ -567,7 +685,8 @@ impl Solver {
             let l = self.trail.pop().expect("trail is non-empty");
             let v = l.var() as usize;
             self.phase[v] = !l.sign();
-            self.assign[v] = LB::Undef;
+            self.vals[l.index()] = LB::Undef;
+            self.vals[l.negate().index()] = LB::Undef;
             self.reason[v] = NO_REASON;
             self.heap_insert(l.var());
         }
@@ -577,7 +696,7 @@ impl Solver {
 
     // ---- Conflict analysis (first UIP). ----
 
-    fn analyze(&mut self, confl: u32) -> (Vec<SLit>, u32) {
+    fn analyze(&mut self, confl: CRef) -> (Vec<SLit>, u32) {
         let mut learnt: Vec<SLit> = vec![SLit::pos(0)]; // slot for the UIP
         let mut path = 0usize;
         let mut p: Option<SLit> = None;
@@ -585,10 +704,11 @@ impl Solver {
         let mut c = confl;
         let current = self.decision_level();
         loop {
-            self.bump_clause(c as usize);
+            self.bump_clause(c);
+            let at = c as usize + LITS;
             let start = usize::from(p.is_some());
-            for k in start..self.clauses[c as usize].lits.len() {
-                let q = self.clauses[c as usize].lits[k];
+            for k in at + start..at + clause_len(self.arena[c as usize]) {
+                let q = SLit(self.arena[k]);
                 let v = q.var() as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -660,7 +780,7 @@ impl Solver {
         let mut conflicts_here = 0u64;
         let mut conflicts_call = 0u64;
         loop {
-            if let Some(ci) = self.propagate() {
+            if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_here += 1;
                 if self.decision_level() == 0 {
@@ -668,16 +788,15 @@ impl Solver {
                     self.cancel_until(0);
                     return SolveResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(ci);
+                let (learnt, bt) = self.analyze(confl);
                 self.cancel_until(bt);
                 if learnt.len() == 1 {
                     self.enqueue(learnt[0], NO_REASON);
                 } else {
-                    let ci = self.attach(learnt, true);
+                    let c = self.attach(&learnt, true);
                     self.stats.learned += 1;
-                    self.bump_clause(ci as usize);
-                    let first = self.clauses[ci as usize].lits[0];
-                    self.enqueue(first, ci);
+                    self.bump_clause(c);
+                    self.enqueue(learnt[0], c);
                 }
                 self.var_inc /= 0.95;
                 self.cla_inc /= 0.999;
@@ -740,7 +859,7 @@ impl Solver {
                         Some(v) => {
                             // Variables demoted after they entered the
                             // heap leave it here, once.
-                            if self.assign[v as usize] == LB::Undef && self.decision[v as usize] {
+                            if self.value(SLit::pos(v)) == LB::Undef && self.decision[v as usize] {
                                 break Some(v);
                             }
                         }
@@ -750,7 +869,7 @@ impl Solver {
                 match next {
                     None => {
                         // Every decision variable assigned: a model.
-                        self.model = self.assign.clone();
+                        self.model.clone_from(&self.vals);
                         self.cancel_until(0);
                         return SolveResult::Sat;
                     }
@@ -768,6 +887,11 @@ impl Solver {
             }
         }
     }
+}
+
+/// The literal count in a clause header.
+fn clause_len(header: u32) -> usize {
+    (header >> 2) as usize
 }
 
 /// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, …), 0-indexed.
@@ -1051,5 +1175,223 @@ mod tests {
         let want = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
         let got: Vec<u64> = (0..want.len() as u64).map(luby).collect();
         assert_eq!(got, want);
+    }
+
+    /// A solver whose learnt-clause cap is `cap` instead of 4,096, so
+    /// `reduce_db` runs on instances small enough to brute-force.
+    fn capped(cap: usize) -> Solver {
+        let mut s = Solver::new();
+        s.max_learnt = cap;
+        s
+    }
+
+    /// Every learnt clause in the arena, in arena order: its creation
+    /// index, whether it is deleted, and its literals.
+    fn learnt_log(s: &Solver) -> Vec<(u32, bool, Vec<SLit>)> {
+        s.clauses_from(0)
+            .filter(|&(_, h)| h & LEARNT != 0)
+            .map(|(c, h)| {
+                let lits = s.lits(c).map(SLit).collect();
+                (s.arena[c as usize + 1], h & DELETED != 0, lits)
+            })
+            .collect()
+    }
+
+    /// A seeded random CNF over at most 16 variables plus every total
+    /// assignment that satisfies it, kept current as clauses are added.
+    struct Brute {
+        n: usize,
+        clauses: Vec<Vec<SLit>>,
+        models: Vec<u32>,
+    }
+
+    impl Brute {
+        fn new(n: usize) -> Brute {
+            assert!(n <= 16);
+            Brute {
+                n,
+                clauses: Vec::new(),
+                models: (0..1u32 << n).collect(),
+            }
+        }
+
+        fn holds(asn: u32, l: SLit) -> bool {
+            ((asn >> l.var()) & 1 == 1) != l.sign()
+        }
+
+        /// Adds `clause` to the solver and the reference, unless it
+        /// would leave no model (a solver made unsatisfiable at the top
+        /// level does no further work).
+        fn add(&mut self, s: &mut Solver, clause: Vec<SLit>) {
+            let holds = |asn: &u32| clause.iter().any(|&l| Brute::holds(*asn, l));
+            if !self.models.iter().any(holds) {
+                return;
+            }
+            s.add_clause(&clause);
+            self.models.retain(holds);
+            self.clauses.push(clause);
+        }
+
+        fn random_lit(&self, next: &mut impl FnMut() -> u64) -> SLit {
+            SLit((next() % (2 * self.n as u64)) as u32)
+        }
+
+        /// A random clause of three literals, or of two to five one
+        /// time in four.
+        fn random_clause(&self, next: &mut impl FnMut() -> u64) -> Vec<SLit> {
+            let len = if next().is_multiple_of(4) {
+                2 + next() % 4
+            } else {
+                3
+            };
+            (0..len).map(|_| self.random_lit(next)).collect()
+        }
+
+        fn implies(&self, clause: &[SLit]) -> bool {
+            self.models
+                .iter()
+                .all(|&asn| clause.iter().any(|&l| Brute::holds(asn, l)))
+        }
+    }
+
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    /// Incremental solves under many assumption sets with the learnt
+    /// cap lowered: every verdict matches brute force, every model
+    /// satisfies every clause and assumption, and `reduce_db` deletes
+    /// clauses and rebuilds the watcher lists many times along the way.
+    #[test]
+    fn reductions_keep_incremental_verdicts_exact() {
+        let mut next = xorshift(0x0dd_c1a5_e5ee_d001);
+        let (mut reductions, mut deleted, mut unsat) = (0, 0, 0);
+        for case in 0..24 {
+            let n = 10 + (next() % 7) as usize;
+            let cap = 2 + (next() % 6) as usize;
+            let mut s = capped(cap);
+            let _ = vars(&mut s, n);
+            let mut brute = Brute::new(n);
+            for _ in 0..n * 3 {
+                let c = brute.random_clause(&mut next);
+                brute.add(&mut s, c);
+            }
+            for round in 0..200 {
+                if round % 25 == 24 {
+                    let c = brute.random_clause(&mut next);
+                    brute.add(&mut s, c);
+                }
+                let assumptions: Vec<SLit> = (0..2 + next() % 7)
+                    .map(|_| brute.random_lit(&mut next))
+                    .collect();
+                let brute_sat = brute
+                    .models
+                    .iter()
+                    .any(|&asn| assumptions.iter().all(|&l| Brute::holds(asn, l)));
+                let got = s.solve(&assumptions);
+                let want = if brute_sat {
+                    SolveResult::Sat
+                } else {
+                    unsat += 1;
+                    SolveResult::Unsat
+                };
+                assert_eq!(got, want, "case {case} round {round}");
+                if got == SolveResult::Sat {
+                    for c in &brute.clauses {
+                        assert!(
+                            c.iter().any(|l| s.model_value(*l)),
+                            "case {case} round {round}: model violates {c:?}"
+                        );
+                    }
+                    assert!(assumptions.iter().all(|l| s.model_value(*l)));
+                }
+            }
+            assert_eq!(learnt_log(&s).len() as u64, s.stats().learned);
+            if s.max_learnt > cap {
+                reductions += 1;
+            }
+            deleted += learnt_log(&s).iter().filter(|(_, d, _)| *d).count();
+        }
+        assert!(
+            reductions >= 12,
+            "reduce_db ran in {reductions} of 24 cases"
+        );
+        assert!(deleted > 50, "{deleted} learnt clauses deleted");
+        assert!(
+            unsat > 480 && unsat < 4_320,
+            "{unsat} of 4,800 solves unsatisfiable"
+        );
+    }
+
+    /// Successive `export_learnt` cursors, taken every fourth solve,
+    /// return each learnt clause that is live and short enough exactly
+    /// once, in creation order; clauses deleted before their export and
+    /// over-long clauses never come back, and every exported clause is
+    /// implied by the problem clauses alone.
+    #[test]
+    fn export_learnt_returns_live_learnt_clauses_once_in_creation_order() {
+        const MAX_LEN: usize = 3;
+        let mut next = xorshift(0x0e4b_0a7e_c0de_5eed);
+        let (mut exported, mut skipped_deleted, mut skipped_long) = (0, 0, 0);
+        for case in 0..24 {
+            let n = 12 + (next() % 5) as usize;
+            let mut s = capped(3);
+            let _ = vars(&mut s, n);
+            let mut brute = Brute::new(n);
+            for _ in 0..n * 3 {
+                let c = brute.random_clause(&mut next);
+                brute.add(&mut s, c);
+            }
+            let (mut cursor, mut seen) = (0usize, 0usize);
+            let mut last_index = None;
+            for round in 0..200 {
+                let assumptions: Vec<SLit> = (0..2 + next() % 7)
+                    .map(|_| brute.random_lit(&mut next))
+                    .collect();
+                s.solve(&assumptions);
+                if round % 4 != 3 {
+                    continue;
+                }
+                let got = s.export_learnt(&mut cursor, MAX_LEN);
+                let log = learnt_log(&s);
+                assert_eq!(log.len() as u64, s.stats().learned);
+                let fresh = &log[seen..];
+                let want: Vec<Vec<SLit>> = fresh
+                    .iter()
+                    .filter(|(_, d, lits)| !d && lits.len() <= MAX_LEN)
+                    .map(|(_, _, lits)| lits.clone())
+                    .collect();
+                assert_eq!(got, want, "case {case} round {round}");
+                for (index, d, lits) in fresh {
+                    assert!(last_index < Some(*index), "creation order");
+                    last_index = Some(*index);
+                    skipped_deleted += usize::from(*d);
+                    skipped_long += usize::from(!d && lits.len() > MAX_LEN);
+                }
+                for clause in &got {
+                    assert!(
+                        brute.implies(clause),
+                        "case {case}: exported {clause:?} is not implied"
+                    );
+                }
+                exported += got.len();
+                seen = log.len();
+                assert!(s.export_learnt(&mut cursor, MAX_LEN).is_empty());
+            }
+        }
+        assert!(exported > 200, "{exported} clauses exported");
+        assert!(
+            skipped_deleted > 3,
+            "{skipped_deleted} deleted clauses skipped"
+        );
+        assert!(
+            skipped_long > 30,
+            "{skipped_long} over-long clauses skipped"
+        );
     }
 }

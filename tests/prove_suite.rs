@@ -200,11 +200,9 @@ fn aes_prove_with_a_10ms_deadline_bails_out_well_under_a_second() {
 
 /// The FIFO occupancy monitor, built exactly as the `prove_mix`
 /// benchmark builds its `fifo_mon` target: the FIFO source plus a `mon`
-/// register that keeps `(wr - rd) <= DEPTH`. Standalone PDR on its
-/// optimized cone (17 latches) must prove it within 11 frames and at
-/// most 2,000 SAT calls; with full-state obligation cubes it took 7,675.
-#[test]
-fn pdr_proves_the_fifo_monitor_within_its_work_pin() {
+/// register that keeps `(wr - rd) <= DEPTH`. Returns the flattened
+/// circuit and the monitor register.
+fn fifo_monitor() -> (AigCircuit, anvil_rtl::SignalId) {
     let src = anvil_designs::fifo::anvil_source().replace("fifo_anvil", "fifo_mon");
     let reg_at = src.find("reg ").expect("the design declares registers");
     let end = src.rfind('}').expect("the proc is closed");
@@ -218,8 +216,16 @@ fn pdr_proves_the_fifo_monitor_within_its_work_pin() {
     let flat = anvil_core::Session::new()
         .compile_flat_aig(&text, "fifo_mon", &Control::none())
         .unwrap_or_else(|e| panic!("{}", e.render(&text)));
-    let mut circuit = (*flat.circuit).clone();
+    let circuit = (*flat.circuit).clone();
     let mon = circuit.module().find("mon").expect("monitor register");
+    (circuit, mon)
+}
+
+/// Standalone PDR on the FIFO monitor's optimized cone (17 latches)
+/// proves it within 11 frames and at most 2,000 SAT calls; with
+/// full-state obligation cubes it took 7,675.
+fn fifo_monitor_pdr() -> Pdr {
+    let (mut circuit, mon) = fifo_monitor();
     let ok0 = circuit.blast_assertion(&Expr::Signal(mon)).unwrap();
     let (rw, _) = optimize(circuit.aig(), &[ok0], false);
     let ok = rw.map_lit(ok0).expect("property root survives");
@@ -230,10 +236,43 @@ fn pdr_proves_the_fifo_monitor_within_its_work_pin() {
         panic!("PDR must prove the FIFO monitor: {:?}", pdr.stats());
     };
     assert!(ProofCert::revalidate_inductive(&seq, ok, &invariant));
-    let stats = pdr.stats();
+    pdr
+}
+
+#[test]
+fn pdr_proves_the_fifo_monitor_within_its_work_pin() {
+    let stats = fifo_monitor_pdr().stats();
     assert!(stats.frames <= 11, "{stats:?}");
     assert!(stats.sat_calls <= 2_000, "{stats:?}");
     assert!(stats.lifted_away > 0, "{stats:?}");
+}
+
+/// The exact search on the FIFO monitor: standalone PDR's work and its
+/// solver's counters, and k-induction's solver counters at `maxK` 12
+/// (the window `prove_mix` gives the monitors; k-induction alone stops
+/// at `unknown` there). The solver, PDR and k-induction are
+/// deterministic, so these equal the values on every machine. A change
+/// that alters the search (branching, learning, clause order, PDR's
+/// generalization) updates these pins in the same change and says why,
+/// as with `ci/perfbench-counts/`; a change that only makes the search
+/// faster leaves them alone.
+#[test]
+fn fifo_monitor_search_is_pinned_exactly() {
+    let pdr = fifo_monitor_pdr().stats();
+    let work = (pdr.frames, pdr.sat_calls, pdr.obligations, pdr.clauses);
+    assert_eq!(work, (11, 1_744, 223, 373), "{pdr:?}");
+    let s = pdr.solver;
+    let search = (s.conflicts, s.decisions, s.propagations, s.ticks, s.learned);
+    assert_eq!(search, (544, 26_264, 159_840, 1_422_901, 544), "{s:?}");
+
+    let (circuit, mon) = fifo_monitor();
+    let (result, kind) = prove(circuit.module(), &Expr::Signal(mon), 12).unwrap();
+    assert!(
+        matches!(result, ProveResult::Unknown { depth: 13 }),
+        "{result:?}"
+    );
+    let search = (kind.conflicts, kind.decisions, kind.propagations);
+    assert_eq!(search, (998, 1_768, 67_312), "{kind:?}");
 }
 
 /// Explicit-state `bmc` prunes by state fingerprint, so its visited-state
