@@ -485,6 +485,10 @@ impl CompileService {
             let root_id = root.id();
             drop(root);
             let mut records = capture.finish();
+            // The capture also holds the spans of requests other
+            // threads served meanwhile: count and return only this
+            // request's own.
+            anvil_trace::retain_subtree(&mut records, root_id);
             self.counters.registry().observe_spans(&records);
             let truncated = records.len() > MAX_TRACE_SPANS;
             if truncated {
@@ -803,8 +807,8 @@ impl CompileService {
             }
         }
 
-        // ---- Cold path: the cooperating portfolio. ----
-        let out = prove_portfolio(module, &assertion, max_k, control)
+        // ---- Cold path: the portfolio, on the circuit blasted above. ----
+        let out = prove_portfolio(circuit, &assertion, max_k, control)
             .map_err(|e| RpcError::new(PROVE_FAILED, e.to_string()))?;
         // The portfolio also raises the stop flag when an engine
         // concludes, so only an inconclusive result was interrupted.

@@ -22,8 +22,14 @@
 //! engines also report SAT clause, conflict, decision and propagation
 //! counts. The seeded-violation designs ride along so the falsification
 //! path is timed too. The four single-engine rows are deterministic, and
-//! `bench_prove_compare` gates them exactly against the committed record;
-//! the racing `portfolio_cold` row and the `warm_cache` row are not.
+//! `bench_prove_compare` gates them exactly against the committed record.
+//! The `portfolio_cold` row names its `winner` and carries the winner's
+//! own counters: the racing engines share only a stop flag, so the
+//! winner ran exactly its standalone search (k-induction at the same
+//! `MAX_K`; PDR under an 18-frame cap instead of 32, which changes
+//! nothing for a search that concluded below 18 frames), and the gate
+//! requires the row to equal that engine's standalone row. The
+//! `warm_cache` row is not gated.
 //!
 //! Usage: `bench_prove [output-path]` (default `BENCH_prove.json`).
 
@@ -33,7 +39,7 @@ use std::time::Instant;
 use anvil_designs::props::{seeded_violations, suite_properties, SafetyProperty};
 use anvil_verify::{
     bmc, prove, prove_bounded, prove_pdr, prove_portfolio, revalidate_certificate, AigCircuit,
-    BmcResult, Control, ProveResult,
+    BmcResult, Control, ProveResult, Prover,
 };
 
 /// Depth bound shared by both bounded engines.
@@ -54,9 +60,10 @@ struct Row {
     conflicts: u64,
     decisions: u64,
     propagations: u64,
-    /// Per-engine self-reported wall time inside the portfolio
-    /// (`symbolic`, `pdr`), milliseconds; only the portfolio row has it.
-    portfolio_walls: Option<(f64, f64)>,
+    /// The portfolio row's winning engine (`symbolic`, `pdr` or
+    /// `none`) and each engine's self-reported wall time inside the
+    /// portfolio (`symbolic`, `pdr`), milliseconds.
+    portfolio: Option<(&'static str, f64, f64)>,
 }
 
 fn verdict_of(r: &ProveResult) -> String {
@@ -93,7 +100,7 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: 0,
         decisions: 0,
         propagations: 0,
-        portfolio_walls: None,
+        portfolio: None,
     });
 
     // Symbolic bounded model checking.
@@ -110,7 +117,7 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: stats.conflicts,
         decisions: stats.decisions,
         propagations: stats.propagations,
-        portfolio_walls: None,
+        portfolio: None,
     });
 
     // Full prove: interleaved BMC + k-induction.
@@ -126,7 +133,7 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: stats.conflicts,
         decisions: stats.decisions,
         propagations: stats.propagations,
-        portfolio_walls: None,
+        portfolio: None,
     });
 
     // IC3/PDR.
@@ -142,32 +149,39 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: stats.conflicts,
         decisions: stats.decisions,
         propagations: stats.propagations,
-        portfolio_walls: None,
+        portfolio: None,
     });
 
-    // The proof-cache pair: a cold portfolio run leaves a certificate;
-    // revalidating that certificate is the warm `anvild` re-prove path.
+    // The proof-cache pair: a cold portfolio run (blasting included)
+    // leaves a certificate; revalidating that certificate is the warm
+    // `anvild` re-prove path.
     let t = Instant::now();
-    let out = prove_portfolio(&prop.module, &prop.assertion, MAX_K, &Control::none())
+    let mut circuit = AigCircuit::from_module(&prop.module).expect("suite design blasts");
+    let out = prove_portfolio(&circuit, &prop.assertion, MAX_K, &Control::none())
         .expect("portfolio runs");
     let cold = t.elapsed().as_secs_f64() * 1e3;
+    let (winner, stats) = match out.winner {
+        Some(Prover::Symbolic) => ("symbolic", &out.symbolic_stats),
+        Some(Prover::Pdr) => ("pdr", &out.pdr_stats),
+        None => ("none", &out.symbolic_stats),
+    };
     rows.push(Row {
         design: prop.design.to_string(),
         property: prop.property.to_string(),
         engine: "portfolio_cold",
         verdict: verdict_of(&out.result),
         millis: cold,
-        clauses: out.symbolic_stats.clauses + out.pdr_stats.clauses,
-        conflicts: out.symbolic_stats.conflicts + out.pdr_stats.conflicts,
-        decisions: out.symbolic_stats.decisions + out.pdr_stats.decisions,
-        propagations: out.symbolic_stats.propagations + out.pdr_stats.propagations,
-        portfolio_walls: Some((
+        clauses: stats.clauses,
+        conflicts: stats.conflicts,
+        decisions: stats.decisions,
+        propagations: stats.propagations,
+        portfolio: Some((
+            winner,
             out.symbolic_stats.wall_micros as f64 / 1e3,
             out.pdr_stats.wall_micros as f64 / 1e3,
         )),
     });
     let cert = out.certificate?;
-    let mut circuit = AigCircuit::from_module(&prop.module).expect("suite design blasts");
     circuit
         .blast_assertion(&prop.assertion)
         .expect("assertion blasts");
@@ -186,7 +200,7 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: 0,
         decisions: 0,
         propagations: 0,
-        portfolio_walls: None,
+        portfolio: None,
     });
     Some(CachePair {
         cold,
@@ -254,17 +268,17 @@ fn main() {
     let _ = writeln!(json, "  \"results\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        let walls = match r.portfolio_walls {
-            Some((sym, pdr)) => {
-                format!(", \"symbolicWallMs\": {sym:.3}, \"pdrWallMs\": {pdr:.3}")
-            }
+        let portfolio = match r.portfolio {
+            Some((winner, sym, pdr)) => format!(
+                ", \"winner\": \"{winner}\", \"symbolicWallMs\": {sym:.3}, \"pdrWallMs\": {pdr:.3}"
+            ),
             None => String::new(),
         };
         let _ = writeln!(
             json,
             "    {{\"design\": \"{}\", \"property\": \"{}\", \"engine\": \"{}\", \
              \"verdict\": \"{}\", \"millis\": {:.3}, \"clauses\": {}, \
-             \"conflicts\": {}, \"decisions\": {}, \"propagations\": {}{walls}}}{comma}",
+             \"conflicts\": {}, \"decisions\": {}, \"propagations\": {}{portfolio}}}{comma}",
             r.design,
             r.property,
             r.engine,

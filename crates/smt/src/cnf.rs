@@ -20,19 +20,12 @@ use std::sync::Arc;
 use crate::aig::{Aig, Lit, Node};
 use crate::solver::{SLit, Solver};
 
-/// Sentinel frame marking a comb node with no recorded sequential source.
-const NO_SRC: u32 = u32::MAX;
-
 /// A time-expansion of a sequential circuit into a combinational AIG.
 pub struct Unroller {
     seq: Arc<Aig>,
     comb: Aig,
     /// Per-frame map from sequential node index to combinational literal.
     maps: Vec<Vec<Lit>>,
-    /// Reverse map: comb node → `(frame, seq node, complemented)` of the
-    /// first sequential literal it materialised (for translating learnt
-    /// clauses back into `(frame, seq lit)` space).
-    src: Vec<(u32, u32, bool)>,
     free_init: bool,
 }
 
@@ -46,7 +39,6 @@ impl Unroller {
             seq,
             comb: Aig::new(),
             maps: Vec::new(),
-            src: vec![(NO_SRC, 0, false)],
             free_init,
         }
     }
@@ -95,30 +87,9 @@ impl Unroller {
                     self.comb.and(la, lb)
                 }
             };
-            if self.src.len() < self.comb.len() {
-                self.src.resize(self.comb.len(), (NO_SRC, 0, false));
-            }
-            if !lit.is_const() && self.src[lit.node()].0 == NO_SRC {
-                self.src[lit.node()] = (frame as u32, sn as u32, lit.is_negated());
-            }
             map.push(lit);
         }
         self.maps.push(map);
-    }
-
-    /// The `(frame, sequential literal)` whose unrolled image is the
-    /// *positive* value of a comb node, if one was recorded. Soundness of
-    /// clause translation only needs *a* valid source, so the first
-    /// sequential literal that materialised the node wins (structural
-    /// hashing may map several onto it — all have equal value by
-    /// construction).
-    pub fn seq_source(&self, comb_node: usize) -> Option<(usize, Lit)> {
-        match self.src.get(comb_node) {
-            Some(&(frame, sn, neg)) if frame != NO_SRC => {
-                Some((frame as usize, Lit::new(sn as usize, neg)))
-            }
-            _ => None,
-        }
     }
 
     fn map_lit(map: &[Lit], l: Lit) -> Lit {
@@ -146,9 +117,6 @@ impl Unroller {
 pub struct CnfEncoder {
     /// Per-comb-node solver variable (`NONE` = not encoded yet).
     var_of: Vec<u32>,
-    /// Reverse map: solver variable → comb node (`NONE` for variables the
-    /// encoder did not allocate, e.g. activation literals).
-    node_of: Vec<u32>,
     const_true: Option<SLit>,
 }
 
@@ -185,7 +153,6 @@ impl CnfEncoder {
                 Node::Input(_) | Node::Latch(_) => {
                     let v = solver.new_var();
                     self.var_of[n] = v;
-                    self.record_var(v, n);
                     stack.pop();
                 }
                 Node::And(a, b) => {
@@ -209,7 +176,6 @@ impl CnfEncoder {
                     solver.add_clause(&[lv.negate(), lb]);
                     solver.add_clause(&[lv, la.negate(), lb.negate()]);
                     self.var_of[n] = v;
-                    self.record_var(v, n);
                 }
             }
         }
@@ -232,25 +198,6 @@ impl CnfEncoder {
             _ => false,
         };
         raw != lit.is_negated()
-    }
-
-    /// The comb node a solver variable encodes, if the variable was
-    /// allocated by this encoder (the reverse of [`CnfEncoder::encode`]'s
-    /// variable assignment; used to translate learnt clauses back into
-    /// AIG space for cross-engine clause sharing).
-    pub fn var_node(&self, v: crate::solver::Var) -> Option<usize> {
-        match self.node_of.get(v as usize) {
-            Some(&n) if n != NONE => Some(n as usize),
-            _ => None,
-        }
-    }
-
-    fn record_var(&mut self, v: crate::solver::Var, node: usize) {
-        let idx = v as usize;
-        if self.node_of.len() <= idx {
-            self.node_of.resize(idx + 1, NONE);
-        }
-        self.node_of[idx] = node as u32;
     }
 
     fn true_lit(&mut self, solver: &mut Solver) -> SLit {

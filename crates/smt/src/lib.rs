@@ -32,8 +32,9 @@ mod deadline;
 mod fraig;
 mod pdr;
 mod rewrite;
-mod share;
 mod solver;
+#[cfg(test)]
+mod testgen;
 
 pub use aig::{Aig, AigCircuit, Lit, Node};
 pub use cert::{CertKind, LatchLit, ProofCert};
@@ -42,5 +43,4 @@ pub use deadline::{Control, Deadline, Interrupt};
 pub use fraig::{fraig, FraigStats};
 pub use pdr::{Pdr, PdrOptions, PdrOutcome, PdrStats};
 pub use rewrite::{optimize, rewrite, OptimizeStats, RewriteStats, Rewritten};
-pub use share::{ClauseExchange, ClauseKind, ExchangeStats, SharedClause};
 pub use solver::{SLit, SolveResult, Solver, SolverStats, Var};

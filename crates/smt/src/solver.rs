@@ -28,8 +28,7 @@
 //! arena offset, so a watcher visit reads the literals next to the
 //! header instead of following a pointer to a separate allocation. The
 //! arena only grows: `reduce_db` marks clauses deleted and rebuilds the
-//! watcher lists without them, which keeps offsets, and therefore
-//! [`Solver::export_learnt`]'s cursors, valid across solves.
+//! watcher lists without them, which keeps offsets valid across solves.
 //!
 //! Two thirds of the clauses of a Tseitin AND gate have two literals.
 //! Their watchers carry a tag bit and the other literal as blocker, so
@@ -265,23 +264,6 @@ impl Solver {
         self.conflict_budget = budget;
     }
 
-    /// Learnt clauses appended since `cursor` (an opaque clause-arena
-    /// index; start from 0 and reuse the returned cursor), capped at
-    /// `max_len` literals each. The clause arena is append-only, so
-    /// cursors stay valid across solves. Every returned clause is implied
-    /// by the problem clauses alone — assumptions act as decisions, never
-    /// as antecedents — which is what makes cross-solver clause sharing
-    /// sound when both solvers encode the same CNF.
-    pub fn export_learnt(&self, cursor: &mut usize, max_len: usize) -> Vec<Vec<SLit>> {
-        let out = self
-            .clauses_from((*cursor).min(self.arena.len()))
-            .filter(|&(_, h)| h & (LEARNT | DELETED) == LEARNT && clause_len(h) <= max_len)
-            .map(|(c, _)| self.lits(c).map(SLit).collect())
-            .collect();
-        *cursor = self.arena.len();
-        out
-    }
-
     /// Search statistics so far.
     pub fn stats(&self) -> SolverStats {
         self.stats
@@ -437,14 +419,6 @@ impl Solver {
 
     // ---- Clause management. ----
 
-    /// The literal codes of the clause at `c`.
-    fn lits(&self, c: CRef) -> impl Iterator<Item = u32> + '_ {
-        let c = c as usize;
-        self.arena[c + LITS..c + LITS + clause_len(self.arena[c])]
-            .iter()
-            .copied()
-    }
-
     /// Adds a problem clause (between solves, at decision level 0).
     /// Top-level simplification removes duplicate and already-false
     /// literals and drops tautologies and satisfied clauses.
@@ -516,10 +490,9 @@ impl Solver {
         self.watches[b.negate().index()].push(Watcher { cref, blocker: a });
     }
 
-    /// The clauses from arena offset `start` on, in creation order:
-    /// `(offset, header)`.
-    fn clauses_from(&self, start: usize) -> impl Iterator<Item = (CRef, u32)> + '_ {
-        let mut c = start;
+    /// Every clause in creation order: `(offset, header)`.
+    fn clauses(&self) -> impl Iterator<Item = (CRef, u32)> + '_ {
+        let mut c = 0;
         std::iter::from_fn(move || {
             let header = *self.arena.get(c)?;
             let at = c as CRef;
@@ -536,7 +509,7 @@ impl Solver {
     /// its cap (locked clauses — reasons of current assignments — stay).
     fn reduce_db(&mut self) {
         let learnt: Vec<CRef> = self
-            .clauses_from(0)
+            .clauses()
             .filter(|&(_, h)| h & (LEARNT | DELETED) == LEARNT)
             .map(|(c, _)| c)
             .collect();
@@ -913,6 +886,7 @@ fn luby(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testgen::xorshift;
 
     fn vars(s: &mut Solver, n: usize) -> Vec<Var> {
         (0..n).map(|_| s.new_var()).collect()
@@ -1185,15 +1159,12 @@ mod tests {
         s
     }
 
-    /// Every learnt clause in the arena, in arena order: its creation
-    /// index, whether it is deleted, and its literals.
-    fn learnt_log(s: &Solver) -> Vec<(u32, bool, Vec<SLit>)> {
-        s.clauses_from(0)
+    /// Whether each learnt clause in the arena is deleted, in creation
+    /// order.
+    fn learnt_log(s: &Solver) -> Vec<bool> {
+        s.clauses()
             .filter(|&(_, h)| h & LEARNT != 0)
-            .map(|(c, h)| {
-                let lits = s.lits(c).map(SLit).collect();
-                (s.arena[c as usize + 1], h & DELETED != 0, lits)
-            })
+            .map(|(_, h)| h & DELETED != 0)
             .collect()
     }
 
@@ -1245,21 +1216,6 @@ mod tests {
                 3
             };
             (0..len).map(|_| self.random_lit(next)).collect()
-        }
-
-        fn implies(&self, clause: &[SLit]) -> bool {
-            self.models
-                .iter()
-                .all(|&asn| clause.iter().any(|&l| Brute::holds(asn, l)))
-        }
-    }
-
-    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
-        move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
         }
     }
 
@@ -1315,7 +1271,7 @@ mod tests {
             if s.max_learnt > cap {
                 reductions += 1;
             }
-            deleted += learnt_log(&s).iter().filter(|(_, d, _)| *d).count();
+            deleted += learnt_log(&s).iter().filter(|&&d| d).count();
         }
         assert!(
             reductions >= 12,
@@ -1325,73 +1281,6 @@ mod tests {
         assert!(
             unsat > 480 && unsat < 4_320,
             "{unsat} of 4,800 solves unsatisfiable"
-        );
-    }
-
-    /// Successive `export_learnt` cursors, taken every fourth solve,
-    /// return each learnt clause that is live and short enough exactly
-    /// once, in creation order; clauses deleted before their export and
-    /// over-long clauses never come back, and every exported clause is
-    /// implied by the problem clauses alone.
-    #[test]
-    fn export_learnt_returns_live_learnt_clauses_once_in_creation_order() {
-        const MAX_LEN: usize = 3;
-        let mut next = xorshift(0x0e4b_0a7e_c0de_5eed);
-        let (mut exported, mut skipped_deleted, mut skipped_long) = (0, 0, 0);
-        for case in 0..24 {
-            let n = 12 + (next() % 5) as usize;
-            let mut s = capped(3);
-            let _ = vars(&mut s, n);
-            let mut brute = Brute::new(n);
-            for _ in 0..n * 3 {
-                let c = brute.random_clause(&mut next);
-                brute.add(&mut s, c);
-            }
-            let (mut cursor, mut seen) = (0usize, 0usize);
-            let mut last_index = None;
-            for round in 0..200 {
-                let assumptions: Vec<SLit> = (0..2 + next() % 7)
-                    .map(|_| brute.random_lit(&mut next))
-                    .collect();
-                s.solve(&assumptions);
-                if round % 4 != 3 {
-                    continue;
-                }
-                let got = s.export_learnt(&mut cursor, MAX_LEN);
-                let log = learnt_log(&s);
-                assert_eq!(log.len() as u64, s.stats().learned);
-                let fresh = &log[seen..];
-                let want: Vec<Vec<SLit>> = fresh
-                    .iter()
-                    .filter(|(_, d, lits)| !d && lits.len() <= MAX_LEN)
-                    .map(|(_, _, lits)| lits.clone())
-                    .collect();
-                assert_eq!(got, want, "case {case} round {round}");
-                for (index, d, lits) in fresh {
-                    assert!(last_index < Some(*index), "creation order");
-                    last_index = Some(*index);
-                    skipped_deleted += usize::from(*d);
-                    skipped_long += usize::from(!d && lits.len() > MAX_LEN);
-                }
-                for clause in &got {
-                    assert!(
-                        brute.implies(clause),
-                        "case {case}: exported {clause:?} is not implied"
-                    );
-                }
-                exported += got.len();
-                seen = log.len();
-                assert!(s.export_learnt(&mut cursor, MAX_LEN).is_empty());
-            }
-        }
-        assert!(exported > 200, "{exported} clauses exported");
-        assert!(
-            skipped_deleted > 3,
-            "{skipped_deleted} deleted clauses skipped"
-        );
-        assert!(
-            skipped_long > 30,
-            "{skipped_long} over-long clauses skipped"
         );
     }
 }

@@ -11,6 +11,8 @@
 //! no timestamps, no thread ids — so goldens stay stable across
 //! machines and runs.
 
+use std::collections::HashMap;
+
 use crate::span::SpanRecord;
 
 /// One node of a stitched span tree.
@@ -71,6 +73,35 @@ pub fn subtree(records: &[SpanRecord], root_id: u64) -> Option<SpanNode> {
         None
     }
     find(build_forest(records), root_id)
+}
+
+/// Keeps only the record of `root_id` and those of its descendants, in
+/// their order. A [`crate::Capture`] returns what every thread recorded
+/// while it was open, so one request's capture also holds the spans of
+/// requests served meanwhile on other threads; this drops them.
+pub fn retain_subtree(records: &mut Vec<SpanRecord>, root_id: u64) {
+    let parent: HashMap<u64, u64> = records.iter().map(|r| (r.id, r.parent)).collect();
+    let mut inside: HashMap<u64, bool> = HashMap::from([(root_id, true)]);
+    let mut chain = Vec::new();
+    for r in records.iter() {
+        // Walk up to the first ancestor already decided, or to one
+        // that was not recorded.
+        let mut id = r.id;
+        let verdict = loop {
+            if let Some(&known) = inside.get(&id) {
+                break known;
+            }
+            chain.push(id);
+            match parent.get(&id) {
+                Some(&p) if p != 0 => id = p,
+                _ => break false,
+            }
+        };
+        for id in chain.drain(..) {
+            inside.insert(id, verdict);
+        }
+    }
+    records.retain(|r| inside[&r.id]);
 }
 
 /// Renders records as Chrome `trace_event` JSON (the object form, `"X"`
@@ -174,6 +205,24 @@ mod tests {
             start_ns,
             dur_ns,
         }
+    }
+
+    #[test]
+    fn retain_subtree_keeps_the_root_and_its_descendants_in_order() {
+        let mut records = vec![
+            rec(5, 2, "other-child", 5, 5),
+            rec(1, 0, "root", 0, 100),
+            rec(2, 0, "other-root", 1, 50),
+            rec(7, 4, "grandchild", 12, 1),
+            rec(4, 1, "child", 10, 5),
+            rec(9, 8, "orphan", 20, 1),
+            rec(6, 1, "manual", 0, 3),
+        ];
+        retain_subtree(&mut records, 1);
+        let ids: Vec<u64> = records.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [1, 7, 4, 6]);
+        retain_subtree(&mut records, 3);
+        assert!(records.is_empty());
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod chrome;
 mod metrics;
 mod span;
 
-pub use chrome::{build_forest, chrome_trace, render_tree, subtree, SpanNode};
+pub use chrome::{build_forest, chrome_trace, render_tree, retain_subtree, subtree, SpanNode};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use span::{
     current_span, enabled, instant, now_ns, record_manual, registered_buffers_for_tests, span,

@@ -34,15 +34,13 @@
 //! exactly the bounded guarantee the explicit-state checker gives, which
 //! is the comparison the paper's Appendix A draws.
 //!
-//! [`prove_portfolio`] runs symbolic BMC + k-induction and PDR as a
-//! *cooperating* two-engine portfolio: besides the shared stop flag, the
-//! engines exchange learnt clauses through a bounded [`ClauseExchange`] —
-//! PDR publishes its frame clauses as reachability facts the BMC session
-//! asserts at its unrolled frames, and the induction-step session
-//! publishes assumption-widened learnt clauses either engine may use —
-//! and the winner's evidence is packaged as a [`ProofCert`] that
-//! [`revalidate_certificate`] can check later in a single incremental SAT
-//! session (the proof-cache warm path). The explicit-state [`crate::bmc()`]
+//! [`prove_portfolio`] races symbolic BMC + k-induction against PDR on
+//! one blasted circuit. The engines share only a stop flag, so each runs
+//! exactly its standalone search until the first conclusive verdict
+//! stops the other, and the winner's evidence is packaged as a
+//! [`ProofCert`] that [`revalidate_certificate`] can check later in a
+//! single incremental SAT session (the proof-cache warm path). The
+//! explicit-state [`crate::bmc()`]
 //! is not part of the portfolio: within PDR's frame budget PDR finds
 //! every violation at its minimal depth over all inputs, not only the
 //! corner samples the explicit search enumerates. It stays as the
@@ -55,9 +53,9 @@ use std::sync::Arc;
 use anvil_rtl::{Bits, BlastError, Expr, Module, SignalId, SignalKind};
 use anvil_sim::{Backend, Sim, SimError};
 use anvil_smt::{
-    optimize, rewrite, Aig, AigCircuit, CertKind, ClauseExchange, ClauseKind, CnfEncoder, Control,
-    Deadline, ExchangeStats, LatchLit, Lit, Node, Pdr, PdrOptions, PdrOutcome, PdrStats, ProofCert,
-    Rewritten, SLit, SharedClause, SolveResult, Solver, Unroller,
+    optimize, rewrite, Aig, AigCircuit, CertKind, CnfEncoder, Control, Deadline, LatchLit, Lit,
+    Node, Pdr, PdrOptions, PdrOutcome, PdrStats, ProofCert, Rewritten, SolveResult, Solver,
+    Unroller,
 };
 
 /// Outcome of a symbolic verification run.
@@ -221,7 +219,7 @@ pub fn prove_bounded(
 ) -> Result<(ProveResult, ProveStats), ProveError> {
     let circuit = AigCircuit::from_module(module)?;
     let prep = Arc::new(Prepared::new(&circuit, assertion)?);
-    Engine::new(prep, None, Deadline::none(), None).run(depth, false)
+    Engine::new(prep, None, Deadline::none()).run(depth, false)
 }
 
 /// [`prove`] over a pre-built (possibly session-cached) [`AigCircuit`],
@@ -237,7 +235,7 @@ pub fn prove_with_circuit(
     stop: Option<Arc<AtomicBool>>,
 ) -> Result<(ProveResult, ProveStats), ProveError> {
     let prep = Arc::new(Prepared::new(circuit, assertion)?);
-    Engine::new(prep, stop, Deadline::none(), None).run(max_k + 1, true)
+    Engine::new(prep, stop, Deadline::none()).run(max_k + 1, true)
 }
 
 /// Proves or refutes `assertion` with the IC3/PDR engine alone, exploring
@@ -255,8 +253,7 @@ pub fn prove_pdr(
 ) -> Result<(ProveResult, ProveStats), ProveError> {
     let circuit = AigCircuit::from_module(module)?;
     let prep = Prepared::new(&circuit, assertion)?;
-    run_pdr_inner(&prep, max_frames, None, Deadline::none(), None)
-        .map(|run| (run.result, run.stats))
+    run_pdr_inner(&prep, max_frames, None, Deadline::none()).map(|run| (run.result, run.stats))
 }
 
 /// A circuit readied for proving: the assertion blasted into a clone of
@@ -373,11 +370,6 @@ struct Engine {
     stop: Option<Arc<AtomicBool>>,
     deadline: Deadline,
     started: std::time::Instant,
-    exchange: Option<Arc<ClauseExchange>>,
-    /// Learnt-clause export cursor into the step session's solver.
-    export_cursor: usize,
-    /// Import cursor into the exchange.
-    import_cursor: u64,
 }
 
 /// One unroller + encoder + solver triple.
@@ -432,50 +424,10 @@ impl Session {
             .encode(self.unroller.comb(), &mut self.solver, comb_lit);
         self.solver.add_clause(&[slit]);
     }
-
-    /// Asserts one shared clause with its frame offsets rebased to
-    /// `base`. Clauses touching a constant-true literal are skipped
-    /// (already satisfied); constant-false literals are dropped.
-    fn add_shared(&mut self, base: usize, lits: &[(u32, Lit)]) {
-        let mut clause = Vec::with_capacity(lits.len());
-        for &(off, l) in lits {
-            let comb = self.unroller.lit_at(base + off as usize, l);
-            if comb == Lit::TRUE {
-                return;
-            }
-            if comb == Lit::FALSE {
-                continue;
-            }
-            clause.push(
-                self.encoder
-                    .encode(self.unroller.comb(), &mut self.solver, comb),
-            );
-        }
-        self.solver.add_clause(&clause);
-    }
-
-    /// Translates a solver-level learnt clause into engine-neutral
-    /// `(frame, sequential literal)` space, or `None` when any literal
-    /// has no sequential pre-image (auxiliary variables).
-    fn translate(&self, clause: &[SLit]) -> Option<Vec<(u32, Lit)>> {
-        let mut out = Vec::with_capacity(clause.len());
-        for &sl in clause {
-            let node = self.encoder.var_node(sl.var())?;
-            let (frame, src) = self.unroller.seq_source(node)?;
-            let l = if sl.sign() { src.negate() } else { src };
-            out.push((frame as u32, l));
-        }
-        Some(out)
-    }
 }
 
 impl Engine {
-    fn new(
-        prep: Arc<Prepared>,
-        stop: Option<Arc<AtomicBool>>,
-        deadline: Deadline,
-        exchange: Option<Arc<ClauseExchange>>,
-    ) -> Engine {
+    fn new(prep: Arc<Prepared>, stop: Option<Arc<AtomicBool>>, deadline: Deadline) -> Engine {
         let base = Session::new(Arc::clone(&prep.seq), false, stop.clone(), deadline);
         let step = Session::new(Arc::clone(&prep.seq), true, stop.clone(), deadline);
         Engine {
@@ -486,9 +438,6 @@ impl Engine {
             stop,
             deadline,
             started: std::time::Instant::now(),
-            exchange,
-            export_cursor: 0,
-            import_cursor: 0,
         }
     }
 
@@ -514,65 +463,6 @@ impl Engine {
             propagations: b.propagations + s.propagations,
             learned: b.learned + s.learned,
             wall_micros: self.started.elapsed().as_micros() as u64,
-        }
-    }
-
-    /// Pulls clauses from the exchange into the base (from-reset)
-    /// session. `Reach { upto }` clauses hold in every state reachable
-    /// within `upto` steps, so the base session may assert them at frames
-    /// `0..=min(upto, k)`; `Path` clauses are transition-relation facts
-    /// valid at every window position the base session has unrolled.
-    fn import_shared(&mut self, k: usize) {
-        let Some(x) = self.exchange.clone() else {
-            return;
-        };
-        for c in x.fetch(&mut self.import_cursor) {
-            match c.kind {
-                ClauseKind::Reach { upto } => {
-                    for f in 0..=(upto as usize).min(k) {
-                        self.base.add_shared(f, &c.lits);
-                    }
-                }
-                ClauseKind::Path => {
-                    let span = c.span() as usize;
-                    if span > k {
-                        continue;
-                    }
-                    for b in 0..=(k - span) {
-                        self.base.add_shared(b, &c.lits);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Publishes the induction-step session's fresh learnt clauses. The
-    /// step solver runs under the standing unit facts `ok@0..=k`, so a
-    /// learnt clause `C` only means `T ⊨ C ∨ ¬ok@0 ∨ … ∨ ¬ok@k`; the
-    /// widened disjunction is what gets shared, as a window-relative
-    /// `Path` fact (the step session's frame 0 is an arbitrary state, so
-    /// the implication holds at any window position).
-    fn export_shared(&mut self, k: usize) {
-        let Some(x) = self.exchange.clone() else {
-            return;
-        };
-        let clauses = self.step.solver.export_learnt(&mut self.export_cursor, 6);
-        let mut published = 0usize;
-        for cl in clauses {
-            if published >= 32 {
-                break;
-            }
-            let Some(mut lits) = self.step.translate(&cl) else {
-                continue;
-            };
-            for j in 0..=k {
-                lits.push((j as u32, self.ok.negate()));
-            }
-            x.publish(SharedClause {
-                lits,
-                kind: ClauseKind::Path,
-            });
-            published += 1;
         }
     }
 
@@ -603,7 +493,6 @@ impl Engine {
 
             // ---- Base case: violation k cycles after reset? ----
             self.base.unroller.push_frame();
-            self.import_shared(k);
             match self.base.solve_lit(k, bad) {
                 SolveResult::Sat => {
                     let trace = self.extract_trace(k + 1)?;
@@ -640,7 +529,6 @@ impl Engine {
                     }
                     SolveResult::Sat => {}
                 }
-                self.export_shared(k);
             }
         }
         Ok((ProveResult::Unknown { depth: frames }, self.stats()))
@@ -714,7 +602,6 @@ fn run_pdr_inner(
     max_frames: usize,
     stop: Option<Arc<AtomicBool>>,
     deadline: Deadline,
-    exchange: Option<Arc<ClauseExchange>>,
 ) -> Result<PdrRun, ProveError> {
     let started = std::time::Instant::now();
     let base_stats = ProveStats {
@@ -738,7 +625,6 @@ fn run_pdr_inner(
             max_frames,
             stop,
             deadline,
-            exchange,
             ..PdrOptions::default()
         },
     );
@@ -794,9 +680,10 @@ fn run_pdr_inner(
 ///
 /// The whole point of certificates is that this is cheap:
 ///
-/// * [`CertKind::Inductive`] — one incremental SAT session with two
-///   queries ([`ProofCert::revalidate_inductive`]); no invariant search,
-///   no optimization pipeline. Returns `Proved { k: 0 }`.
+/// * [`CertKind::Inductive`] — one incremental SAT session with one
+///   query for the property and one per invariant clause
+///   ([`ProofCert::revalidate_inductive`]); no invariant search, no
+///   optimization pipeline. Returns `Proved { k: 0 }`.
 /// * [`CertKind::KInduction`] — the cone is shrunk by rule rewriting
 ///   and constant sweeping (near-linear, unlike SAT on a wide raw
 ///   cone; fraiging is skipped as too expensive for a warm path), then
@@ -1005,8 +892,7 @@ pub enum Prover {
     Pdr,
 }
 
-/// Outcome of a cooperating portfolio run across the symbolic and PDR
-/// engines.
+/// Outcome of a portfolio run racing the symbolic and PDR engines.
 #[derive(Clone, Debug)]
 pub struct PortfolioOutcome {
     /// The combined verdict (symbolic verdicts win ties).
@@ -1022,8 +908,6 @@ pub struct PortfolioOutcome {
     /// [`revalidate_certificate`] (proof caching); `None` when no engine
     /// concluded or the winner left no certificate.
     pub certificate: Option<ProofCert>,
-    /// Clause-exchange traffic between the SAT engines.
-    pub shared: ExchangeStats,
 }
 
 /// PDR's frame budget in a [`prove_portfolio`] run with window `max_k`.
@@ -1086,17 +970,16 @@ fn finish_engine(
 }
 
 /// Runs the symbolic engine (BMC + k-induction up to window `max_k`) on
-/// the calling thread and the IC3/PDR engine on one scoped thread, as a
-/// cooperating portfolio. PDR explores up to `max_k.max(8) + 2` frame
-/// levels (at most 256), so it finds counterexamples past the symbolic
-/// engine's `max_k + 1` frames.
+/// the calling thread and the IC3/PDR engine on one scoped thread, racing
+/// on one blasted circuit (the caller's, so a caller that already holds
+/// it, such as a cached `compile_flat_aig` result, blasts nothing). PDR
+/// explores up to `max_k.max(8) + 2` frame levels (at most 256), so it
+/// finds counterexamples past the symbolic engine's `max_k + 1` frames.
 ///
-/// Cooperation is two-fold: a shared stop flag lets the first conclusive
-/// verdict cancel the other engine, and the two engines exchange learnt
-/// clauses through a bounded buffer (PDR's frame clauses as reachability
-/// facts, the induction step's widened learnt clauses as
-/// transition-relation facts — see [`anvil_smt::ClauseExchange`] for the
-/// soundness rules).
+/// The engines share only a stop flag: the first conclusive verdict
+/// cancels the other engine. Each otherwise runs exactly its standalone
+/// search ([`prove`] at the same `max_k`, [`prove_pdr`] with the same
+/// frame budget), so the winner's counters equal that run's.
 ///
 /// A conclusive verdict is a proof or a confirmed counterexample. When
 /// both engines conclude, the symbolic verdict is preferred (the
@@ -1123,7 +1006,7 @@ fn finish_engine(
 ///
 /// See [`ProveError`].
 pub fn prove_portfolio(
-    module: &Module,
+    circuit: &AigCircuit,
     assertion: &Expr,
     max_k: usize,
     control: &Control,
@@ -1133,13 +1016,11 @@ pub fn prove_portfolio(
         .clone()
         .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
     let deadline = control.deadline;
-    let exchange = Arc::new(ClauseExchange::new(4096));
     let _sp_portfolio = anvil_trace::span("prove", "portfolio");
     // The PDR span stitches under the portfolio span by explicit id: the
     // thread-local parent stack does not cross the spawn boundary.
     let portfolio_span = anvil_trace::current_span();
-    let circuit = AigCircuit::from_module(module)?;
-    let prep = Arc::new(Prepared::new(&circuit, assertion)?);
+    let prep = Arc::new(Prepared::new(circuit, assertion)?);
     let (symbolic, pdr) = std::thread::scope(|s| {
         let pdr = s.spawn(|| {
             let mut sp = anvil_trace::span_under("prove", "pdr", portfolio_span);
@@ -1148,7 +1029,6 @@ pub fn prove_portfolio(
                 pdr_frame_budget(max_k),
                 Some(Arc::clone(&stop)),
                 deadline,
-                Some(Arc::clone(&exchange)),
             );
             finish_engine(
                 &mut sp,
@@ -1160,12 +1040,7 @@ pub fn prove_portfolio(
             r
         });
         let mut sp = anvil_trace::span("prove", "symbolic");
-        let engine = Engine::new(
-            Arc::clone(&prep),
-            Some(Arc::clone(&stop)),
-            deadline,
-            Some(Arc::clone(&exchange)),
-        );
+        let engine = Engine::new(Arc::clone(&prep), Some(Arc::clone(&stop)), deadline);
         let symbolic = engine.run(max_k + 1, true);
         finish_engine(
             &mut sp,
@@ -1231,7 +1106,6 @@ pub fn prove_portfolio(
         symbolic_stats,
         pdr_stats,
         certificate,
-        shared: exchange.stats(),
     })
 }
 
@@ -1393,7 +1267,7 @@ mod tests {
         let (m, a) = saturating_counter();
         let circuit = AigCircuit::from_module(&m).unwrap();
         let prep = Prepared::new(&circuit, &a).unwrap();
-        let run = run_pdr_inner(&prep, 32, None, Deadline::none(), None).unwrap();
+        let run = run_pdr_inner(&prep, 32, None, Deadline::none()).unwrap();
         assert!(matches!(run.result, ProveResult::Proved { .. }));
         let cert = ProofCert {
             kind: CertKind::Inductive {
@@ -1443,7 +1317,13 @@ mod tests {
     #[test]
     fn portfolio_agrees_with_all_engines() {
         let (m, a) = shallow_bug();
-        let out = prove_portfolio(&m, &a, 8, &Control::none()).unwrap();
+        let out = prove_portfolio(
+            &AigCircuit::from_module(&m).unwrap(),
+            &a,
+            8,
+            &Control::none(),
+        )
+        .unwrap();
         let ProveResult::Falsified { depth, .. } = out.result else {
             panic!("expected falsification, got {:?}", out.result);
         };
@@ -1452,11 +1332,11 @@ mod tests {
         assert!(out.certificate.is_some());
 
         let (m, a) = saturating_counter();
-        let out = prove_portfolio(&m, &a, 8, &Control::none()).unwrap();
+        let circuit = AigCircuit::from_module(&m).unwrap();
+        let out = prove_portfolio(&circuit, &a, 8, &Control::none()).unwrap();
         assert!(matches!(out.result, ProveResult::Proved { .. }));
         assert!(matches!(out.winner, Some(Prover::Symbolic | Prover::Pdr)));
         // Whichever SAT engine won, its evidence revalidates.
-        let circuit = AigCircuit::from_module(&m).unwrap();
         let cert = out.certificate.expect("proof leaves a certificate");
         let revalidated = revalidate_certificate(&circuit, &a, &cert).unwrap();
         assert!(matches!(revalidated, Some(ProveResult::Proved { .. })));

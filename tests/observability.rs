@@ -7,37 +7,24 @@
 //!
 //! Captures are process-global and refcounted, so tests in this binary
 //! may overlap: every test opens its own root span on its own thread
-//! and filters with [`anvil_trace::subtree`], which drops records from
-//! concurrent tests (they can never parent under a foreign root).
+//! and filters with [`anvil_trace::subtree`] or
+//! [`anvil_trace::retain_subtree`], which drop records from concurrent
+//! tests (they can never parent under a foreign root).
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
 use anvil::anvil_core::fault::{FaultKind, FaultPlan, FaultRule};
-use anvil::anvil_trace::{self, chrome_trace, render_tree, subtree, Capture, SpanNode};
+use anvil::anvil_trace::{
+    self, chrome_trace, render_tree, retain_subtree, subtree, Capture, SpanNode,
+};
 use anvil::anvild::{CompileService, Incoming, Json};
 use anvil::Session;
 use proptest::prelude::*;
 
 const GOOD: &str = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
 const PROVE: &str = "proc main() { reg ok : logic; loop { set ok := 1 >> cycle 1 } }";
-
-/// Records of this test's own tree: everything under (and including)
-/// `root_id`, flattened depth-first.
-fn own_records(records: &[anvil_trace::SpanRecord], root_id: u64) -> Vec<anvil_trace::SpanRecord> {
-    fn flatten(node: &SpanNode, out: &mut Vec<anvil_trace::SpanRecord>) {
-        out.push(node.record.clone());
-        for c in &node.children {
-            flatten(c, out);
-        }
-    }
-    let mut out = Vec::new();
-    if let Some(tree) = subtree(records, root_id) {
-        flatten(&tree, &mut out);
-    }
-    out
-}
 
 #[test]
 fn cold_compile_span_tree_renders_to_the_golden() {
@@ -83,7 +70,8 @@ fn warm_compile_tree_reports_cache_hits() {
     let root_id = root.id();
     session.compile(GOOD).expect("warm compile");
     drop(root);
-    let records = own_records(&cap.finish(), root_id);
+    let mut records = cap.finish();
+    retain_subtree(&mut records, root_id);
     // Every per-unit span on the warm path is a hit; no misses.
     let details: Vec<&str> = records.iter().filter_map(|r| r.detail.as_deref()).collect();
     assert!(!details.is_empty());
@@ -118,7 +106,8 @@ proptest! {
         // unwind must have closed every span and restored the root.
         prop_assert_eq!(anvil_trace::current_span(), root_id);
         drop(root);
-        let records = own_records(&cap.finish(), root_id);
+        let mut records = cap.finish();
+        retain_subtree(&mut records, root_id);
         let mut ids: Vec<u64> = records.iter().map(|r| r.id).collect();
         let len = ids.len();
         ids.sort_unstable();
@@ -140,7 +129,8 @@ fn chrome_trace_export_is_valid_json_with_complete_events() {
     let root_id = root.id();
     Session::new().compile(GOOD).expect("compiles");
     drop(root);
-    let records = own_records(&cap.finish(), root_id);
+    let mut records = cap.finish();
+    retain_subtree(&mut records, root_id);
     let json = Json::parse(&chrome_trace(&records)).expect("chrome trace parses");
     let events = json
         .get("traceEvents")
@@ -454,4 +444,122 @@ fn traced_compile_over_handle_nests_core_passes() {
     assert!(children
         .iter()
         .any(|c| c.get("name").and_then(Json::as_str) == Some("dispatch")));
+}
+
+/// `span_<cat>_<name>_us` of every node of a wire span tree, with the
+/// number of nodes of each.
+fn span_keys(node: &Json, out: &mut std::collections::BTreeMap<String, u64>) {
+    let part = |key: &str| {
+        node.get(key)
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .replace(|c: char| !c.is_ascii_alphanumeric() && c != '_', "_")
+    };
+    *out.entry(format!("span_{}_{}_us", part("cat"), part("name")))
+        .or_default() += 1;
+    for c in node.get("children").and_then(Json::as_array).unwrap_or(&[]) {
+        span_keys(c, out);
+    }
+}
+
+/// The count of every span histogram of `service`.
+fn span_counts(service: &CompileService) -> std::collections::BTreeMap<String, u64> {
+    service
+        .metrics_registry()
+        .snapshot()
+        .histograms
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("span_"))
+        .map(|(name, h)| (name, h.count))
+        .collect()
+}
+
+/// Any open capture makes every thread record spans, so a traced
+/// request's capture also returns the spans of requests other threads
+/// serve meanwhile. While a second thread runs an untraced cold prove of
+/// the FIFO monitor on the same service, a traced prove must grow each
+/// span histogram (`span_sat_solve_us` among them) by exactly the nodes
+/// of that name in its own `spanTree`.
+#[test]
+fn a_traced_prove_beside_an_untraced_one_counts_only_its_own_spans() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let service = CompileService::new();
+    let mut notes = Vec::new();
+    let mut open = |uri: &str, text: String| {
+        let resp = service.handle(
+            Incoming::request(
+                0,
+                "open",
+                Json::obj([("uri", Json::str(uri)), ("text", Json::str(text))]),
+            ),
+            &mut |n| notes.push(n),
+        );
+        assert!(resp.expect("response").get("result").is_some());
+    };
+    let prove = |id: i64, uri: &str, signal: &str, max_k: i64, trace: bool| {
+        let params = Json::obj([
+            ("uri", Json::str(uri)),
+            ("signal", Json::str(signal)),
+            ("maxK", Json::int(max_k)),
+            ("trace", Json::Bool(trace)),
+        ]);
+        service
+            .handle(Incoming::request(id, "prove", params), &mut |_| {})
+            .expect("response")
+    };
+    for attempt in 0..8 {
+        // Fresh proc names, so both proves are cold.
+        let fifo = anvil::anvil_designs::fifo::anvil_source()
+            .replace("fifo_anvil", &format!("fifo_mon{attempt}"));
+        let reg_at = fifo.find("reg ").expect("the design declares registers");
+        let end = fifo.rfind('}').expect("the proc is closed");
+        let busy = format!(
+            "{}reg mon : logic := 1;\n{}    loop {{ set mon := (*wr - *rd) <= {} }}\n{}",
+            &fifo[..reg_at],
+            &fifo[reg_at..end],
+            anvil::anvil_designs::fifo::DEPTH,
+            &fifo[end..]
+        );
+        open(&format!("busy{attempt}.anv"), busy);
+        let count = format!(
+            "proc count{attempt}() {{ reg c : logic[8]; reg ok : logic := 1; loop {{ \
+             set ok := *c != 13 ; if *c == 9 {{ set c := 0 }} else {{ set c := *c + 1 }} }} }}"
+        );
+        open(&format!("count{attempt}.anv"), count);
+
+        let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (resp, overlapped, grew) = std::thread::scope(|s| {
+            s.spawn(|| {
+                started.store(true, Ordering::SeqCst);
+                let resp = prove(1, &format!("busy{attempt}.anv"), "mon", 12, false);
+                assert!(resp.get("result").is_some(), "{resp}");
+                done.store(true, Ordering::SeqCst);
+            });
+            while !started.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let before = span_counts(&service);
+            let resp = prove(2, &format!("count{attempt}.anv"), "ok", 8, true);
+            let overlapped = !done.load(Ordering::SeqCst);
+            let mut grew = span_counts(&service);
+            for (name, n) in &before {
+                *grew.get_mut(name).expect("histograms are never removed") -= n;
+            }
+            grew.retain(|_, n| *n > 0);
+            (resp, overlapped, grew)
+        });
+        let result = resp.get("result").unwrap_or_else(|| panic!("{resp}"));
+        let mut own = std::collections::BTreeMap::new();
+        span_keys(result.get("spanTree").expect("spanTree"), &mut own);
+        assert_eq!(grew, own, "attempt {attempt}");
+        assert!(
+            own.get("span_sat_solve_us").is_some_and(|&n| n > 0),
+            "{own:?}"
+        );
+        if overlapped {
+            return;
+        }
+    }
+    panic!("the untraced prove never outlasted the traced one");
 }

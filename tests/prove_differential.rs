@@ -235,7 +235,8 @@ fn assert_pdr_agrees(seed: u64, depth: usize) -> Result<(), TestCaseError> {
 fn assert_portfolio_agrees(seed: u64, depth: usize, max_k: usize) -> Result<(), TestCaseError> {
     let (m, a) = random_design(seed);
     let (explicit, _) = bmc_with_backend(&m, &a, depth, 1_000_000, Backend::Compiled).unwrap();
-    let out = prove_portfolio(&m, &a, max_k, &Control::none()).unwrap();
+    let circuit = AigCircuit::from_module(&m).unwrap();
+    let out = prove_portfolio(&circuit, &a, max_k, &Control::none()).unwrap();
     match (&explicit, &out.result) {
         (BmcResult::Violation { depth: ed, .. }, ProveResult::Falsified { depth: pd, trace }) => {
             prop_assert_eq!(ed, pd, "portfolio depth diverged on seed {}", seed);

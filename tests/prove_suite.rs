@@ -149,7 +149,8 @@ fn portfolio_settles_suite_and_seeded_designs() {
     // Proved property: one of the two engines must win (whichever
     // concludes first cancels the other).
     let prop = &suite_properties()[0];
-    let out = prove_portfolio(&prop.module, &prop.assertion, MAX_K, &Control::none()).unwrap();
+    let circuit = AigCircuit::from_module(&prop.module).unwrap();
+    let out = prove_portfolio(&circuit, &prop.assertion, MAX_K, &Control::none()).unwrap();
     assert!(
         matches!(out.result, ProveResult::Proved { .. }),
         "{:?}",
@@ -161,7 +162,8 @@ fn portfolio_settles_suite_and_seeded_designs() {
 
     // Seeded bug: some engine falsifies, and the combined trace replays.
     let prop = &seeded_violations()[0];
-    let out = prove_portfolio(&prop.module, &prop.assertion, 16, &Control::none()).unwrap();
+    let circuit = AigCircuit::from_module(&prop.module).unwrap();
+    let out = prove_portfolio(&circuit, &prop.assertion, 16, &Control::none()).unwrap();
     let ProveResult::Falsified { depth, trace } = &out.result else {
         panic!("expected falsification, got {:?}", out.result);
     };
@@ -185,7 +187,8 @@ fn aes_prove_with_a_10ms_deadline_bails_out_well_under_a_second() {
         stop: None,
         deadline: Deadline::in_ms(10),
     };
-    let out = prove_portfolio(&prop.module, &prop.assertion, 4096, &control).expect("portfolio");
+    let circuit = AigCircuit::from_module(&prop.module).unwrap();
+    let out = prove_portfolio(&circuit, &prop.assertion, 4096, &control).expect("portfolio");
     let elapsed = started.elapsed();
     assert!(
         matches!(out.result, ProveResult::Unknown { .. }),
@@ -223,8 +226,9 @@ fn fifo_monitor() -> (AigCircuit, anvil_rtl::SignalId) {
 
 /// Standalone PDR on the FIFO monitor's optimized cone (17 latches)
 /// proves it within 11 frames and at most 2,000 SAT calls; with
-/// full-state obligation cubes it took 7,675.
-fn fifo_monitor_pdr() -> Pdr {
+/// full-state obligation cubes it took 7,675. Returns the engine and
+/// the size of the invariant it found.
+fn fifo_monitor_pdr() -> (Pdr, usize) {
     let (mut circuit, mon) = fifo_monitor();
     let ok0 = circuit.blast_assertion(&Expr::Signal(mon)).unwrap();
     let (rw, _) = optimize(circuit.aig(), &[ok0], false);
@@ -236,13 +240,16 @@ fn fifo_monitor_pdr() -> Pdr {
         panic!("PDR must prove the FIFO monitor: {:?}", pdr.stats());
     };
     assert!(ProofCert::revalidate_inductive(&seq, ok, &invariant));
-    pdr
+    (pdr, invariant.len())
 }
 
 #[test]
 fn pdr_proves_the_fifo_monitor_within_its_work_pin() {
-    let stats = fifo_monitor_pdr().stats();
+    let (pdr, invariant) = fifo_monitor_pdr();
+    let stats = pdr.stats();
     assert!(stats.frames <= 11, "{stats:?}");
+    // 65 clauses before PDR retired subsumed cubes, 32 of them subsumed.
+    assert!(invariant <= 40, "{invariant} invariant clauses");
     assert!(stats.sat_calls <= 2_000, "{stats:?}");
     assert!(stats.lifted_away > 0, "{stats:?}");
 }
@@ -256,14 +263,21 @@ fn pdr_proves_the_fifo_monitor_within_its_work_pin() {
 /// generalization) updates these pins in the same change and says why,
 /// as with `ci/perfbench-counts/`; a change that only makes the search
 /// faster leaves them alone.
+///
+/// The PDR values changed when PDR began retiring subsumed cubes (a
+/// retired cube is never pushed again): 1,744 SAT calls, 223
+/// obligations and 373 blocking clauses before, with 544 conflicts,
+/// 26,264 decisions, 159,840 propagations and 1,422,901 ticks.
 #[test]
 fn fifo_monitor_search_is_pinned_exactly() {
-    let pdr = fifo_monitor_pdr().stats();
+    let (pdr, invariant) = fifo_monitor_pdr();
+    let pdr = pdr.stats();
     let work = (pdr.frames, pdr.sat_calls, pdr.obligations, pdr.clauses);
-    assert_eq!(work, (11, 1_744, 223, 373), "{pdr:?}");
+    assert_eq!(work, (11, 1_555, 225, 231), "{pdr:?}");
+    assert_eq!((invariant, pdr.retired), (33, 40), "{pdr:?}");
     let s = pdr.solver;
     let search = (s.conflicts, s.decisions, s.propagations, s.ticks, s.learned);
-    assert_eq!(search, (544, 26_264, 159_840, 1_422_901, 544), "{s:?}");
+    assert_eq!(search, (530, 25_164, 150_454, 1_261_341, 530), "{s:?}");
 
     let (circuit, mon) = fifo_monitor();
     let (result, kind) = prove(circuit.module(), &Expr::Signal(mon), 12).unwrap();
