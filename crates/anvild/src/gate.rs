@@ -7,8 +7,8 @@
 //! condvar, and anything beyond that is rejected immediately with
 //! `OVERLOADED` (`-32004`) plus a `retryAfterMs` hint derived from an
 //! EWMA of recent service times. Cheap registry/control methods (ping,
-//! open, cancel, health, ...) bypass the gate entirely, so a wedged
-//! worker pool never takes liveness probes down with it.
+//! open, cancel, health, ...) bypass the gate entirely, so wedged gate
+//! slots never take liveness probes down with them.
 //!
 //! [`ServiceCounters`] holds the operational counters the `health`
 //! method reports (and [`ServiceStats`] snapshots for tests): requests
@@ -135,9 +135,9 @@ impl AdmissionGate {
         self.turn.notify_one();
     }
 
-    /// Gives back an admission whose request never started (its worker
-    /// thread could not be spawned): frees the running slot or the queue
-    /// slot it held.
+    /// Gives back an admission whose request never started (no thread
+    /// could be started to read on while it ran): frees the running slot
+    /// or the queue slot it held.
     pub fn withdraw(&self, admission: Admission) {
         match admission {
             Admission::Run => self.depart(),
@@ -176,6 +176,8 @@ pub struct ServiceCounters {
     pub cancelled: Arc<Counter>,
     /// Requests that produced a response (success or error).
     pub completed: Arc<Counter>,
+    /// Connection threads started by the serve loop.
+    pub threads_started: Arc<Counter>,
     /// EWMA of heavy-request service time, milliseconds (alpha = 1/4).
     pub ewma_service_ms: Arc<Gauge>,
     /// Full distribution of heavy-request service times, microseconds.
@@ -198,6 +200,7 @@ impl ServiceCounters {
             panics_recovered: registry.counter("anvild_panics_recovered_total"),
             cancelled: registry.counter("anvild_cancelled_total"),
             completed: registry.counter("anvild_completed_total"),
+            threads_started: registry.counter("anvild_threads_started_total"),
             ewma_service_ms: registry.gauge("anvild_ewma_service_ms"),
             service_us: registry.histogram("anvild_service_us"),
             registry,
@@ -257,6 +260,8 @@ pub struct ServiceStats {
     pub cancelled: u64,
     /// Requests that produced a response (success or error).
     pub completed: u64,
+    /// Connection threads started by the serve loop.
+    pub threads_started: u64,
 }
 
 #[cfg(test)]

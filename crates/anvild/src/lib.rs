@@ -50,7 +50,7 @@
 //! | `prove`       | request   | k-induction proof of a 1-bit signal            |
 //! | `cacheStats`  | request   | shared-cache counters (incl. poisoned shards)  |
 //! | `health`      | request   | uptime, gate gauges, robustness counters       |
-//! | `cancel`      | request   | raise the stop flag for an in-flight id        |
+//! | `cancel`      | request   | raise the stop flag of this connection's id    |
 //! | `shutdown`    | request   | stop serving (`mode`: `drain` or `abort`)      |
 //!
 //! Every request additionally accepts an optional `deadlineMs` param: a

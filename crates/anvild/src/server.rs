@@ -15,15 +15,17 @@
 //! daemon keeps serving (the session's cache recovers poisoned shards
 //! by itself, see `anvil_core`'s cache docs). Requests carrying an id
 //! register a cooperative stop flag keyed by that id; the `cancel`
-//! method raises the flag. Each request runs under one [`Control`] (its
-//! stop flag and deadline), handed to every stage it runs — the compile
-//! pipeline ([`Session::compile_with`], [`Session::check`],
-//! [`Session::compile_flat_aig`]) polls it at unit boundaries and the
-//! prover in its engine loops. A `cancel` that arrives
-//! before its request pre-raises the flag, so cancelling is never racy
-//! from the client's point of view. Ids must not be reused after
-//! cancellation (a pre-raised flag for an id lingers until that id is
-//! seen once).
+//! method raises the flag. Flags are scoped to their connection: a
+//! `cancel` reaches only requests its own connection sent, so clients
+//! may number their requests alike. Each request runs under one
+//! [`Control`] (its stop flag and deadline), handed to every stage it
+//! runs — the compile pipeline ([`Session::compile_with`],
+//! [`Session::check`], [`Session::compile_flat_aig`]) polls it at unit
+//! boundaries and the prover in its engine loops. A `cancel` that
+//! arrives before its request pre-raises the flag, so cancelling is
+//! never racy from the client's point of view. Ids must not be reused
+//! after cancellation (a pre-raised flag for an id lingers until that id
+//! is seen once, or until its connection closes).
 //!
 //! # Overload and deadline safety
 //!
@@ -36,16 +38,26 @@
 //! gate on the serve loop — beyond `max_concurrency` running plus
 //! `max_queue` waiting, requests are shed immediately with `OVERLOADED`
 //! (`-32004`) and a `retryAfterMs` hint, so the daemon answers fast even
-//! when it cannot answer yes. A watchdog thread raises the stop flag of any
-//! worker that overruns its deadline by the configured grace, and the
-//! `health` method exposes the counters ([`ServiceStats`]) that make
-//! all of this observable.
+//! when it cannot answer yes. A per-connection watchdog raises the stop
+//! flag of any request that overruns its deadline by the configured
+//! grace, and the `health` method exposes the counters ([`ServiceStats`])
+//! that make all of this observable.
+//!
+//! # Threads
+//!
+//! [`CompileService::serve`] serves a connection with leader/follower
+//! threads. The thread that reads a heavy request runs it, after handing
+//! the reader to a waiting follower, so no request waits for a thread to
+//! be created or woken before it runs. A connection starts a thread only
+//! when no follower waits, which bounds it to one thread per outstanding
+//! heavy request plus one; a closed-loop client reuses two.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Read, Write};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use anvil_core::fault::{FaultKind, FaultPlan};
@@ -81,7 +93,7 @@ const WATCHDOG_TICK_MS: u64 = 10;
 /// earliest (coarsest) ones and flags `spanTreeTruncated`.
 const MAX_TRACE_SPANS: usize = 4096;
 
-/// Stack size of the threads heavy requests run on, rather than the
+/// Stack size of the connection threads, rather than the
 /// platform default (2 MiB, or `RUST_MIN_STACK`). The compile passes
 /// recurse once per nesting level of the source. At the parser's limit
 /// of 256 levels, the deepest-measured sources (256 prefix operators or
@@ -89,8 +101,9 @@ const MAX_TRACE_SPANS: usize = 4096;
 /// release build and 7.3 MiB in the unoptimised test profile; 256
 /// parentheses or blocks need 1.2 and 1.3 MiB, and a 256-link `else if`
 /// chain 4–8 MiB unoptimised. 16 MiB covers both profiles with room to
-/// spare, and stays well under glibc's 40 MiB cache of freed thread
-/// stacks, so later requests reuse them.
+/// spare. Every connection thread gets it, since any of them may run a
+/// heavy request; the threads live as long as their connection, so the
+/// stacks are mapped once per thread, not once per request.
 const WORKER_STACK_BYTES: usize = 16 << 20;
 
 /// One open file: the registry holds full-text versioned buffers (the
@@ -104,7 +117,7 @@ struct FileEntry {
 }
 
 /// One in-flight (or pre-cancelled) request: its stop flag, its armed
-/// deadline, and what the watchdog needs to spot an overdue worker.
+/// deadline, and what the watchdog needs to spot an overdue request.
 struct Inflight {
     stop: Arc<AtomicBool>,
     deadline: Deadline,
@@ -137,9 +150,11 @@ pub struct CompileService {
     gate: AdmissionGate,
     counters: ServiceCounters,
     files: Mutex<HashMap<String, FileEntry>>,
-    /// In-flight (or pre-cancelled) requests, keyed by the compact
-    /// serialization of the request id.
-    inflight: Mutex<HashMap<String, Inflight>>,
+    /// In-flight (or pre-cancelled) requests, keyed by connection and
+    /// the compact serialization of the request id.
+    inflight: Mutex<HashMap<InflightKey, Inflight>>,
+    /// The key the next [`CompileService::serve`] connection gets.
+    next_conn: AtomicU64,
     shutdown: AtomicBool,
     /// Installed fault plan for the `server.dispatch` chaos seam; the
     /// armed flag keeps the uninstalled fast path at one relaxed load.
@@ -175,6 +190,7 @@ impl CompileService {
             counters: ServiceCounters::new(),
             files: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(DIRECT_CONN + 1),
             shutdown: AtomicBool::new(false),
             faults: Mutex::new(None),
             faults_armed: AtomicBool::new(false),
@@ -216,6 +232,7 @@ impl CompileService {
             panics_recovered: self.counters.panics_recovered.get(),
             cancelled: self.counters.cancelled.get(),
             completed: self.counters.completed.get(),
+            threads_started: self.counters.threads_started.get(),
         }
     }
 
@@ -288,7 +305,7 @@ impl CompileService {
     }
 
     /// The `server.dispatch` fault seam: panics unwind into `handle`'s
-    /// `catch_unwind`, stalls clog a worker slot (exercising admission
+    /// `catch_unwind`, stalls clog a gate slot (exercising admission
     /// shedding and the watchdog), shard poison delegates to the
     /// session's recovery path.
     fn fault_point(&self, op: &str) {
@@ -315,7 +332,7 @@ impl CompileService {
         self.files.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_inflight(&self) -> std::sync::MutexGuard<'_, HashMap<String, Inflight>> {
+    fn lock_inflight(&self) -> std::sync::MutexGuard<'_, HashMap<InflightKey, Inflight>> {
         self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -333,15 +350,15 @@ impl CompileService {
     }
 
     /// Registers (or adopts a pre-cancelled / pre-registered) in-flight
-    /// entry for a request id and returns the request's [`Control`]: its
-    /// stop flag plus the armed deadline. Registration is idempotent: the
-    /// serve loop registers *before* spawning the worker (arming the
-    /// deadline so queue wait counts), `handle` re-registers and adopts
-    /// the already-armed deadline.
-    fn register(&self, id: &Json, method: &str, deadline: Deadline) -> Control {
+    /// entry for a request id on connection `conn` and returns the
+    /// request's [`Control`]: its stop flag plus the armed deadline.
+    /// Registration is idempotent: the serve loop registers *before* it
+    /// hands the reader on (arming the deadline so queue wait counts),
+    /// and dispatch re-registers and adopts the already-armed deadline.
+    fn register(&self, conn: u64, id: &Json, method: &str, deadline: Deadline) -> Control {
         let mut inflight = self.lock_inflight();
         let entry = inflight
-            .entry(id.to_string())
+            .entry((conn, id.to_string()))
             .or_insert_with(|| Inflight::new(method, deadline));
         if entry.method.is_empty() {
             entry.method = method.to_string();
@@ -355,14 +372,14 @@ impl CompileService {
         }
     }
 
-    fn unregister(&self, id: &Json) {
-        self.lock_inflight().remove(&id.to_string());
+    fn unregister(&self, conn: u64, id: &Json) {
+        self.lock_inflight().remove(&(conn, id.to_string()));
     }
 
     /// One watchdog pass: raises the stop flag of every in-flight
     /// request past its deadline by more than the configured grace (once
-    /// per request), returning how many flags were raised. The serve
-    /// loop runs this on a timer; tests can call it directly.
+    /// per request), returning how many flags were raised. Each serve
+    /// call runs this on a timer; tests can call it directly.
     #[doc(hidden)]
     pub fn watchdog_scan(&self) -> usize {
         let grace = Duration::from_millis(self.config.watchdog_grace_ms);
@@ -395,19 +412,23 @@ impl CompileService {
     /// notification streamed while the request runs, and returning the
     /// response frame (`None` for notifications, which get no response).
     ///
-    /// This is the transport-independent core: [`CompileService::serve`]
-    /// calls it from the socket loop (behind the admission gate), tests
-    /// call it directly (no admission — `handle` never sheds).
+    /// This is the transport-independent core, the one
+    /// [`CompileService::serve`] also runs (behind the admission gate);
+    /// tests call it directly (no admission — `handle` never sheds).
+    /// Every call shares one connection key, so a `cancel` sent through
+    /// `handle` reaches requests sent through `handle`.
     pub fn handle(&self, msg: Incoming, notify: &mut dyn FnMut(Json)) -> Option<Json> {
-        self.handle_admitted(msg, notify, None)
+        self.handle_admitted(DIRECT_CONN, msg, notify, None)
     }
 
-    /// [`CompileService::handle`] with admission context from the serve
-    /// loop: when the request passed the gate, `queue_wait` carries
-    /// `(enqueued, started)` instants so a traced request's tree shows
-    /// its gate admission / queue wait ahead of the dispatch work.
-    pub fn handle_admitted(
+    /// [`CompileService::handle`] on connection `conn`, with admission
+    /// context from the serve loop: when the request passed the gate,
+    /// `queue_wait` carries `(enqueued, started)` instants so a traced
+    /// request's tree shows its gate admission / queue wait ahead of the
+    /// dispatch work.
+    fn handle_admitted(
         &self,
+        conn: u64,
         msg: Incoming,
         notify: &mut dyn FnMut(Json),
         queue_wait: Option<(Instant, Instant)>,
@@ -436,7 +457,7 @@ impl CompileService {
             Ok(deadline) => {
                 // One control per request, passed to every stage it runs.
                 let control = match &id {
-                    Some(id) => self.register(id, &msg.method, deadline),
+                    Some(id) => self.register(conn, id, &msg.method, deadline),
                     None => Control {
                         stop: None,
                         deadline,
@@ -448,7 +469,7 @@ impl CompileService {
                 std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let _sp =
                         anvil_trace::span("anvild", "dispatch").detail_with(|| msg.method.clone());
-                    self.dispatch(&msg, &control, notify)
+                    self.dispatch(conn, &msg, &control, notify)
                 }))
                 .unwrap_or_else(|payload| {
                     self.counters.panics_recovered.inc();
@@ -460,7 +481,7 @@ impl CompileService {
             }
         };
         if let Some(id) = &id {
-            self.unregister(id);
+            self.unregister(conn, id);
         }
         if let Err(err) = &result {
             let counter = match err.code {
@@ -520,6 +541,7 @@ impl CompileService {
 
     fn dispatch(
         &self,
+        conn: u64,
         msg: &Incoming,
         control: &Control,
         notify: &mut dyn FnMut(Json),
@@ -551,7 +573,7 @@ impl CompileService {
             "cacheStats" => Ok(self.cache_stats_json()),
             "health" => Ok(self.health_json()),
             "metrics" => Ok(self.metrics_json()),
-            "cancel" => self.cancel(&msg.params),
+            "cancel" => self.cancel(conn, &msg.params),
             "shutdown" => self.shutdown(&msg.params),
             other => Err(RpcError::new(
                 METHOD_NOT_FOUND,
@@ -562,8 +584,8 @@ impl CompileService {
 
     /// `shutdown` with `mode: "drain"` (default) stops accepting new
     /// frames but lets in-flight work finish; `mode: "abort"` also
-    /// raises every in-flight stop flag so workers wind down at their
-    /// next cancellation poll.
+    /// raises every in-flight stop flag, on every connection, so
+    /// requests wind down at their next cancellation poll.
     fn shutdown(&self, params: &Json) -> Result<Json, RpcError> {
         let mode = match params.get("mode").and_then(Json::as_str) {
             None => "drain",
@@ -910,6 +932,7 @@ impl CompileService {
             ("watchdogFired", c("anvild_watchdog_fired_total")),
             ("panicsRecovered", c("anvild_panics_recovered_total")),
             ("cancelled", c("anvild_cancelled_total")),
+            ("threadsStarted", c("anvild_threads_started_total")),
             (
                 "cacheHitRate",
                 Json::Num(snap.gauge("anvild_cache_hit_rate").unwrap_or(0.0)),
@@ -968,17 +991,19 @@ impl CompileService {
         ])
     }
 
-    fn cancel(&self, params: &Json) -> Result<Json, RpcError> {
+    /// `cancel` reaches only requests of its own connection `conn`.
+    fn cancel(&self, conn: u64, params: &Json) -> Result<Json, RpcError> {
         let id = params
             .get("id")
             .filter(|id| matches!(id, Json::Str(_) | Json::Num(_)))
             .ok_or_else(|| RpcError::invalid_params("cancel needs a string or number `id`"))?;
+        let key = (conn, id.to_string());
         let mut inflight = self.lock_inflight();
-        let inflight_now = inflight.contains_key(&id.to_string());
+        let inflight_now = inflight.contains_key(&key);
         // Raise the flag; for an id not yet seen, pre-raise it so the
         // request observes cancellation the moment it arrives.
         inflight
-            .entry(id.to_string())
+            .entry(key)
             .or_insert_with(|| Inflight::new("", Deadline::none()))
             .stop
             .store(true, Ordering::Relaxed);
@@ -999,163 +1024,382 @@ impl CompileService {
     /// [`MAX_FRAME_BYTES`], with `INVALID_REQUEST`: the loop buffers at
     /// most that many bytes of it and skips the rest of the line.
     ///
-    /// Registry and control methods (`open`, `update`, `close`,
-    /// `cancel`, `cacheStats`, `health`, `ping`, `shutdown`) are handled
-    /// inline on the read loop — they are cheap and their order matters,
-    /// and they bypass admission so liveness probes work even with every
-    /// worker slot wedged. Heavy requests (`compile`, `diagnostics`,
-    /// `prove`) pass the admission gate: run or queue on scoped worker
-    /// threads (so the loop keeps reading — that is what lets a `cancel`
-    /// frame reach an in-flight compile), or shed immediately with
-    /// `OVERLOADED` when the queue is full. Responses may therefore
-    /// arrive out of order; clients match on `id`. Worker threads get a
-    /// 16 MiB stack, sized for sources at the parser's nesting limit; if
-    /// one cannot be started, the request gets `INTERNAL_ERROR` and
-    /// gives its gate slot back.
+    /// # Threads
     ///
-    /// A watchdog thread scans the in-flight table every few
-    /// milliseconds, raising the stop flag of any worker past its
-    /// deadline by more than the configured grace.
+    /// The connection is served by leader/follower threads, each with a
+    /// 16 MiB stack sized for sources at the parser's nesting limit. One
+    /// thread at a time leads: it owns `reader` (hence `R: Send`) and
+    /// answers registry and control methods (`open`, `update`, `close`,
+    /// `cancel`, `cacheStats`, `health`, `metrics`, `ping`, `shutdown`)
+    /// inline, in read order. They bypass admission, so liveness probes
+    /// work even with every gate slot taken. Heavy requests (`compile`,
+    /// `diagnostics`, `prove`) pass the admission gate: they are shed
+    /// at once with `OVERLOADED` when the queue is full. On admitting
+    /// one, the leader registers its stop flag and deadline (so a
+    /// `cancel` read next finds it), hands the reader to a waiting
+    /// follower (starting one only when none waits), and then waits its
+    /// gate turn and runs the request itself. Once the request is
+    /// answered the thread waits as a follower again; it counts itself
+    /// as waiting *before* it writes the response, so a closed-loop
+    /// client's next request finds it. A connection therefore holds at
+    /// most one thread per outstanding heavy request plus one, and in
+    /// the closed loop of an editor it reuses two.
     ///
-    /// Returns when the peer disconnects or after a `shutdown` request
-    /// (`drain` mode finishes in-flight work first; the scope join
-    /// guarantees no worker outlives the loop either way).
+    /// Responses may arrive out of order; clients match on `id`. If a
+    /// follower cannot be started, the request is answered with
+    /// `INTERNAL_ERROR`, gives its gate slot back, and the leader reads
+    /// on.
+    ///
+    /// The calling thread starts the first connection thread and then
+    /// only runs the watchdog, whatever its stack size: every few
+    /// milliseconds it raises the stop flag of any request past its
+    /// deadline by more than the configured grace, until the
+    /// connection's last request has finished.
+    ///
+    /// Returns when the peer disconnects or after a `shutdown` request,
+    /// once every request read on the connection has been answered
+    /// (`drain` mode lets them finish, `abort` cancels them first). The
+    /// connection's pre-cancelled ids that never arrived are forgotten.
     ///
     /// # Errors
     ///
-    /// Propagates read errors from the transport; write failures are
-    /// swallowed (a vanished client is not a server error).
-    pub fn serve<R, W>(&self, mut reader: R, writer: W) -> std::io::Result<()>
+    /// Propagates read errors from the transport and a failure to start
+    /// the first connection thread; write failures are swallowed (a
+    /// vanished client is not a server error).
+    pub fn serve<R, W>(&self, reader: R, writer: W) -> std::io::Result<()>
     where
-        R: BufRead,
+        R: BufRead + Send,
         W: Write + Send,
     {
-        let out = Mutex::new(writer);
-        let send = |frame: &Json| {
-            let line = format!("{frame}\n");
-            let mut w = out.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = w.write_all(line.as_bytes());
-            let _ = w.flush();
+        let conn = Connection {
+            key: self.next_conn.fetch_add(1, Ordering::Relaxed),
+            out: Mutex::new(writer),
+            state: Mutex::new(ConnState {
+                reader: Some(reader),
+                idle: 1,
+                live: 1,
+                closed: false,
+                error: None,
+            }),
+            lead: Condvar::new(),
+            finished: Condvar::new(),
         };
-        let conn_done = AtomicBool::new(false);
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            scope.spawn(|| {
-                while !conn_done.load(Ordering::Relaxed) {
-                    self.watchdog_scan();
-                    std::thread::sleep(Duration::from_millis(WATCHDOG_TICK_MS));
+        let started = std::thread::scope(|scope| -> std::io::Result<()> {
+            self.start_conn_thread(scope, &conn)?;
+            let tick = Duration::from_millis(WATCHDOG_TICK_MS);
+            let mut state = conn.lock();
+            while state.live > 0 {
+                drop(state);
+                self.watchdog_scan();
+                state = conn
+                    .finished
+                    .wait_timeout_while(conn.lock(), tick, |s| s.live > 0)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            Ok(())
+        });
+        self.lock_inflight().retain(|(c, _), _| *c != conn.key);
+        started?;
+        let error = conn.lock().error.take();
+        error.map_or(Ok(()), Err)
+    }
+
+    /// Starts one thread of `conn`, counted as a waiting follower by the
+    /// caller (`idle` and `live` already include it).
+    fn start_conn_thread<'scope, 'env, R, W>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        conn: &'env Connection<R, W>,
+    ) -> std::io::Result<()>
+    where
+        R: BufRead + Send,
+        W: Write + Send,
+    {
+        std::thread::Builder::new()
+            .stack_size(WORKER_STACK_BYTES)
+            .spawn_scoped(scope, move || self.conn_thread(scope, conn))?;
+        self.counters.threads_started.inc();
+        Ok(())
+    }
+
+    /// The life of one connection thread: wait to lead, lead until a
+    /// heavy request is admitted, run it, and wait again, until the
+    /// connection closes.
+    fn conn_thread<'scope, 'env, R, W>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        conn: &'env Connection<R, W>,
+    ) where
+        R: BufRead + Send,
+        W: Write + Send,
+    {
+        let _exit = ThreadExit(conn);
+        let mut buf = Vec::new();
+        while let Some(reader) = conn.await_lead() {
+            let Some(req) = self.lead(scope, conn, reader, &mut buf) else {
+                break;
+            };
+            if req.admission == Admission::Queued {
+                self.gate.wait_turn();
+            }
+            let admitted = Some((req.enqueued, Instant::now()));
+            let frame = self.handle_admitted(conn.key, req.msg, &mut |n| conn.send(&n), admitted);
+            // A follower again before the slot is freed and the client
+            // answered: the next request then finds this thread waiting
+            // instead of starting another one.
+            conn.lock().idle += 1;
+            self.gate.depart();
+            if let Some(frame) = frame {
+                conn.send(&frame);
+            }
+        }
+    }
+
+    /// Reads and answers frames until one heavy request is admitted,
+    /// which is returned after the reader has been handed on, or until
+    /// the connection closes (`None`).
+    fn lead<'scope, 'env, R, W>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        conn: &'env Connection<R, W>,
+        mut reader: R,
+        buf: &mut Vec<u8>,
+    ) -> Option<AdmittedRequest>
+    where
+        R: BufRead + Send,
+        W: Write + Send,
+    {
+        let limit = MAX_FRAME_BYTES as u64 + 1;
+        loop {
+            buf.clear();
+            match (&mut reader).take(limit).read_until(b'\n', buf) {
+                Ok(0) => return conn.close(None),
+                Ok(_) => {}
+                Err(e) => return conn.close(Some(e)),
+            }
+            if buf.len() as u64 == limit && !buf.ends_with(b"\n") {
+                if let Err(e) = reader.skip_until(b'\n') {
+                    return conn.close(Some(e));
                 }
-            });
-            let result = (|| -> std::io::Result<()> {
-                let mut buf = Vec::new();
-                let limit = MAX_FRAME_BYTES as u64 + 1;
-                loop {
-                    buf.clear();
-                    if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
-                        break;
-                    }
-                    if buf.len() as u64 == limit && !buf.ends_with(b"\n") {
-                        reader.skip_until(b'\n')?;
-                        buf = Vec::new();
-                        let message = format!("frame longer than {MAX_FRAME_BYTES} bytes");
-                        send(&error_response(
-                            None,
-                            &RpcError::new(INVALID_REQUEST, message),
-                        ));
-                        continue;
-                    }
-                    let bytes = match buf.strip_suffix(b"\n") {
-                        Some(bytes) => bytes.strip_suffix(b"\r").unwrap_or(bytes),
-                        None => &buf,
-                    };
-                    let line = match std::str::from_utf8(bytes) {
-                        Ok(line) => line,
-                        Err(e) => {
-                            let message = format!("invalid UTF-8 at byte {}", e.valid_up_to());
-                            send(&error_response(None, &RpcError::new(PARSE_ERROR, message)));
-                            continue;
-                        }
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let msg = match parse_incoming(line) {
-                        Ok(msg) => msg,
-                        Err(e) => {
-                            send(&error_response(None, &e));
-                            continue;
-                        }
-                    };
-                    if is_heavy(&msg.method) {
-                        match self.gate.try_admit() {
-                            Admission::Shed => {
-                                self.counters.requests.inc();
-                                self.counters.shed.inc();
-                                if let Some(id) = &msg.id {
-                                    send(&error_response(Some(id), &self.overloaded_error()));
-                                }
-                            }
-                            admission => {
-                                // Register the stop flag *before* the
-                                // worker starts — a cancel read next
-                                // never misses the request — and arm the
-                                // deadline so queue wait counts toward it.
-                                if let Some(id) = &msg.id {
-                                    if let Ok(deadline) = self.request_deadline(&msg.params) {
-                                        self.register(id, &msg.method, deadline);
-                                    }
-                                }
-                                let id = msg.id.clone();
-                                let send = &send;
-                                let enqueued = Instant::now();
-                                let spawned = std::thread::Builder::new()
-                                    .stack_size(WORKER_STACK_BYTES)
-                                    .spawn_scoped(scope, move || {
-                                        if admission == Admission::Queued {
-                                            self.gate.wait_turn();
-                                        }
-                                        let admitted = Some((enqueued, Instant::now()));
-                                        let frame =
-                                            self.handle_admitted(msg, &mut |n| send(&n), admitted);
-                                        self.gate.depart();
-                                        if let Some(frame) = frame {
-                                            send(&frame);
-                                        }
-                                    });
-                                if let Err(e) = spawned {
-                                    // Answered without running: counted as
-                                    // a request and a completion, like any
-                                    // error response.
-                                    self.gate.withdraw(admission);
-                                    self.counters.requests.inc();
-                                    self.counters.completed.inc();
-                                    if let Some(id) = &id {
-                                        self.unregister(id);
-                                        let message = format!("could not start a worker: {e}");
-                                        let err = RpcError::new(INTERNAL_ERROR, message);
-                                        send(&error_response(Some(id), &err));
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        if let Some(frame) = self.handle(msg, &mut |n| send(&n)) {
-                            send(&frame);
-                        }
-                        if self.is_shut_down() {
-                            break;
-                        }
+                *buf = Vec::new();
+                let message = format!("frame longer than {MAX_FRAME_BYTES} bytes");
+                conn.send(&error_response(
+                    None,
+                    &RpcError::new(INVALID_REQUEST, message),
+                ));
+                continue;
+            }
+            let bytes = match buf.strip_suffix(b"\n") {
+                Some(bytes) => bytes.strip_suffix(b"\r").unwrap_or(bytes),
+                None => buf,
+            };
+            let line = match std::str::from_utf8(bytes) {
+                Ok(line) => line,
+                Err(e) => {
+                    let message = format!("invalid UTF-8 at byte {}", e.valid_up_to());
+                    conn.send(&error_response(None, &RpcError::new(PARSE_ERROR, message)));
+                    continue;
+                }
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            let msg = match parse_incoming(line) {
+                Ok(msg) => msg,
+                Err(e) => {
+                    conn.send(&error_response(None, &e));
+                    continue;
+                }
+            };
+            if !is_heavy(&msg.method) {
+                if let Some(frame) =
+                    self.handle_admitted(conn.key, msg, &mut |n| conn.send(&n), None)
+                {
+                    conn.send(&frame);
+                }
+                if self.is_shut_down() {
+                    return conn.close(None);
+                }
+                continue;
+            }
+            let admission = self.gate.try_admit();
+            if admission == Admission::Shed {
+                self.counters.requests.inc();
+                self.counters.shed.inc();
+                if let Some(id) = &msg.id {
+                    conn.send(&error_response(Some(id), &self.overloaded_error()));
+                }
+                continue;
+            }
+            // Register the stop flag *before* the reader moves on — a
+            // cancel read next never misses the request — and arm the
+            // deadline so queue wait counts toward it.
+            if let Some(id) = &msg.id {
+                if let Ok(deadline) = self.request_deadline(&msg.params) {
+                    self.register(conn.key, id, &msg.method, deadline);
+                }
+            }
+            let enqueued = Instant::now();
+            match self.hand_off(scope, conn, reader) {
+                Ok(()) => {
+                    return Some(AdmittedRequest {
+                        msg,
+                        admission,
+                        enqueued,
+                    })
+                }
+                Err((kept, e)) => {
+                    // Answered without running: counted as a request
+                    // and a completion, like any error response.
+                    reader = kept;
+                    self.gate.withdraw(admission);
+                    self.counters.requests.inc();
+                    self.counters.completed.inc();
+                    if let Some(id) = &msg.id {
+                        self.unregister(conn.key, id);
+                        let message = format!("could not start a connection thread: {e}");
+                        let err = RpcError::new(INTERNAL_ERROR, message);
+                        conn.send(&error_response(Some(id), &err));
                     }
                 }
-                Ok(())
-            })();
-            conn_done.store(true, Ordering::Relaxed);
-            result
-        })
+            }
+        }
+    }
+
+    /// Hands `conn`'s reader to a waiting follower, starting one first
+    /// when none waits. On failure to start it, the reader comes back.
+    fn hand_off<'scope, 'env, R, W>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        conn: &'env Connection<R, W>,
+        reader: R,
+    ) -> Result<(), (R, std::io::Error)>
+    where
+        R: BufRead + Send,
+        W: Write + Send,
+    {
+        let mut state = conn.lock();
+        if state.idle == 0 {
+            state.idle += 1;
+            state.live += 1;
+            drop(state);
+            if let Err(e) = self.start_conn_thread(scope, conn) {
+                let mut state = conn.lock();
+                state.idle -= 1;
+                state.live -= 1;
+                return Err((reader, e));
+            }
+            state = conn.lock();
+        }
+        state.reader = Some(reader);
+        drop(state);
+        conn.lead.notify_one();
+        Ok(())
     }
 }
 
-/// Whether a method runs on a gated worker thread (long-running) rather
-/// than inline on the read loop.
+/// `handle`'s connection key; [`CompileService::serve`] connections
+/// are numbered after it.
+const DIRECT_CONN: u64 = 0;
+
+/// In-flight table key: the connection and the request id's compact
+/// serialization.
+type InflightKey = (u64, String);
+
+/// One [`CompileService::serve`] connection, shared by its threads.
+struct Connection<R, W> {
+    /// This connection's in-flight table key.
+    key: u64,
+    out: Mutex<W>,
+    state: Mutex<ConnState<R>>,
+    /// Signalled when the reader is handed on or the connection closes.
+    lead: Condvar,
+    /// Signalled when a connection thread exits.
+    finished: Condvar,
+}
+
+struct ConnState<R> {
+    /// The transport, here while no thread leads.
+    reader: Option<R>,
+    /// Threads waiting, or about to wait, for the reader.
+    idle: usize,
+    /// Connection threads started and not yet exited.
+    live: usize,
+    /// Set once reading stops: EOF, `shutdown`, or a read error.
+    closed: bool,
+    /// The read error that closed the connection.
+    error: Option<std::io::Error>,
+}
+
+/// A heavy request the leader admitted and now runs.
+struct AdmittedRequest {
+    msg: Incoming,
+    admission: Admission,
+    enqueued: Instant,
+}
+
+impl<R, W: Write> Connection<R, W> {
+    /// Writes one frame, newline included, in one write.
+    fn send(&self, frame: &Json) {
+        let line = format!("{frame}\n");
+        let mut w = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = w.write_all(line.as_bytes());
+        let _ = w.flush();
+    }
+}
+
+impl<R, W> Connection<R, W> {
+    fn lock(&self) -> MutexGuard<'_, ConnState<R>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits, as a counted follower, until the reader is free to take
+    /// (`Some`) or the connection has closed (`None`).
+    fn await_lead(&self) -> Option<R> {
+        let mut state = self
+            .lead
+            .wait_while(self.lock(), |s| !s.closed && s.reader.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        state.idle -= 1;
+        if state.closed {
+            None
+        } else {
+            state.reader.take()
+        }
+    }
+
+    /// Stops reading: wakes every follower to exit and keeps `error`
+    /// for `serve` to return.
+    fn close<T>(&self, error: Option<std::io::Error>) -> Option<T> {
+        let mut state = self.lock();
+        state.closed = true;
+        state.error = error;
+        drop(state);
+        self.lead.notify_all();
+        None
+    }
+}
+
+/// Counts a connection thread out when it ends, even by a panic, which
+/// also closes the connection so no follower waits for a lost reader.
+struct ThreadExit<'c, R, W>(&'c Connection<R, W>);
+
+impl<R, W> Drop for ThreadExit<'_, R, W> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.live -= 1;
+        if std::thread::panicking() {
+            state.closed = true;
+            self.0.lead.notify_all();
+        }
+        drop(state);
+        self.0.finished.notify_all();
+    }
+}
+
+/// Whether a method passes the admission gate and runs on its own
+/// connection thread (long-running) rather than inline on the leader.
 fn is_heavy(method: &str) -> bool {
     matches!(method, "compile" | "diagnostics" | "prove")
 }

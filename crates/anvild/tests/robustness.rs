@@ -1,9 +1,10 @@
 //! Overload-and-failure survival tests for the compile service:
 //! deadlines (`-32003` with partial progress) and cancellation reaching
 //! the compile stage of every heavy method, admission control (`-32004`
-//! with a retry hint), watchdog recovery of overdue workers, the
-//! `health` counters, drain/abort shutdown, and a cancellation storm
-//! that must leave no orphaned state behind.
+//! with a retry hint), watchdog recovery of overdue requests (also while
+//! a connection drains), the `health` counters, drain/abort shutdown, a
+//! cancellation storm that must leave no orphaned state behind, cancels
+//! scoped to their connection, and the bound on connection threads.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -564,8 +565,94 @@ fn cancellation_storm_leaves_no_orphaned_state() {
     const COMPILES: i64 = 24;
 
     std::thread::scope(|scope| {
-        // Connection A streams compiles; connection B storms cancels for
-        // ids in flight, already done, and never-to-arrive.
+        // Cancels reach only their own connection, so one connection
+        // interleaves its compiles with cancels for ids in flight,
+        // already done, and never-to-arrive.
+        let client = serve_pair(scope, &service);
+        let mut responses = Responses::new(&client);
+        let mut client = client;
+
+        let mut cancels = Vec::new();
+        for (k, id) in (100..100 + COMPILES).enumerate() {
+            writeln!(
+                client,
+                r#"{{"jsonrpc":"2.0","id":{id},"method":"compile","params":{{"uri":"s.anv"}}}}"#
+            )
+            .expect("compile write");
+            for (wave, target) in [id, id - 2, 500 + k as i64 % 8].into_iter().enumerate() {
+                let cid = 9000 + 10 * id + wave as i64;
+                writeln!(
+                    client,
+                    r#"{{"jsonrpc":"2.0","id":{cid},"method":"cancel","params":{{"id":{target}}}}}"#
+                )
+                .expect("cancel write");
+                cancels.push(cid);
+            }
+        }
+        // Every compile is answered: success or a clean -32800, nothing
+        // hangs, nothing panics. Every cancel gets its own ok response.
+        for id in 100..100 + COMPILES {
+            let resp = responses.read(id);
+            assert!(
+                resp.get("result").is_some() || error_code(&resp) == anvild::REQUEST_CANCELLED,
+                "{resp}"
+            );
+        }
+        for cid in cancels {
+            let resp = responses.read(cid);
+            assert!(resp.get("result").is_some(), "{resp}");
+        }
+
+        // Ids 500..508 were pre-cancelled but never arrived: their flags
+        // linger by design, and are consumed by the next use of the id.
+        for id in 500..508 {
+            writeln!(
+                client,
+                r#"{{"jsonrpc":"2.0","id":{id},"method":"compile","params":{{"uri":"s.anv"}}}}"#
+            )
+            .expect("write");
+            let resp = responses.read(id);
+            assert_eq!(error_code(&resp), anvild::REQUEST_CANCELLED, "{resp}");
+        }
+        // Consumed: the same ids now work normally — no orphaned flags.
+        for id in 500..508 {
+            writeln!(
+                client,
+                r#"{{"jsonrpc":"2.0","id":{id},"method":"compile","params":{{"uri":"s.anv"}}}}"#
+            )
+            .expect("write");
+            let resp = responses.read(id);
+            assert!(resp.get("result").is_some(), "{resp}");
+        }
+
+        writeln!(client, r#"{{"jsonrpc":"2.0","id":8000,"method":"ping"}}"#).expect("write");
+        let resp = responses.read(8000);
+        assert!(resp.get("result").is_some(), "{resp}");
+        writeln!(
+            client,
+            r#"{{"jsonrpc":"2.0","id":8001,"method":"shutdown"}}"#
+        )
+        .expect("write");
+        responses.read(8001);
+    });
+
+    let stats = service.service_stats();
+    assert_eq!(stats.in_flight, 0, "{stats:?}");
+    assert_eq!(stats.queued, 0, "{stats:?}");
+}
+
+/// Two clients may number their requests alike: a `cancel` from one
+/// connection never stops the other's request with the same id.
+#[test]
+fn cancel_reaches_only_its_own_connection() {
+    let config = ServiceConfig {
+        chaos: true,
+        ..ServiceConfig::default()
+    };
+    let service = CompileService::with_config(anvil_core::Session::new(), config);
+    open(&service, "c.anv", GOOD);
+
+    std::thread::scope(|scope| {
         let a = serve_pair(scope, &service);
         let mut a_responses = Responses::new(&a);
         let mut a = a;
@@ -573,74 +660,173 @@ fn cancellation_storm_leaves_no_orphaned_state() {
         let mut b_responses = Responses::new(&b);
         let mut b = b;
 
-        let canceller = scope.spawn(move || {
-            for wave in 0..3 {
-                for id in (100..100 + COMPILES).chain(500..508) {
-                    writeln!(
-                        b,
-                        r#"{{"jsonrpc":"2.0","id":{cid},"method":"cancel","params":{{"id":{id}}}}}"#,
-                        cid = 9000 + wave * 100 + id,
-                    )
-                    .expect("cancel write");
-                }
-            }
-            // Every cancel gets its own ok response, in order.
-            for wave in 0..3 {
-                for id in (100..100 + COMPILES).chain(500..508) {
-                    let resp = b_responses.read(9000 + wave * 100 + id);
-                    assert!(resp.get("result").is_some(), "{resp}");
-                }
-            }
-        });
+        writeln!(
+            a,
+            r#"{{"jsonrpc":"2.0","id":7,"method":"compile","params":{{"uri":"c.anv","chaosStallMs":300}}}}"#
+        )
+        .expect("write");
+        // A's compile is registered before A's next frame is read, so
+        // once the ping is answered the compile is in flight.
+        writeln!(a, r#"{{"jsonrpc":"2.0","id":8,"method":"ping"}}"#).expect("write");
+        a_responses.read(8);
 
-        for id in 100..100 + COMPILES {
-            writeln!(
-                a,
-                r#"{{"jsonrpc":"2.0","id":{id},"method":"compile","params":{{"uri":"s.anv"}}}}"#
-            )
-            .expect("compile write");
-        }
-        // Every compile is answered: success or a clean -32800, nothing
-        // hangs, nothing panics.
-        for id in 100..100 + COMPILES {
-            let resp = a_responses.read(id);
-            assert!(
-                resp.get("result").is_some() || error_code(&resp) == anvild::REQUEST_CANCELLED,
-                "{resp}"
-            );
-        }
-        canceller.join().expect("canceller");
+        writeln!(
+            b,
+            r#"{{"jsonrpc":"2.0","id":1,"method":"cancel","params":{{"id":7}}}}"#
+        )
+        .expect("write");
+        let resp = b_responses.read(1);
+        assert_eq!(result(&resp, "inflight").as_bool(), Some(false), "{resp}");
 
-        // Ids 500..508 were pre-cancelled but never arrived: their flags
-        // linger by design, and are consumed by the next use of the id.
-        for id in 500..508 {
+        let resp = a_responses.read(7);
+        assert!(resp.get("result").is_some(), "{resp}");
+        for (client, responses) in [(&mut a, &mut a_responses), (&mut b, &mut b_responses)] {
+            writeln!(client, r#"{{"jsonrpc":"2.0","id":99,"method":"shutdown"}}"#).expect("write");
+            responses.read(99);
+        }
+    });
+    assert_eq!(service.service_stats().cancelled, 0);
+}
+
+/// A client that sends its last request and closes its write side still
+/// has that request watched: the watchdog scans until the connection's
+/// last request has finished, not only while frames are being read.
+#[test]
+fn watchdog_keeps_scanning_through_a_drain() {
+    let config = ServiceConfig {
+        watchdog_grace_ms: 10,
+        chaos: true,
+        ..ServiceConfig::default()
+    };
+    let service = CompileService::with_config(anvil_core::Session::new(), config);
+    open(&service, "d.anv", GOOD);
+
+    std::thread::scope(|scope| {
+        let client = serve_pair(scope, &service);
+        let mut responses = Responses::new(&client);
+        let mut client = client;
+        writeln!(
+            client,
+            r#"{{"jsonrpc":"2.0","id":1,"method":"compile","params":{{"uri":"d.anv","chaosStallMs":300,"deadlineMs":20}}}}"#
+        )
+        .expect("write");
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let resp = responses.read(1);
+        assert_eq!(error_code(&resp), anvild::DEADLINE_EXCEEDED, "{resp}");
+    });
+    assert_eq!(service.service_stats().watchdog_fired, 1);
+}
+
+/// A closed-loop editor (edit, compile, wait, repeat) is served by the
+/// same two connection threads throughout: the thread that ran the last
+/// compile waits to read again before it answers.
+#[test]
+fn sequential_edits_reuse_two_connection_threads() {
+    let service = CompileService::new();
+    open(&service, "e.anv", GOOD);
+    std::thread::scope(|scope| {
+        let client = serve_pair(scope, &service);
+        let mut responses = Responses::new(&client);
+        let mut client = client;
+        for action in 0..50i64 {
+            let text = Json::str(format!("// edit {action}\n{GOOD}"));
+            let (update, compile) = (2 * action + 1, 2 * action + 2);
             writeln!(
-                a,
-                r#"{{"jsonrpc":"2.0","id":{id},"method":"compile","params":{{"uri":"s.anv"}}}}"#
+                client,
+                r#"{{"jsonrpc":"2.0","id":{update},"method":"update","params":{{"uri":"e.anv","text":{text}}}}}"#
             )
             .expect("write");
-            let resp = a_responses.read(id);
-            assert_eq!(error_code(&resp), anvild::REQUEST_CANCELLED, "{resp}");
-        }
-        // Consumed: the same ids now work normally — no orphaned flags.
-        for id in 500..508 {
             writeln!(
-                a,
-                r#"{{"jsonrpc":"2.0","id":{id},"method":"compile","params":{{"uri":"s.anv"}}}}"#
+                client,
+                r#"{{"jsonrpc":"2.0","id":{compile},"method":"compile","params":{{"uri":"e.anv"}}}}"#
             )
             .expect("write");
-            let resp = a_responses.read(id);
+            let resp = responses.read(update);
+            assert!(resp.get("result").is_some(), "{resp}");
+            let resp = responses.read(compile);
             assert!(resp.get("result").is_some(), "{resp}");
         }
-
-        writeln!(a, r#"{{"jsonrpc":"2.0","id":8000,"method":"ping"}}"#).expect("write");
-        let resp = a_responses.read(8000);
-        assert!(resp.get("result").is_some(), "{resp}");
-        writeln!(a, r#"{{"jsonrpc":"2.0","id":8001,"method":"shutdown"}}"#).expect("write");
-        a_responses.read(8001);
     });
-
     let stats = service.service_stats();
-    assert_eq!(stats.in_flight, 0, "{stats:?}");
-    assert_eq!(stats.queued, 0, "{stats:?}");
+    assert!(stats.threads_started <= 2, "{stats:?}");
+    // The `open` and fifty updates and compiles.
+    assert_eq!(stats.completed, 101, "{stats:?}");
+}
+
+/// A pipelined burst holds one connection thread per outstanding heavy
+/// request plus the one that reads on, and every request is answered.
+#[test]
+fn pipelined_burst_starts_one_thread_per_outstanding_request_at_most() {
+    let config = ServiceConfig {
+        max_concurrency: 2,
+        max_queue: 4,
+        chaos: true,
+        ..ServiceConfig::default()
+    };
+    let service = CompileService::with_config(anvil_core::Session::new(), config);
+    open(&service, "p.anv", GOOD);
+    std::thread::scope(|scope| {
+        let client = serve_pair(scope, &service);
+        let mut responses = Responses::new(&client);
+        let mut client = client;
+        for id in 1..=4 {
+            writeln!(
+                client,
+                r#"{{"jsonrpc":"2.0","id":{id},"method":"compile","params":{{"uri":"p.anv","chaosStallMs":50}}}}"#
+            )
+            .expect("write");
+        }
+        for id in 1..=4 {
+            let resp = responses.read(id);
+            assert!(resp.get("result").is_some(), "{resp}");
+        }
+    });
+    let stats = service.service_stats();
+    assert!(stats.threads_started <= 5, "{stats:?}");
+    // The `open` and the four compiles.
+    assert_eq!((stats.shed, stats.completed), (0, 5), "{stats:?}");
+}
+
+/// Control frames read after a heavy request are answered by the next
+/// leader while that request still runs.
+#[test]
+fn cancel_and_ping_behind_a_stalled_compile_are_answered_while_it_runs() {
+    let config = ServiceConfig {
+        chaos: true,
+        ..ServiceConfig::default()
+    };
+    let service = CompileService::with_config(anvil_core::Session::new(), config);
+    open(&service, "q.anv", GOOD);
+    std::thread::scope(|scope| {
+        let client = serve_pair(scope, &service);
+        let mut responses = Responses::new(&client);
+        let mut client = client;
+        writeln!(
+            client,
+            r#"{{"jsonrpc":"2.0","id":1,"method":"compile","params":{{"uri":"q.anv","chaosStallMs":1500}}}}"#
+        )
+        .expect("write");
+        writeln!(
+            client,
+            r#"{{"jsonrpc":"2.0","id":2,"method":"cancel","params":{{"id":1}}}}"#
+        )
+        .expect("write");
+        writeln!(client, r#"{{"jsonrpc":"2.0","id":3,"method":"ping"}}"#).expect("write");
+
+        let resp = responses.read(2);
+        assert_eq!(result(&resp, "inflight").as_bool(), Some(true), "{resp}");
+        let resp = responses.read(3);
+        assert!(resp.get("result").is_some(), "{resp}");
+        // Frames arrive in write order: the compile's answer, sent the
+        // moment it finishes, has not come before the ping's.
+        assert!(
+            !responses.pending.contains_key(&1),
+            "the compile was answered before the frames behind it"
+        );
+        // The stall is a sleep; the compile sees its raised flag after it.
+        let resp = responses.read(1);
+        assert_eq!(error_code(&resp), anvild::REQUEST_CANCELLED, "{resp}");
+    });
 }

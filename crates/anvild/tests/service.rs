@@ -239,11 +239,11 @@ fn deeply_nested_source_is_a_compile_error_over_the_wire() {
 }
 
 /// Sources at the parser's nesting limit are accepted, so every compile
-/// pass recurses 256 levels deep on a serve worker thread. Unoptimised,
-/// as in this test profile, 256 prefix operators or `>>` items need
-/// about 7.3 MiB of stack: they overflowed the 2 MiB default threads
-/// workers used to get. Each compiles to SystemVerilog, and the
-/// connection keeps serving.
+/// pass recurses 256 levels deep on a serve connection thread.
+/// Unoptimised, as in this test profile, 256 prefix operators or `>>`
+/// items need about 7.3 MiB of stack: they overflowed the 2 MiB default
+/// threads requests used to run on. Each compiles to SystemVerilog, and
+/// the connection keeps serving.
 #[test]
 fn sources_at_the_nesting_limit_compile_over_the_wire() {
     let service = CompileService::new();

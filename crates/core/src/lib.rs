@@ -654,10 +654,7 @@ impl Session {
 
         // ---- Passes 3–4: per-unit optimize + lower, children before
         // parents against the growing library. ----
-        let mut lib = ModuleLibrary::new();
-        for m in self.externs.iter() {
-            lib.add(m.clone());
-        }
+        let mut lib = self.externs.clone();
         let mut emit_keys: HashMap<&str, u64> = HashMap::new();
         for &name in &order {
             if let Some(why) = control.interrupted() {
@@ -711,7 +708,7 @@ impl Session {
                 }
             };
             drop(sp);
-            lib.add((*module).clone());
+            lib.add(module);
         }
 
         // ---- Pass 5: emit — deterministic assembly of per-module

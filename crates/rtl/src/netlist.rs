@@ -15,6 +15,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::bits::Bits;
 use crate::expr::Expr;
@@ -596,9 +597,12 @@ fn m_kind(library: &ModuleLibrary, module: &str, port: &str) -> Option<SignalKin
 
 /// A collection of named modules, used to resolve instances during
 /// validation and elaboration.
+///
+/// Modules are held behind [`Arc`], so cloning a library, or adding a
+/// module that a cache already shares, copies no netlist.
 #[derive(Clone, Debug, Default)]
 pub struct ModuleLibrary {
-    modules: HashMap<String, Module>,
+    modules: HashMap<String, Arc<Module>>,
 }
 
 impl ModuleLibrary {
@@ -607,19 +611,21 @@ impl ModuleLibrary {
         Self::default()
     }
 
-    /// Adds a module, replacing any previous module of the same name.
-    pub fn add(&mut self, module: Module) {
+    /// Adds a module, owned or shared, replacing any previous module of
+    /// the same name.
+    pub fn add(&mut self, module: impl Into<Arc<Module>>) {
+        let module = module.into();
         self.modules.insert(module.name.clone(), module);
     }
 
     /// Looks up a module by name.
     pub fn get(&self, name: &str) -> Option<&Module> {
-        self.modules.get(name)
+        self.modules.get(name).map(|m| &**m)
     }
 
     /// Iterates over all modules.
     pub fn iter(&self) -> impl Iterator<Item = &Module> {
-        self.modules.values()
+        self.modules.values().map(|m| &**m)
     }
 }
 

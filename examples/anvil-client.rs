@@ -10,8 +10,11 @@
 //! archives): open → cold compile → warm compile (asserting ZERO cache
 //! misses) → comment edit → recompile (still zero misses) → broken edit
 //! → compile failure with a streamed `diagnostics` notification →
-//! pre-cancellation → `cacheStats` → `health` → `shutdown`. Exits 0 and
-//! prints `SMOKE OK` only if every assertion held.
+//! pre-cancellation → `cacheStats` → `health` → `shutdown`. The health
+//! probe also bounds the daemon's connection threads (`THREADS OK`:
+//! `threadsStarted` ≤ `maxConcurrency` + `maxQueue` + 1 over this one
+//! connection). Exits 0 and prints `SMOKE OK` only if every assertion
+//! held.
 //!
 //! With `--overload-burst` (run against a server started with small
 //! `--max-concurrency` / `--max-queue` and `--chaos`), the client also
@@ -407,6 +410,16 @@ fn main() {
     }
 
     println!("HEALTH OK");
+
+    // The connection holds one thread per outstanding heavy request
+    // plus the one reading on, and the gate bounds outstanding requests.
+    let bound = result_int(&health, "maxConcurrency") + result_int(&health, "maxQueue") + 1;
+    let threads = result_int(&health, "threadsStarted");
+    check(
+        (1..=bound).contains(&threads),
+        &format!("{threads} connection threads started, bound {bound}"),
+    );
+    println!("THREADS OK");
 
     if let Some(metrics_path) = &metrics_socket {
         scrape_metrics(&mut client, metrics_path);

@@ -128,10 +128,11 @@ fn main() {
     }
     match args.transport {
         Transport::Stdio => {
-            let stdin = std::io::stdin();
-            // `Stdout` (not the lock) — workers stream notifications from
-            // other threads, so the writer must be `Send`.
-            if let Err(e) = service.serve(stdin.lock(), std::io::stdout()) {
+            // `Stdin` and `Stdout`, not their locks: the connection's
+            // threads take turns reading and all of them write, so both
+            // ends must be `Send`.
+            let stdin = BufReader::new(std::io::stdin());
+            if let Err(e) = service.serve(stdin, std::io::stdout()) {
                 eprintln!("anvild: transport error: {e}");
                 exit(1);
             }
