@@ -63,7 +63,7 @@ fn bench_opt(c: &mut Criterion) {
     c.bench_function("optimize_ptw_event_graph", |b| {
         b.iter(|| {
             for ir in &irs {
-                std::hint::black_box(optimize(ir, OptConfig::default()));
+                std::hint::black_box(optimize(ir.clone(), OptConfig::default()));
             }
         })
     });

@@ -60,7 +60,7 @@ fn main() {
         let mut before = 0;
         let mut after = 0;
         let mut by_pass = [0usize; 5];
-        for ir in &irs {
+        for ir in irs {
             let (_, stats) = optimize(ir, OptConfig::default());
             before += stats.before;
             after += stats.after;

@@ -251,7 +251,7 @@ pub fn build_optimized_ir(
     let before = irs.iter().map(|ir| ir.graph.len()).sum::<usize>();
     if opts.optimize {
         irs = irs
-            .iter()
+            .into_iter()
             .map(|ir| optimize(ir, opts.opt_config).0)
             .collect();
     }
@@ -340,7 +340,7 @@ struct Gen<'a> {
     extern_count: usize,
     /// Shared extern call sites: identical `(fn, args)` applications map
     /// to one instance (combinational sharing, like synthesis CSE).
-    extern_cache: HashMap<String, SignalId>,
+    extern_cache: HashMap<(Symbol, Vec<Expr>), SignalId>,
 }
 
 impl<'a> Gen<'a> {
@@ -808,16 +808,16 @@ impl<'a> Gen<'a> {
                     .iter()
                     .map(|a| self.val_with_conds(a, cond_sel))
                     .collect();
-                let key = format!("{func}:{lowered:?}");
+                let key = (*func, lowered);
                 if let Some(out) = self.extern_cache.get(&key) {
                     return Expr::Signal(*out);
                 }
                 let idx = self.extern_count;
                 self.extern_count += 1;
                 let mut conns = Vec::new();
-                for (k, (e, w)) in lowered.into_iter().zip(&f.arg_widths).enumerate() {
+                for (k, (e, w)) in key.1.iter().zip(&f.arg_widths).enumerate() {
                     let wire = self.m.wire(format!("x{idx}_{func}_in{k}"), *w);
-                    self.m.assign(wire, e);
+                    self.m.assign(wire, e.clone());
                     conns.push((format!("in{k}"), wire));
                 }
                 let out = self.m.wire(format!("x{idx}_{func}_out"), f.ret_width);

@@ -520,9 +520,7 @@ impl<'a> Builder<'a> {
                             return self.err(i.span, "array index must be instantaneous");
                         }
                         let iw = index_width(depth);
-                        let bi_info = bi.info.coerce(iw);
-                        info.absorb_deps(&bi_info);
-                        Some(Box::new(bi_info.val))
+                        Some(Box::new(info.absorb(bi.info.coerce(iw))))
                     }
                     (Some(_), None) => {
                         return self.err(t.span, format!("register `{reg}` is not an array"))
@@ -592,7 +590,7 @@ impl<'a> Builder<'a> {
                 );
                 let c = self.graph.fresh_cond();
                 self.conds.push(CondSite {
-                    val: bc_info.val.clone(),
+                    val: bc_info.val,
                     at: bc.end,
                 });
                 let bt_ev = self.graph.push(EventKind::Branch {
@@ -618,25 +616,16 @@ impl<'a> Builder<'a> {
                 });
                 let info = if bthen.info.val.is_unit() || belse.info.val.is_unit() {
                     let mut i = Info::unit(merge);
-                    i.absorb_deps(&bthen.info);
-                    i.absorb_deps(&belse.info);
+                    i.absorb(bthen.info);
+                    i.absorb(belse.info);
                     i
                 } else {
                     let (ti, ei) = coerce_pair(bthen.info, belse.info, t.span)?;
-                    let mut i = Info {
-                        val: Val::Mux {
-                            cond: c,
-                            then_v: Box::new(ti.val.clone()),
-                            else_v: Box::new(ei.val.clone()),
-                        },
-                        width: ti.width,
-                        created: merge,
-                        ends: Vec::new(),
-                        regs: BTreeSet::new(),
-                    };
-                    i.absorb_deps(&ti);
-                    i.absorb_deps(&ei);
-                    i
+                    Info::combine(ti.width, merge, [ti, ei], |[then_v, else_v]| Val::Mux {
+                        cond: c,
+                        then_v: Box::new(then_v),
+                        else_v: Box::new(else_v),
+                    })
                 };
                 Ok(Built { end: merge, info })
             }
@@ -662,8 +651,8 @@ impl<'a> Builder<'a> {
                     done,
                     dur: self.contract_dur(&mref, &mdef),
                     created: payload.created,
-                    ends: payload.ends.clone(),
-                    regs: payload.regs.clone(),
+                    ends: payload.ends,
+                    regs: payload.regs,
                 });
                 self.actions.push((
                     sstart,
@@ -806,15 +795,9 @@ impl<'a> Builder<'a> {
                     BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 1,
                     _ => ia.width,
                 };
-                let mut info = Info {
-                    val: Val::Binop(*op, Box::new(ia.val.clone()), Box::new(ib.val.clone())),
-                    width,
-                    created: end,
-                    ends: Vec::new(),
-                    regs: BTreeSet::new(),
-                };
-                info.absorb_deps(&ia);
-                info.absorb_deps(&ib);
+                let info = Info::combine(width, end, [ia, ib], |[a, b]| {
+                    Val::Binop(*op, Box::new(a), Box::new(b))
+                });
                 Ok(Built { end, info })
             }
             TermKind::Unop(op, a) => {
@@ -824,14 +807,7 @@ impl<'a> Builder<'a> {
                     anvil_syntax::UnOp::Not => ia.width,
                     anvil_syntax::UnOp::LogicNot => 1,
                 };
-                let mut info = Info {
-                    val: Val::Unop(*op, Box::new(ia.val.clone())),
-                    width,
-                    created: ba.end,
-                    ends: Vec::new(),
-                    regs: BTreeSet::new(),
-                };
-                info.absorb_deps(&ia);
+                let info = Info::combine(width, ba.end, [ia], |[a]| Val::Unop(*op, Box::new(a)));
                 Ok(Built { end: ba.end, info })
             }
             TermKind::Slice { base, hi, lo } => {
@@ -846,18 +822,11 @@ impl<'a> Builder<'a> {
                         format!("slice [{hi}:{lo}] out of range for {} bits", ib.width),
                     );
                 }
-                let mut info = Info {
-                    val: Val::Slice {
-                        base: Box::new(ib.val.clone()),
-                        hi: *hi,
-                        lo: *lo,
-                    },
-                    width: hi - lo + 1,
-                    created: bb.end,
-                    ends: Vec::new(),
-                    regs: BTreeSet::new(),
-                };
-                info.absorb_deps(&ib);
+                let info = Info::combine(hi - lo + 1, bb.end, [ib], |[base]| Val::Slice {
+                    base: Box::new(base),
+                    hi: *hi,
+                    lo: *lo,
+                });
                 Ok(Built { end: bb.end, info })
             }
             TermKind::Concat(parts) => {
@@ -872,16 +841,7 @@ impl<'a> Builder<'a> {
                     infos.push(bp.info);
                 }
                 let width = infos.iter().map(|i| i.width).sum();
-                let mut info = Info {
-                    val: Val::Concat(infos.iter().map(|i| i.val.clone()).collect()),
-                    width,
-                    created: end,
-                    ends: Vec::new(),
-                    regs: BTreeSet::new(),
-                };
-                for i in &infos {
-                    info.absorb_deps(i);
-                }
+                let info = Info::combine_all(width, end, infos, Val::Concat);
                 Ok(Built { end, info })
             }
             TermKind::ExternCall { func, args } => {
@@ -912,19 +872,11 @@ impl<'a> Builder<'a> {
                     }
                     infos.push(ia);
                 }
-                let mut info = Info {
-                    val: Val::ExternCall {
-                        func: Symbol::intern(func),
-                        args: infos.iter().map(|i| i.val.clone()).collect(),
-                    },
-                    width: f.ret_width,
-                    created: end,
-                    ends: Vec::new(),
-                    regs: BTreeSet::new(),
-                };
-                for i in &infos {
-                    info.absorb_deps(i);
-                }
+                let func = Symbol::intern(func);
+                let info = Info::combine_all(f.ret_width, end, infos, |args| Val::ExternCall {
+                    func,
+                    args,
+                });
                 Ok(Built { end, info })
             }
             TermKind::Dprint { label, value } => {

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Mutex, MutexGuard};
 
 use anvil_intern::Symbol;
 
@@ -62,7 +62,7 @@ impl fmt::Display for MsgRef {
 
 /// What kind of time point an event is, and how it relates to its
 /// predecessors (the edge labels of Fig. 8).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// The start of a thread iteration (`e0`).
     Root,
@@ -171,9 +171,12 @@ impl Pattern {
 /// predecessor has a smaller index than its dependents.
 ///
 /// Events live in an index-based arena ([`EventId`]s are the only
-/// handles), and the query memo-cache is behind an `RwLock`, so a built
-/// graph is `Send + Sync` and can serve `≤G` queries from several threads
-/// at once.
+/// handles). `≤G` queries read a per-reference gap table behind a
+/// `Mutex`, locked once per [`EventGraph::min_gap`] or
+/// [`EventGraph::max_gap`] call, so a built graph is `Send + Sync` and can
+/// serve queries from several threads at once. Appending an event leaves
+/// the table valid: an entry depends only on entries for earlier events,
+/// so queries extend rows on demand and nothing is recomputed.
 #[derive(Debug, Default)]
 pub struct EventGraph {
     events: Vec<EventKind>,
@@ -181,13 +184,54 @@ pub struct EventGraph {
     /// under. Used to decide whether one event always follows another.
     contexts: Vec<Vec<(CondId, bool)>>,
     n_conds: usize,
-    /// Memoised per-reference gap vectors, keyed by (reference, mode).
-    /// Invalidated whenever an event is appended.
-    cache: RwLock<GapCache>,
+    gaps: Mutex<GapTable>,
 }
 
-/// One shared gap vector per (reference event, min/max mode).
-type GapCache = HashMap<(usize, bool), Arc<Vec<Option<i64>>>>;
+/// Bounds on `τ(e) − τ(r)` for one event `e` in the row of reference `r`:
+/// a lower bound (`min`) and an upper bound (`max`), `None` when unknown
+/// or unbounded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Gap {
+    min: Option<i64>,
+    max: Option<i64>,
+}
+
+impl Gap {
+    const NONE: Gap = Gap {
+        min: None,
+        max: None,
+    };
+}
+
+/// The forward gap propagation from every reference event that a query
+/// has needed so far (App. C.3.1).
+///
+/// `rows[r][k]` bounds `τ(r + k) − τ(r)`. A row starts at its reference,
+/// because no event before `r` is reachable from `r`. Rows only grow: an
+/// entry reads entries of its own row for the event's predecessors, which
+/// come earlier in the graph's topological order.
+#[derive(Debug, Default)]
+struct GapTable {
+    rows: Vec<Vec<Gap>>,
+    /// Entries computed since the graph was created.
+    computed: usize,
+}
+
+impl GapTable {
+    /// Row `r`, extended to cover event `upto`.
+    fn row(&mut self, g: &EventGraph, r: usize, upto: usize) -> &[Gap] {
+        if self.rows.len() <= r {
+            self.rows.resize_with(r + 1, Vec::new);
+        }
+        let row = &mut self.rows[r];
+        while r + row.len() <= upto {
+            let gap = g.gap_entry(r, row);
+            row.push(gap);
+            self.computed += 1;
+        }
+        row
+    }
+}
 
 impl Clone for EventGraph {
     fn clone(&self) -> Self {
@@ -195,8 +239,8 @@ impl Clone for EventGraph {
             events: self.events.clone(),
             contexts: self.contexts.clone(),
             n_conds: self.n_conds,
-            // The memo cache is derived state; a fresh graph re-fills it.
-            cache: RwLock::new(GapCache::new()),
+            // The gap table is derived state; a fresh graph re-fills it.
+            gaps: Mutex::default(),
         }
     }
 }
@@ -270,7 +314,6 @@ impl EventGraph {
         };
         self.events.push(kind);
         self.contexts.push(ctx);
-        self.cache.write().expect("gap cache poisoned").clear();
         EventId(self.events.len() - 1)
     }
 
@@ -316,15 +359,13 @@ impl EventGraph {
     /// Combines forward propagation from `a` with reasoning through every
     /// potential common ancestor `r`:
     /// `τ(b) − τ(a) ≥ min_r(b) − max_r(a)` whenever both are bounded.
+    /// Only `r ≤ min(a, b)` can reach both events.
     pub fn min_gap(&self, a: EventId, b: EventId) -> Option<i64> {
+        let mut table = self.gap_table();
         let mut best: Option<i64> = None;
-        for r in 0..self.events.len() {
-            if r > a.0 && r > b.0 {
-                break; // later events cannot be ancestors of either
-            }
-            let lo = self.gaps_from(EventId(r), GapMode::Min);
-            let hi = self.gaps_from(EventId(r), GapMode::Max);
-            if let (Some(lb), Some(ha)) = (lo[b.0], hi[a.0]) {
+        for r in 0..=a.0.min(b.0) {
+            let row = table.row(self, r, a.0.max(b.0));
+            if let (Some(lb), Some(ha)) = (row[b.0 - r].min, row[a.0 - r].max) {
                 let cand = lb - ha;
                 best = Some(best.map_or(cand, |x| x.max(cand)));
             }
@@ -335,14 +376,11 @@ impl EventGraph {
     /// Upper bound on `τ(b) − τ(a)` over all timestamp functions, or
     /// `None` when unbounded / unknown.
     pub fn max_gap(&self, a: EventId, b: EventId) -> Option<i64> {
+        let mut table = self.gap_table();
         let mut best: Option<i64> = None;
-        for r in 0..self.events.len() {
-            if r > a.0 && r > b.0 {
-                break;
-            }
-            let hi = self.gaps_from(EventId(r), GapMode::Max);
-            let lo = self.gaps_from(EventId(r), GapMode::Min);
-            if let (Some(hb), Some(la)) = (hi[b.0], lo[a.0]) {
+        for r in 0..=a.0.min(b.0) {
+            let row = table.row(self, r, a.0.max(b.0));
+            if let (Some(hb), Some(la)) = (row[b.0 - r].max, row[a.0 - r].min) {
                 let cand = hb - la;
                 best = Some(best.map_or(cand, |x| x.min(cand)));
             }
@@ -350,90 +388,88 @@ impl EventGraph {
         best
     }
 
-    fn gaps_from(&self, r: EventId, mode: GapMode) -> Arc<Vec<Option<i64>>> {
-        let key = (r.0, mode == GapMode::Min);
-        if let Some(v) = self.cache.read().expect("gap cache poisoned").get(&key) {
-            return Arc::clone(v);
-        }
-        let v = Arc::new(self.gaps(r, mode));
-        self.cache
-            .write()
-            .expect("gap cache poisoned")
-            .insert(key, Arc::clone(&v));
-        v
+    /// Number of gap-table entries computed since the graph was created: a
+    /// work counter for tests that pin how query cost grows with the graph.
+    pub fn gap_entries_computed(&self) -> usize {
+        self.gap_table().computed
     }
 
-    fn gaps(&self, from: EventId, mode: GapMode) -> Vec<Option<i64>> {
-        let mut gap: Vec<Option<i64>> = vec![None; self.events.len()];
-        gap[from.0] = Some(0);
-        let from_ctx = &self.contexts[from.0];
-        // Conditioned on `from` occurring, events on contradictory branches
-        // never fire; joins range over the compatible predecessors only.
-        let compatible = |p: &EventId| {
-            !self.contexts[p.0]
-                .iter()
-                .any(|(c, t)| from_ctx.iter().any(|(c2, t2)| c == c2 && t != t2))
-        };
-        for i in 0..self.events.len() {
-            if i == from.0 {
-                continue;
-            }
-            let candidate = match &self.events[i] {
-                EventKind::Root => None,
-                EventKind::Delay { pred, cycles } => gap[pred.0].map(|g| g + *cycles as i64),
-                EventKind::Sync {
-                    pred,
-                    min_delay,
-                    max_delay,
-                    ..
-                } => match mode {
-                    GapMode::Min => gap[pred.0].map(|g| g + *min_delay as i64),
-                    GapMode::Max => match max_delay {
-                        Some(d) => gap[pred.0].map(|g| g + *d as i64),
-                        None => None,
-                    },
-                },
-                EventKind::Branch { pred, .. } => gap[pred.0],
-                EventKind::JoinAll { preds } => {
-                    // τ = max over preds.
-                    match mode {
-                        // Lower bound: any single defined pred bound works.
-                        GapMode::Min => preds.iter().filter_map(|p| gap[p.0]).max(),
-                        // Upper bound: need every pred bounded.
-                        GapMode::Max => preds
-                            .iter()
-                            .map(|p| gap[p.0])
-                            .collect::<Option<Vec<_>>>()
-                            .and_then(|v| v.into_iter().max()),
-                    }
-                }
-                EventKind::JoinAny { preds } => {
-                    // τ = the *taken* pred's time (untaken branches never
-                    // fire); the taken side can be any predecessor whose
-                    // branch context is compatible with `from`, so both
-                    // bounds need every such pred bounded.
-                    let live: Vec<_> = preds.iter().filter(|p| compatible(p)).collect();
-                    if live.is_empty() {
-                        None
-                    } else {
-                        match mode {
-                            GapMode::Min => live
-                                .iter()
-                                .map(|p| gap[p.0])
-                                .collect::<Option<Vec<_>>>()
-                                .and_then(|v| v.into_iter().min()),
-                            GapMode::Max => live
-                                .iter()
-                                .map(|p| gap[p.0])
-                                .collect::<Option<Vec<_>>>()
-                                .and_then(|v| v.into_iter().max()),
-                        }
-                    }
-                }
+    /// Frees the gap table's rows and any spare capacity, for graphs kept
+    /// long after their last query; later queries recompute the rows they
+    /// need.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.gaps.get_mut().expect("gap table poisoned").rows = Vec::new();
+        self.events.shrink_to_fit();
+        self.contexts.shrink_to_fit();
+    }
+
+    fn gap_table(&self) -> MutexGuard<'_, GapTable> {
+        self.gaps.lock().expect("gap table poisoned")
+    }
+
+    /// The next entry of reference `r`'s row, for event `r + row.len()`.
+    fn gap_entry(&self, r: usize, row: &[Gap]) -> Gap {
+        let i = r + row.len();
+        if i == r {
+            return Gap {
+                min: Some(0),
+                max: Some(0),
             };
-            gap[i] = candidate;
         }
-        gap
+        let at = |p: &EventId| p.0.checked_sub(r).map_or(Gap::NONE, |k| row[k]);
+        match &self.events[i] {
+            EventKind::Root => Gap::NONE,
+            EventKind::Delay { pred, cycles } => {
+                let g = at(pred);
+                Gap {
+                    min: g.min.map(|x| x + *cycles as i64),
+                    max: g.max.map(|x| x + *cycles as i64),
+                }
+            }
+            EventKind::Sync {
+                pred,
+                min_delay,
+                max_delay,
+                ..
+            } => {
+                let g = at(pred);
+                Gap {
+                    min: g.min.map(|x| x + *min_delay as i64),
+                    max: max_delay.and_then(|d| g.max.map(|x| x + d as i64)),
+                }
+            }
+            EventKind::Branch { pred, .. } => at(pred),
+            // τ = max over preds. Lower bound: any single defined pred
+            // bound works. Upper bound: every pred must be bounded.
+            EventKind::JoinAll { preds } => Gap {
+                min: preds.iter().filter_map(|p| at(p).min).max(),
+                max: preds
+                    .iter()
+                    .map(|p| at(p).max)
+                    .reduce(|x, y| Some(x?.max(y?)))
+                    .flatten(),
+            },
+            // τ = the *taken* pred's time (untaken branches never fire);
+            // the taken side can be any predecessor whose branch context is
+            // compatible with `r`, so both bounds need every such pred
+            // bounded.
+            EventKind::JoinAny { preds } => {
+                if preds.iter().all(|p| at(p) == Gap::NONE) {
+                    // Unreachable from `r`: unbounded whichever side is
+                    // live, so skip comparing branch contexts.
+                    return Gap::NONE;
+                }
+                preds
+                    .iter()
+                    .filter(|p| !self.contexts_disjoint(**p, EventId(r)))
+                    .map(at)
+                    .reduce(|x, y| Gap {
+                        min: x.min.zip(y.min).map(|(a, b)| a.min(b)),
+                        max: x.max.zip(y.max).map(|(a, b)| a.max(b)),
+                    })
+                    .unwrap_or(Gap::NONE)
+            }
+        }
     }
 
     /// `a ≤G b`: in every timestamp function, `a` occurs no later than `b`.
@@ -642,12 +678,6 @@ impl EventGraph {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum GapMode {
-    Min,
-    Max,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,6 +804,44 @@ mod tests {
         assert!(g.always_follows(e0, m));
         assert!(!g.always_follows(e0, t_end));
         assert!(g.always_follows(bt, t_end));
+    }
+
+    #[test]
+    fn join_any_with_no_side_live_from_the_reference_is_unbounded_from_it() {
+        // From `t` (cond taken), both sides of `j` contradict `t`'s guard:
+        // `j` never fires with `t`, so `t`'s row bounds nothing for `j`,
+        // and only `s`'s row bounds τ(j) − τ(t).
+        let mut g = EventGraph::new();
+        let e0 = g.add_root();
+        let s = g.push(EventKind::Sync {
+            pred: e0,
+            msg: msg("ep", "m"),
+            is_send: false,
+            min_delay: 0,
+            max_delay: None,
+        });
+        let c = g.fresh_cond();
+        let t = g.push(EventKind::Branch {
+            pred: s,
+            cond: c,
+            taken: true,
+        });
+        let f = g.push(EventKind::Branch {
+            pred: s,
+            cond: c,
+            taken: false,
+        });
+        let f5 = g.push(EventKind::Delay { pred: f, cycles: 5 });
+        let t_never = g.push(EventKind::Branch {
+            pred: t,
+            cond: c,
+            taken: false,
+        });
+        let j = g.push(EventKind::JoinAny {
+            preds: vec![t_never, f5],
+        });
+        assert_eq!(g.max_gap(t, j), Some(5));
+        assert_eq!(g.min_gap(t, j), Some(0));
     }
 
     #[test]

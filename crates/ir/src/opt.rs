@@ -83,185 +83,186 @@ impl OptConfig {
 }
 
 /// Optimizes a thread IR to a fixed point, returning the new IR and stats.
-pub fn optimize(ir: &ThreadIr, config: OptConfig) -> (ThreadIr, OptStats) {
+///
+/// The passes read and rewrite only the event graph and the set of pinned
+/// events (those carrying actions, conditions or handshakes); each
+/// rewrite reports where every old event went. The composed map is
+/// applied to the thread's actions, conditions and check sites once, at
+/// the end, in place.
+pub fn optimize(mut ir: ThreadIr, config: OptConfig) -> (ThreadIr, OptStats) {
     let mut stats = OptStats {
         before: ir.graph.len(),
         ..OptStats::default()
     };
-    let mut cur = ir.clone();
+    let pins = pinned(&ir);
+    let map = (0..ir.graph.len()).map(EventId).collect();
+    let mut cur = Current {
+        graph: std::mem::take(&mut ir.graph),
+        pins,
+        map,
+    };
     loop {
         let mut changed = false;
         if config.merge_identical {
-            let (next, n) = merge_identical(&cur);
+            let n = cur.apply(merge_identical(&cur.graph));
             stats.merged_identical += n;
             changed |= n > 0;
-            cur = next;
         }
         if config.remove_unbalanced {
-            let (next, n) = remove_unbalanced(&cur);
+            let n = cur.apply(remove_unbalanced(&cur.graph));
             stats.unbalanced_joins += n;
             changed |= n > 0;
-            cur = next;
         }
         if config.shift_branch_joins {
-            let (next, n) = shift_branch_joins(&cur);
+            let n = cur.apply(shift_branch_joins(&cur.graph, &cur.pins));
             stats.shifted_joins += n;
             changed |= n > 0;
-            cur = next;
         }
         if config.remove_branch_joins {
-            let (next, n) = remove_branch_joins(&cur);
+            let n = cur.apply(remove_branch_joins(&cur.graph, &cur.pins));
             stats.removed_joins += n;
             changed |= n > 0;
-            cur = next;
         }
         if !changed {
             break;
         }
     }
     if config.sweep_dead {
-        let (next, n) = sweep_dead(&cur);
-        stats.dead = n;
-        cur = next;
+        stats.dead = cur.apply(sweep_dead(&cur.graph, &cur.pins));
     }
     stats.after = cur.graph.len();
-    (cur, stats)
+    let map = cur.map;
+    ir.graph = cur.graph;
+    // Optimized IR lives on in the query cache and lowering asks no
+    // timing queries: drop the gap rows and the builder's spare capacity.
+    ir.graph.shrink_to_fit();
+    ir.actions.shrink_to_fit();
+    ir.conds.shrink_to_fit();
+    ir.uses.shrink_to_fit();
+    ir.sends.shrink_to_fit();
+    ir.assigns.shrink_to_fit();
+    ir.ready_checks.shrink_to_fit();
+    remap_events(&mut ir, |e| map[e.0]);
+    (ir, stats)
 }
 
-/// A mapping from old event ids to new ones, applied across the whole IR.
-struct Remap {
-    map: Vec<EventId>,
+/// The graph being optimized, its pinned events, and where each event of
+/// the input graph sits in it.
+struct Current {
     graph: EventGraph,
+    pins: Vec<bool>,
+    map: Vec<EventId>,
 }
 
-impl Remap {
-    fn apply(self, ir: &ThreadIr) -> ThreadIr {
-        let m = |e: EventId| self.map[e.0];
-        let map_val = |v: &Val| remap_val(v, &|e| m(e));
-        ThreadIr {
-            graph: self.graph,
-            root: m(ir.root),
-            finish: m(ir.finish),
-            actions: ir
-                .actions
-                .iter()
-                .map(|(e, a)| {
-                    let a2 = match a {
-                        ActionIr::Assign { reg, index, value } => ActionIr::Assign {
-                            reg: *reg,
-                            index: index.as_ref().map(&map_val),
-                            value: map_val(value),
-                        },
-                        ActionIr::SendData { msg, value, done } => ActionIr::SendData {
-                            msg: *msg,
-                            value: map_val(value),
-                            done: m(*done),
-                        },
-                        ActionIr::DPrint { label, value } => ActionIr::DPrint {
-                            label: label.clone(),
-                            value: value.as_ref().map(&map_val),
-                        },
-                        ActionIr::Recurse => ActionIr::Recurse,
-                    };
-                    (m(*e), a2)
-                })
-                .collect(),
-            conds: ir
-                .conds
-                .iter()
-                .map(|c| crate::build::CondSite {
-                    val: map_val(&c.val),
-                    at: m(c.at),
-                })
-                .collect(),
-            // Check sites are consumed by the (already-run) type checker;
-            // keep them remapped for inspection.
-            uses: ir
-                .uses
-                .iter()
-                .map(|u| {
-                    let mut u = u.clone();
-                    u.created = m(u.created);
-                    u.at = m(u.at);
-                    u.end.base = m(u.end.base);
-                    for p in &mut u.ends {
-                        p.base = m(p.base);
-                    }
-                    u
-                })
-                .collect(),
-            sends: ir
-                .sends
-                .iter()
-                .map(|s| {
-                    let mut s = s.clone();
-                    s.start = m(s.start);
-                    s.done = m(s.done);
-                    s.created = m(s.created);
-                    for p in &mut s.ends {
-                        p.base = m(p.base);
-                    }
-                    s
-                })
-                .collect(),
-            assigns: ir
-                .assigns
-                .iter()
-                .map(|a| {
-                    let mut a = a.clone();
-                    a.at = m(a.at);
-                    a
-                })
-                .collect(),
-            ready_checks: ir
-                .ready_checks
-                .iter()
-                .map(|r| {
-                    let mut r = r.clone();
-                    r.start = m(r.start);
-                    r.at = m(r.at);
-                    r
-                })
-                .collect(),
-            is_recursive: ir.is_recursive,
+impl Current {
+    /// Adopts a pass's rewrite (if any); returns the events it removed.
+    fn apply(&mut self, rewrite: Option<Rewrite>) -> usize {
+        let Some(Rewrite {
+            graph,
+            map,
+            removed,
+        }) = rewrite
+        else {
+            return 0;
+        };
+        let mut pins = vec![false; graph.len()];
+        for (old, pinned) in self.pins.iter().enumerate() {
+            if *pinned {
+                pins[map[old].0] = true;
+            }
         }
+        for e in &mut self.map {
+            *e = map[e.0];
+        }
+        self.pins = pins;
+        self.graph = graph;
+        removed
     }
 }
 
-fn remap_val(v: &Val, m: &impl Fn(EventId) -> EventId) -> Val {
-    match v {
-        Val::MsgData { msg, recv } => Val::MsgData {
-            msg: *msg,
-            recv: m(*recv),
-        },
-        Val::Binop(op, a, b) => {
-            Val::Binop(*op, Box::new(remap_val(a, m)), Box::new(remap_val(b, m)))
+/// A pass's output: the rewritten graph, the new id of every old event,
+/// and how many events the pass removed.
+struct Rewrite {
+    graph: EventGraph,
+    map: Vec<EventId>,
+    removed: usize,
+}
+
+/// Moves every event reference of the thread (outside its graph) through
+/// `m`.
+fn remap_events(ir: &mut ThreadIr, m: impl Fn(EventId) -> EventId) {
+    let m = &m;
+    ir.root = m(ir.root);
+    ir.finish = m(ir.finish);
+    for (e, a) in &mut ir.actions {
+        *e = m(*e);
+        match a {
+            ActionIr::Assign { index, value, .. } => {
+                if let Some(i) = index {
+                    remap_val(i, m);
+                }
+                remap_val(value, m);
+            }
+            ActionIr::SendData { value, done, .. } => {
+                remap_val(value, m);
+                *done = m(*done);
+            }
+            ActionIr::DPrint { value, .. } => {
+                if let Some(v) = value {
+                    remap_val(v, m);
+                }
+            }
+            ActionIr::Recurse => {}
         }
-        Val::Unop(op, a) => Val::Unop(*op, Box::new(remap_val(a, m))),
-        Val::Slice { base, hi, lo } => Val::Slice {
-            base: Box::new(remap_val(base, m)),
-            hi: *hi,
-            lo: *lo,
-        },
-        Val::Concat(parts) => Val::Concat(parts.iter().map(|p| remap_val(p, m)).collect()),
-        Val::ExternCall { func, args } => Val::ExternCall {
-            func: *func,
-            args: args.iter().map(|a| remap_val(a, m)).collect(),
-        },
-        Val::Mux {
-            cond,
-            then_v,
-            else_v,
-        } => Val::Mux {
-            cond: *cond,
-            then_v: Box::new(remap_val(then_v, m)),
-            else_v: Box::new(remap_val(else_v, m)),
-        },
-        Val::RegRead { reg, index } => Val::RegRead {
-            reg: *reg,
-            index: index.as_ref().map(|i| Box::new(remap_val(i, m))),
-        },
-        other => other.clone(),
+    }
+    for c in &mut ir.conds {
+        remap_val(&mut c.val, m);
+        c.at = m(c.at);
+    }
+    // Check sites are consumed by the (already-run) type checker; keep
+    // them remapped for inspection.
+    for u in &mut ir.uses {
+        u.created = m(u.created);
+        u.at = m(u.at);
+        u.end.base = m(u.end.base);
+        for p in &mut u.ends {
+            p.base = m(p.base);
+        }
+    }
+    for s in &mut ir.sends {
+        s.start = m(s.start);
+        s.done = m(s.done);
+        s.created = m(s.created);
+        for p in &mut s.ends {
+            p.base = m(p.base);
+        }
+    }
+    for a in &mut ir.assigns {
+        a.at = m(a.at);
+    }
+    for r in &mut ir.ready_checks {
+        r.start = m(r.start);
+        r.at = m(r.at);
+    }
+}
+
+fn remap_val(v: &mut Val, m: &impl Fn(EventId) -> EventId) {
+    match v {
+        Val::MsgData { recv, .. } => *recv = m(*recv),
+        Val::Binop(_, a, b) => {
+            remap_val(a, m);
+            remap_val(b, m);
+        }
+        Val::Unop(_, a) | Val::Slice { base: a, .. } => remap_val(a, m),
+        Val::Concat(parts) | Val::ExternCall { args: parts, .. } => {
+            parts.iter_mut().for_each(|p| remap_val(p, m))
+        }
+        Val::Mux { then_v, else_v, .. } => {
+            remap_val(then_v, m);
+            remap_val(else_v, m);
+        }
+        Val::RegRead { index: Some(i), .. } => remap_val(i, m),
+        Val::RegRead { index: None, .. } | Val::Const { .. } | Val::Unit | Val::Ready { .. } => {}
     }
 }
 
@@ -288,17 +289,33 @@ fn pinned(ir: &ThreadIr) -> Vec<bool> {
     p
 }
 
-/// Rebuilds the graph keeping every event, but with `alias[e] = Some(t)`
-/// redirecting `e` (and its dependents) to target `t < e`.
-fn rebuild_with_aliases(ir: &ThreadIr, alias: &HashMap<usize, EventId>) -> (Remap, usize) {
+/// A graph with the same conditions as `g` and no events yet.
+fn empty_like(g: &EventGraph) -> EventGraph {
     let mut graph = EventGraph::new();
-    let mut map: Vec<EventId> = Vec::with_capacity(ir.graph.len());
-    // Preserve fresh conds.
-    for _ in 0..ir.graph.cond_count() {
+    for _ in 0..g.cond_count() {
         graph.fresh_cond();
     }
+    graph
+}
+
+/// Rebuilds the graph keeping every event, but with `alias[e] = Some(t)`
+/// redirecting `e` (and its dependents) to target `t < e`.
+///
+/// Returns `None` when the rebuild would reproduce `g` exactly: nothing
+/// is aliased and every latest-of join already lists distinct
+/// predecessors in ascending order.
+fn rebuild_with_aliases(g: &EventGraph, alias: &HashMap<usize, EventId>) -> Option<Rewrite> {
+    let canonical = g.iter().all(|(_, k)| match k {
+        EventKind::JoinAll { preds } => preds.windows(2).all(|w| w[0] < w[1]),
+        _ => true,
+    });
+    if alias.is_empty() && canonical {
+        return None;
+    }
+    let mut graph = empty_like(g);
+    let mut map: Vec<EventId> = Vec::with_capacity(g.len());
     let mut removed = 0;
-    for (id, kind) in ir.graph.iter() {
+    for (id, kind) in g.iter() {
         if let Some(target) = alias.get(&id.0) {
             map.push(map[target.0]);
             removed += 1;
@@ -307,7 +324,11 @@ fn rebuild_with_aliases(ir: &ThreadIr, alias: &HashMap<usize, EventId>) -> (Rema
         let remapped = remap_kind(kind, &map);
         map.push(graph.push(remapped));
     }
-    (Remap { map, graph }, removed)
+    Some(Rewrite {
+        graph,
+        map,
+        removed,
+    })
 }
 
 fn remap_kind(kind: &EventKind, map: &[EventId]) -> EventKind {
@@ -352,10 +373,10 @@ fn dedup(mut v: Vec<EventId>) -> Vec<EventId> {
 
 /// Pass (a): merge events with identical kinds (same predecessor, same
 /// label). They provably fire at the same time.
-fn merge_identical(ir: &ThreadIr) -> (ThreadIr, usize) {
-    let mut seen: HashMap<String, EventId> = HashMap::new();
+fn merge_identical(g: &EventGraph) -> Option<Rewrite> {
+    let mut seen: HashMap<&EventKind, EventId> = HashMap::new();
     let mut alias: HashMap<usize, EventId> = HashMap::new();
-    for (id, kind) in ir.graph.iter() {
+    for (id, kind) in g.iter() {
         let mergeable = matches!(
             kind,
             EventKind::Delay { .. } | EventKind::Branch { .. } | EventKind::JoinAll { .. }
@@ -363,25 +384,23 @@ fn merge_identical(ir: &ThreadIr) -> (ThreadIr, usize) {
         if !mergeable {
             continue;
         }
-        let key = format!("{kind:?}");
-        match seen.get(&key) {
+        match seen.get(kind) {
             Some(first) => {
                 alias.insert(id.0, *first);
             }
             None => {
-                seen.insert(key, id);
+                seen.insert(kind, id);
             }
         }
     }
-    let (remap, n) = rebuild_with_aliases(ir, &alias);
-    (remap.apply(ir), n)
+    rebuild_with_aliases(g, &alias)
 }
 
 /// Pass (b): a `JoinAll` where one input never trails another is the later
 /// input alone.
-fn remove_unbalanced(ir: &ThreadIr) -> (ThreadIr, usize) {
+fn remove_unbalanced(g: &EventGraph) -> Option<Rewrite> {
     let mut alias: HashMap<usize, EventId> = HashMap::new();
-    for (id, kind) in ir.graph.iter() {
+    for (id, kind) in g.iter() {
         let EventKind::JoinAll { preds } = kind else {
             continue;
         };
@@ -389,23 +408,21 @@ fn remove_unbalanced(ir: &ThreadIr) -> (ThreadIr, usize) {
             continue;
         }
         let (a, b) = (preds[0], preds[1]);
-        if ir.graph.le(a, b) {
+        if g.le(a, b) {
             alias.insert(id.0, b);
-        } else if ir.graph.le(b, a) {
+        } else if g.le(b, a) {
             alias.insert(id.0, a);
         }
     }
-    let (remap, n) = rebuild_with_aliases(ir, &alias);
-    (remap.apply(ir), n)
+    rebuild_with_aliases(g, &alias)
 }
 
 /// Pass (c): `⊕{Delay(a,N), Delay(b,N)}` with action-free delays becomes
 /// `Delay(⊕{a,b}, N)`.
-fn shift_branch_joins(ir: &ThreadIr) -> (ThreadIr, usize) {
-    let pins = pinned(ir);
+fn shift_branch_joins(g: &EventGraph, pins: &[bool]) -> Option<Rewrite> {
     // Find one candidate per run (rebuilding invalidates indices).
     let mut candidate: Option<(usize, EventId, EventId, u64)> = None;
-    for (id, kind) in ir.graph.iter() {
+    for (id, kind) in g.iter() {
         let EventKind::JoinAny { preds } = kind else {
             continue;
         };
@@ -422,7 +439,7 @@ fn shift_branch_joins(ir: &ThreadIr) -> (ThreadIr, usize) {
                 pred: pb,
                 cycles: nb,
             },
-        ) = (ir.graph.kind(a), ir.graph.kind(b))
+        ) = (g.kind(a), g.kind(b))
         else {
             continue;
         };
@@ -432,16 +449,11 @@ fn shift_branch_joins(ir: &ThreadIr) -> (ThreadIr, usize) {
         candidate = Some((id.0, *pa, *pb, *na));
         break;
     }
-    let Some((join_idx, pa, pb, n)) = candidate else {
-        return (ir.clone(), 0);
-    };
+    let (join_idx, pa, pb, n) = candidate?;
     // Rebuild: at the join, emit ⊕{pa, pb} then a delay.
-    let mut graph = EventGraph::new();
-    for _ in 0..ir.graph.cond_count() {
-        graph.fresh_cond();
-    }
-    let mut map: Vec<EventId> = Vec::with_capacity(ir.graph.len());
-    for (id, kind) in ir.graph.iter() {
+    let mut graph = empty_like(g);
+    let mut map: Vec<EventId> = Vec::with_capacity(g.len());
+    for (id, kind) in g.iter() {
         if id.0 == join_idx {
             let j = graph.push(EventKind::JoinAny {
                 preds: vec![map[pa.0], map[pb.0]],
@@ -452,16 +464,18 @@ fn shift_branch_joins(ir: &ThreadIr) -> (ThreadIr, usize) {
             map.push(graph.push(remapped));
         }
     }
-    let remap = Remap { map, graph };
-    (remap.apply(ir), 1)
+    Some(Rewrite {
+        graph,
+        map,
+        removed: 1,
+    })
 }
 
 /// Pass (d): a `⊕` joining two action-free branch heads of the same
 /// condition fires with the branch point itself.
-fn remove_branch_joins(ir: &ThreadIr) -> (ThreadIr, usize) {
-    let pins = pinned(ir);
+fn remove_branch_joins(g: &EventGraph, pins: &[bool]) -> Option<Rewrite> {
     let mut alias: HashMap<usize, EventId> = HashMap::new();
-    for (id, kind) in ir.graph.iter() {
+    for (id, kind) in g.iter() {
         let EventKind::JoinAny { preds } = kind else {
             continue;
         };
@@ -476,7 +490,7 @@ fn remove_branch_joins(ir: &ThreadIr) -> (ThreadIr, usize) {
             EventKind::Branch {
                 pred: pb, cond: cb, ..
             },
-        ) = (ir.graph.kind(a), ir.graph.kind(b))
+        ) = (g.kind(a), g.kind(b))
         else {
             continue;
         };
@@ -484,32 +498,28 @@ fn remove_branch_joins(ir: &ThreadIr) -> (ThreadIr, usize) {
             alias.insert(id.0, *pa);
         }
     }
-    let (remap, n) = rebuild_with_aliases(ir, &alias);
-    (remap.apply(ir), n)
+    rebuild_with_aliases(g, &alias)
 }
 
 /// Cleanup: drop events nothing observes (no dependents, no actions, no
 /// handshakes, not root/finish).
-fn sweep_dead(ir: &ThreadIr) -> (ThreadIr, usize) {
-    let mut live = pinned(ir);
+fn sweep_dead(g: &EventGraph, pins: &[bool]) -> Option<Rewrite> {
+    let mut live = pins.to_vec();
     // Backward closure: predecessors of live events are live.
-    for i in (0..ir.graph.len()).rev() {
+    for i in (0..g.len()).rev() {
         if live[i] {
-            for p in ir.graph.kind(EventId(i)).preds() {
+            for p in g.kind(EventId(i)).preds() {
                 live[p.0] = true;
             }
         }
     }
     if live.iter().all(|l| *l) {
-        return (ir.clone(), 0);
+        return None;
     }
-    let mut graph = EventGraph::new();
-    for _ in 0..ir.graph.cond_count() {
-        graph.fresh_cond();
-    }
-    let mut map: Vec<EventId> = Vec::with_capacity(ir.graph.len());
+    let mut graph = empty_like(g);
+    let mut map: Vec<EventId> = Vec::with_capacity(g.len());
     let mut removed = 0;
-    for (id, kind) in ir.graph.iter() {
+    for (id, kind) in g.iter() {
         if !live[id.0] {
             // Dead events keep a placeholder mapping to their (live)
             // predecessor chain; they are never referenced.
@@ -521,8 +531,11 @@ fn sweep_dead(ir: &ThreadIr) -> (ThreadIr, usize) {
         let remapped = remap_kind(kind, &map);
         map.push(graph.push(remapped));
     }
-    let remap = Remap { map, graph };
-    (remap.apply(ir), removed)
+    Some(Rewrite {
+        graph,
+        map,
+        removed,
+    })
 }
 
 #[cfg(test)]
@@ -554,7 +567,7 @@ mod tests {
                 }
             }";
         let ir = build(src);
-        let (opt, stats) = optimize(&ir, OptConfig::default());
+        let (opt, stats) = optimize(ir.clone(), OptConfig::default());
         assert!(stats.after <= stats.before);
         // Root-to-finish timing must be identical.
         assert_eq!(
@@ -576,7 +589,7 @@ mod tests {
             }";
         let ir = build(src);
         let (_, stats) = optimize(
-            &ir,
+            ir,
             OptConfig {
                 remove_unbalanced: false,
                 shift_branch_joins: false,
@@ -624,7 +637,7 @@ mod tests {
                 .count()
         };
         assert_eq!(n_joins(&ir), 1);
-        let (opt, stats) = optimize(&ir, OptConfig::default());
+        let (opt, stats) = optimize(ir, OptConfig::default());
         assert_eq!(n_joins(&opt), 0);
         assert!(stats.unbalanced_joins >= 1);
         assert_eq!(opt.graph.min_gap(opt.root, opt.finish), Some(3));
@@ -645,7 +658,7 @@ mod tests {
                 }
             }";
         let ir = build(src);
-        let (opt, stats) = optimize(&ir, OptConfig::default());
+        let (opt, stats) = optimize(ir.clone(), OptConfig::default());
         assert!(stats.shifted_joins >= 1 || stats.removed_joins >= 1);
         assert!(opt.graph.len() < ir.graph.len());
         // recv (>=0) + if (2) + assign (1)
@@ -656,7 +669,7 @@ mod tests {
     fn disabled_config_is_identity() {
         let src = "proc p() { reg r : logic[8]; loop { set r := *r + 1 >> cycle 1 } }";
         let ir = build(src);
-        let (opt, stats) = optimize(&ir, OptConfig::none());
+        let (opt, stats) = optimize(ir.clone(), OptConfig::none());
         assert_eq!(stats.before, stats.after);
         assert_eq!(opt.graph.len(), ir.graph.len());
     }
@@ -674,7 +687,7 @@ mod tests {
                 }
             }";
         let ir = build(src);
-        let (opt, _) = optimize(&ir, OptConfig::default());
+        let (opt, _) = optimize(ir.clone(), OptConfig::default());
         // Same sync delays and same branch decisions must give the same
         // finish time in both graphs.
         for delays in [[0u64, 0], [3, 1], [7, 2]] {

@@ -157,16 +157,61 @@ impl Info {
         self
     }
 
-    /// Merges the lifetime metadata of another operand into this one
+    /// Merges the lifetime metadata of an operand into this value
     /// (intersection of lifetimes = union of end patterns; union of
-    /// register dependencies).
-    pub fn absorb_deps(&mut self, other: &Info) {
-        for e in &other.ends {
-            if !self.ends.contains(e) {
-                self.ends.push(e.clone());
+    /// register dependencies) and hands back the operand's signal, so the
+    /// caller can move it into the combined expression.
+    pub(crate) fn absorb(&mut self, other: Info) -> Val {
+        if self.ends.is_empty() {
+            // End patterns are kept duplicate-free, so the operand's list
+            // is already the union.
+            self.ends = other.ends;
+        } else {
+            for e in other.ends {
+                if !self.ends.contains(&e) {
+                    self.ends.push(e);
+                }
             }
         }
-        self.regs.extend(other.regs.iter().copied());
+        let mut regs = other.regs;
+        if regs.len() > self.regs.len() {
+            std::mem::swap(&mut self.regs, &mut regs);
+        }
+        self.regs.extend(regs);
+        other.val
+    }
+
+    /// The value `make(operand signals)` of the given width, created at
+    /// `created`: each operand's signal moves into the result and its
+    /// metadata is absorbed, in operand order.
+    pub(crate) fn combine<const N: usize>(
+        width: usize,
+        created: EventId,
+        operands: [Info; N],
+        make: impl FnOnce([Val; N]) -> Val,
+    ) -> Info {
+        let mut info = Info::pure(Val::Unit, width, created);
+        let vals = operands.map(|o| info.absorb(o));
+        info.val = make(vals);
+        info
+    }
+
+    /// [`Info::combine`] over a variable number of operands.
+    pub(crate) fn combine_all(
+        width: usize,
+        created: EventId,
+        operands: Vec<Info>,
+        make: impl FnOnce(Vec<Val>) -> Val,
+    ) -> Info {
+        let mut info = Info::pure(Val::Unit, width, created);
+        // Pushed one by one, not collected: a collect would reuse the
+        // larger operand buffer for the signals.
+        let mut vals = Vec::with_capacity(operands.len());
+        for o in operands {
+            vals.push(info.absorb(o));
+        }
+        info.val = make(vals);
+        info
     }
 }
 
@@ -208,7 +253,7 @@ mod tests {
         b.regs.insert(Symbol::intern("r2"));
         b.ends.push(Pattern::cycles(EventId(0), 1));
         b.ends.push(Pattern::cycles(EventId(0), 2));
-        a.absorb_deps(&b);
+        a.absorb(b);
         assert_eq!(a.regs.len(), 2);
         assert_eq!(a.ends.len(), 2); // duplicate pattern not re-added
     }

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use anvil_intern::Symbol;
-use anvil_ir::{build_proc, BuildCtx, EventGraph, EventId, IrError, Pattern, PatternDur, ThreadIr};
+use anvil_ir::{build_proc, BuildCtx, EventId, IrError, Pattern, PatternDur, ThreadIr};
 use anvil_syntax::{Program, Span};
 
 /// Which of the safety checks a diagnostic comes from.
@@ -175,7 +175,7 @@ pub fn check_thread(ir: &ThreadIr) -> ThreadReport {
     for a in &ir.assigns {
         if let Some(loans) = report.loans.get(&a.reg) {
             for loan in loans {
-                if contexts_disjoint(g, a.at, loan.start) {
+                if g.contexts_disjoint(a.at, loan.start) {
                     continue; // different branches never co-occur
                 }
                 let ok = g.le_pattern_ctx(&loan.end, &Pattern::cycles(a.at, 1), 0, Some(a.at))
@@ -239,7 +239,7 @@ pub fn check_thread(ir: &ThreadIr) -> ThreadReport {
         for i in 0..sends.len() {
             for j in (i + 1)..sends.len() {
                 let (a, b) = (sends[i], sends[j]);
-                if contexts_disjoint(g, a.start, b.start) {
+                if g.contexts_disjoint(a.start, b.start) {
                     continue;
                 }
                 let disjoint = match (&a.dur, &b.dur) {
@@ -286,14 +286,6 @@ pub fn check_thread(ir: &ThreadIr) -> ThreadReport {
     }
 
     report
-}
-
-/// True if two events sit on contradictory branches of the same condition
-/// (they can never co-occur in a run).
-fn contexts_disjoint(g: &EventGraph, a: EventId, b: EventId) -> bool {
-    g.context(a)
-        .iter()
-        .any(|(c, t)| g.context(b).iter().any(|(c2, t2)| c == c2 && t != t2))
 }
 
 fn render_pattern(p: &Pattern) -> String {
@@ -615,6 +607,43 @@ mod tests {
         assert!(rep.is_safe(), "{:?}", rep.errors());
         let loans = &rep.threads[0].loans[&Symbol::intern("r")];
         assert!(loans.iter().any(|l| l.origin.contains("ep.out")));
+    }
+
+    /// `if *r == 0 { set r := 1; cycle 1 } else if *r == 1 { … } …`
+    /// with `links` arms: each arm nests one level deeper.
+    fn set_chain(links: usize) -> String {
+        let arms: Vec<String> = (0..links)
+            .map(|i| format!("if *r == {i} {{ set r := {}; cycle 1 }}", (i + 1) % links))
+            .collect();
+        format!(
+            "proc p() {{ reg r : logic[8]; loop {{ {} }} }}",
+            arms.join(" else ")
+        )
+    }
+
+    /// Gap-table entries computed to build and check `src`'s only thread.
+    fn gap_entries_to_check(src: &str) -> usize {
+        let prog = parse(src).unwrap();
+        let ctx = BuildCtx {
+            program: &prog,
+            proc: &prog.procs[0],
+        };
+        let irs = build_proc(&ctx, 2).unwrap();
+        let report = check_thread(&irs[0]);
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        irs[0].graph.gap_entries_computed()
+    }
+
+    #[test]
+    fn gap_work_grows_with_the_square_of_the_chain() {
+        // The graph only grows, so no gap entry is computed twice: the
+        // work is bounded by the table's size, quadratic in the events.
+        let short = gap_entries_to_check(&set_chain(20));
+        let long = gap_entries_to_check(&set_chain(40));
+        assert!(
+            long <= 4 * short,
+            "40 links computed {long} gap entries, 20 links {short}"
+        );
     }
 
     #[test]
