@@ -329,6 +329,41 @@ fn broken_file_answers_compile_failed_and_streams_diagnostics() {
     assert_eq!(notes.len(), 1);
 }
 
+/// A non-ASCII character used to crash the diagnostic renderer: the
+/// lexer spanned only its first byte, and slicing the source at that
+/// span panicked after the diagnostic had streamed, so `compile`
+/// answered `-32603`. It is now a compile error like any other.
+#[test]
+fn non_ascii_character_is_a_compile_error_not_a_panic() {
+    let service = CompileService::new();
+    let src = "proc p() { reg r : logic; loop { set r := é >> cycle 1 } }";
+    open(&service, "accent.anv", src);
+    let (resp, notes) = call(
+        &service,
+        1,
+        "compile",
+        Json::obj([("uri", Json::str("accent.anv"))]),
+    );
+    assert_eq!(error_code(&resp), anvild::COMPILE_FAILED, "{resp}");
+    let diags = notes[0]
+        .get("params")
+        .and_then(|p| p.get("diagnostics"))
+        .and_then(Json::as_array)
+        .expect("diagnostics notification streamed");
+    assert_eq!(
+        diags[0].get("message").and_then(Json::as_str),
+        Some("unexpected character `é`")
+    );
+    assert_eq!(diags[0].get("col").and_then(Json::as_i64), Some(43));
+
+    let (health, _) = call(&service, 2, "health", Json::Null);
+    assert_eq!(
+        result(&health, "panicsRecovered").as_i64(),
+        Some(0),
+        "{health}"
+    );
+}
+
 #[test]
 fn registry_enforces_open_and_version_monotonicity() {
     let service = CompileService::new();

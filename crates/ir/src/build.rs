@@ -160,7 +160,8 @@ pub struct ThreadIr {
     pub actions: Vec<(EventId, ActionIr)>,
     /// Branch conditions, indexed by [`crate::CondId`].
     pub conds: Vec<CondSite>,
-    /// Use sites for Valid Value Use checking.
+    /// Use sites for Valid Value Use checking. This and the other three
+    /// check-site lists are empty once [`crate::optimize`] has run.
     pub uses: Vec<UseSite>,
     /// Send sites for Valid Message Send checking.
     pub sends: Vec<SendSite>,

@@ -87,8 +87,12 @@ impl OptConfig {
 /// The passes read and rewrite only the event graph and the set of pinned
 /// events (those carrying actions, conditions or handshakes); each
 /// rewrite reports where every old event went. The composed map is
-/// applied to the thread's actions, conditions and check sites once, at
-/// the end, in place.
+/// applied to the thread's actions and conditions once, at the end, in
+/// place.
+///
+/// The returned IR carries no check sites: `uses`, `sends`, `assigns`
+/// and `ready_checks` are empty. They are for the type checker, which
+/// reads them before optimization, and lowering never does.
 pub fn optimize(mut ir: ThreadIr, config: OptConfig) -> (ThreadIr, OptStats) {
     let mut stats = OptStats {
         before: ir.graph.len(),
@@ -138,10 +142,10 @@ pub fn optimize(mut ir: ThreadIr, config: OptConfig) -> (ThreadIr, OptStats) {
     ir.graph.shrink_to_fit();
     ir.actions.shrink_to_fit();
     ir.conds.shrink_to_fit();
-    ir.uses.shrink_to_fit();
-    ir.sends.shrink_to_fit();
-    ir.assigns.shrink_to_fit();
-    ir.ready_checks.shrink_to_fit();
+    ir.uses = Vec::new();
+    ir.sends = Vec::new();
+    ir.assigns = Vec::new();
+    ir.ready_checks = Vec::new();
     remap_events(&mut ir, |e| map[e.0]);
     (ir, stats)
 }
@@ -218,31 +222,6 @@ fn remap_events(ir: &mut ThreadIr, m: impl Fn(EventId) -> EventId) {
     for c in &mut ir.conds {
         remap_val(&mut c.val, m);
         c.at = m(c.at);
-    }
-    // Check sites are consumed by the (already-run) type checker; keep
-    // them remapped for inspection.
-    for u in &mut ir.uses {
-        u.created = m(u.created);
-        u.at = m(u.at);
-        u.end.base = m(u.end.base);
-        for p in &mut u.ends {
-            p.base = m(p.base);
-        }
-    }
-    for s in &mut ir.sends {
-        s.start = m(s.start);
-        s.done = m(s.done);
-        s.created = m(s.created);
-        for p in &mut s.ends {
-            p.base = m(p.base);
-        }
-    }
-    for a in &mut ir.assigns {
-        a.at = m(a.at);
-    }
-    for r in &mut ir.ready_checks {
-        r.start = m(r.start);
-        r.at = m(r.at);
     }
 }
 
@@ -578,6 +557,20 @@ mod tests {
             ir.graph.max_gap(ir.root, ir.finish),
             opt.graph.max_gap(opt.root, opt.finish)
         );
+    }
+
+    #[test]
+    fn optimized_ir_carries_no_check_sites() {
+        let src = "chan c { left m : (logic[8]@#4), right res : (logic[8]@#1) }
+            proc p(ep : left c) {
+                reg r : logic[8];
+                loop { let x = recv ep.m >> set r := x >> send ep.res (*r) >> cycle 1 }
+            }";
+        let ir = build(src);
+        assert!(!ir.uses.is_empty() && !ir.sends.is_empty() && !ir.assigns.is_empty());
+        let (opt, _) = optimize(ir, OptConfig::default());
+        assert!(opt.uses.is_empty() && opt.sends.is_empty());
+        assert!(opt.assigns.is_empty() && opt.ready_checks.is_empty());
     }
 
     #[test]

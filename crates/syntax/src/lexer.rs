@@ -468,11 +468,14 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>, LexError> {
                         '|' => Tok::Pipe,
                         '~' => Tok::Tilde,
                         '!' => Tok::Bang,
-                        other => {
+                        _ => {
+                            // `c` is only the first byte: name and span
+                            // the whole character.
+                            let other = rest.chars().next().unwrap_or(c);
                             return Err(LexError {
                                 message: format!("unexpected character `{other}`"),
-                                span: Span::new(i, i + 1),
-                            })
+                                span: Span::new(i, i + other.len_utf8()),
+                            });
                         }
                     };
                     (single, 1)
@@ -585,6 +588,15 @@ mod tests {
         assert!(lex("/* unterminated").is_err());
         assert!(lex("8'q1").is_err());
         assert!(lex("$").is_err());
+    }
+
+    #[test]
+    fn unexpected_non_ascii_characters_are_named_and_spanned_whole() {
+        for (src, ch) in [("a é", "é"), ("x := €", "€"), ("🦀", "🦀")] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.message, format!("unexpected character `{ch}`"));
+            assert_eq!(&src[err.span.start..err.span.end], ch);
+        }
     }
 
     #[test]

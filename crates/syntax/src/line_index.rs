@@ -48,10 +48,7 @@ impl<'a> LineIndex<'a> {
     /// (diagnostics with stale spans degrade gracefully rather than
     /// panicking).
     pub fn line_col(&self, offset: usize) -> (usize, usize) {
-        let mut offset = offset.min(self.source.len());
-        while !self.source.is_char_boundary(offset) {
-            offset -= 1;
-        }
+        let offset = self.source.floor_char_boundary(offset);
         let line = self
             .line_starts
             .partition_point(|&start| start <= offset)

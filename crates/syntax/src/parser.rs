@@ -4,7 +4,9 @@
 //! with sequences built from the wait (`>>`) and join (`;`) operators and
 //! `let` bindings scoping over the remainder of their enclosing sequence —
 //! exactly the shape of the paper's examples, where
-//! `let r = recv ep.rd_req >> t` binds `r` for `t`.
+//! `let r = recv ep.rd_req >> t` binds `r` for `t`. Binary operators are
+//! parsed by one operator-precedence loop over a table of binding powers,
+//! and each token is moved out of the token stream as it is consumed.
 
 use std::fmt;
 
@@ -34,15 +36,15 @@ impl ParseError {
 
     /// [`ParseError::render`] against a prebuilt [`crate::LineIndex`], so a
     /// driver rendering many diagnostics resolves lines in O(log n) each
-    /// instead of rescanning the source per error.
+    /// instead of rescanning the source per error. Like
+    /// [`crate::LineIndex::line_col`], it clamps the span to the source and
+    /// to character boundaries.
     pub fn render_with(&self, index: &crate::LineIndex<'_>) -> String {
         let source = index.source();
         let (line, col) = index.span_start(self.span);
-        let snippet: String = source
-            [self.span.start.min(source.len())..self.span.end.min(source.len())]
-            .chars()
-            .take(40)
-            .collect();
+        let start = source.floor_char_boundary(self.span.start);
+        let end = source.floor_char_boundary(self.span.end).max(start);
+        let snippet: String = source[start..end].chars().take(40).collect();
         format!("{line}:{col}: {} (at `{snippet}`)", self.message)
     }
 }
@@ -89,6 +91,7 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
         toks,
         pos: 0,
         depth: 0,
+        pending: Vec::new(),
     };
     p.program()
 }
@@ -98,8 +101,13 @@ struct Parser {
     pos: usize,
     /// Current nesting level (see [`MAX_NESTING`]).
     depth: usize,
+    /// Left operands waiting for their right operands (see
+    /// [`Parser::binary`]).
+    pending: Vec<(Term, BinOp, u8)>,
 }
 
+/// One item of a sequence: a term, or a `let` binding, which scopes over
+/// the items after it.
 enum Item {
     Plain(Term),
     Binding {
@@ -107,6 +115,66 @@ enum Item {
         value: Term,
         span: Span,
     },
+}
+
+impl Item {
+    /// The item followed by `rest` through `op`, or ending its sequence
+    /// when there is no `rest`; a binding then scopes over `()`.
+    fn then(self, op: SeqOp, rest: Option<Term>) -> Term {
+        match (self, rest) {
+            (Item::Plain(first), None) => first,
+            (Item::Plain(first), Some(rest)) => {
+                let span = first.span.join(rest.span);
+                let (first, rest) = (Box::new(first), Box::new(rest));
+                Term::new(TermKind::Seq { first, op, rest }, span)
+            }
+            (Item::Binding { name, value, span }, rest) => {
+                let body = rest.unwrap_or_else(|| Term::new(TermKind::Unit, span));
+                let span = span.join(body.span);
+                let (value, body) = (Box::new(value), Box::new(body));
+                Term::new(
+                    TermKind::Let {
+                        name,
+                        value,
+                        op,
+                        body,
+                    },
+                    span,
+                )
+            }
+        }
+    }
+}
+
+/// The binary operator a token spells, with its binding power: a higher
+/// power binds tighter, and every level is left-associative.
+fn binary_op(t: &Tok) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Tok::EqEq => (BinOp::Eq, 1),
+        Tok::NotEq => (BinOp::Ne, 1),
+        Tok::LessThan => (BinOp::Lt, 1),
+        Tok::LessEq => (BinOp::Le, 1),
+        Tok::GreaterThan => (BinOp::Gt, 1),
+        Tok::GreaterEq => (BinOp::Ge, 1),
+        Tok::Pipe => (BinOp::Or, 2),
+        Tok::Caret => (BinOp::Xor, 3),
+        Tok::Amp => (BinOp::And, 4),
+        Tok::ShlOp => (BinOp::Shl, 5),
+        Tok::ShrOp => (BinOp::Shr, 5),
+        Tok::Plus => (BinOp::Add, 6),
+        Tok::Minus => (BinOp::Sub, 6),
+        // `*` after an operand multiplies; as a prefix it reads a register.
+        Tok::Star => (BinOp::Mul, 7),
+        _ => return None,
+    })
+}
+
+/// "expected `what`, found `found`", located at `span`.
+fn expected(what: impl fmt::Display, found: &Tok, span: Span) -> ParseError {
+    ParseError {
+        message: format!("expected {what}, found {found}"),
+        span,
+    }
 }
 
 impl Parser {
@@ -122,30 +190,35 @@ impl Parser {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    /// The span of the last token consumed.
+    fn prev_span(&self) -> Span {
+        self.toks[self.pos.saturating_sub(1)].span
+    }
+
+    /// Moves the current token out of the stream and advances past it.
+    /// The final `Eof` is never passed, so reading it leaves it in place.
+    fn bump(&mut self) -> (Tok, Span) {
+        let t = &mut self.toks[self.pos];
+        let out = (std::mem::replace(&mut t.tok, Tok::Eof), t.span);
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
+        out
     }
 
     fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == t {
+        let found = self.peek() == t;
+        if found {
             self.bump();
-            true
-        } else {
-            false
         }
+        found
     }
 
     fn expect(&mut self, t: &Tok) -> Result<Span, ParseError> {
         if self.peek() == t {
-            let s = self.span();
-            self.bump();
-            Ok(s)
+            Ok(self.bump().1)
         } else {
-            Err(self.err(format!("expected {t}, found {}", self.peek())))
+            Err(expected(t, self.peek(), self.span()))
         }
     }
 
@@ -175,23 +248,43 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        match self.bump() {
+            (Tok::Ident(s), _) => Ok(s),
+            (other, span) => Err(expected("identifier", &other, span)),
         }
     }
 
     fn int(&mut self) -> Result<u64, ParseError> {
-        match self.peek().clone() {
-            Tok::Int { value, .. } => {
-                self.bump();
-                Ok(value)
-            }
-            other => Err(self.err(format!("expected integer, found {other}"))),
+        match self.bump() {
+            (Tok::Int { value, .. }, _) => Ok(value),
+            (other, span) => Err(expected("integer", &other, span)),
         }
+    }
+
+    // left | right
+    fn dir(&mut self) -> Result<Dir, ParseError> {
+        match self.bump() {
+            (Tok::Left, _) => Ok(Dir::Left),
+            (Tok::Right, _) => Ok(Dir::Right),
+            (other, span) => Err(expected("`left` or `right`", &other, span)),
+        }
+    }
+
+    /// Parses `item`s separated by commas (a trailing one allowed) up to
+    /// and including `close`; returns them and the span of `close`.
+    fn list<T>(
+        &mut self,
+        close: &Tok,
+        mut item: impl FnMut(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<(Vec<T>, Span), ParseError> {
+        let mut items = Vec::new();
+        while self.peek() != close {
+            items.push(item(self)?);
+            if !self.eat(&Tok::Comma) {
+                break;
+            }
+        }
+        Ok((items, self.expect(close)?))
     }
 
     fn program(&mut self) -> Result<Program, ParseError> {
@@ -202,11 +295,7 @@ impl Parser {
                 Tok::Chan => prog.chans.push(self.chan_def()?),
                 Tok::Proc => prog.procs.push(self.proc_def()?),
                 Tok::Extern => prog.externs.push(self.extern_fn()?),
-                other => {
-                    return Err(self.err(format!(
-                        "expected `chan`, `proc`, or `extern`, found {other}"
-                    )))
-                }
+                other => return Err(expected("`chan`, `proc`, or `extern`", other, self.span())),
             }
         }
         Ok(prog)
@@ -217,14 +306,7 @@ impl Parser {
         let start = self.expect(&Tok::Chan)?;
         let name = self.ident()?;
         self.expect(&Tok::LBrace)?;
-        let mut messages = Vec::new();
-        while !matches!(self.peek(), Tok::RBrace) {
-            messages.push(self.message_def()?);
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
-        let end = self.expect(&Tok::RBrace)?;
+        let (messages, end) = self.list(&Tok::RBrace, Parser::message_def)?;
         Ok(ChanDef {
             name,
             messages,
@@ -234,11 +316,7 @@ impl Parser {
 
     fn message_def(&mut self) -> Result<MessageDef, ParseError> {
         let start = self.span();
-        let dir = match self.bump() {
-            Tok::Left => Dir::Left,
-            Tok::Right => Dir::Right,
-            other => return Err(self.err(format!("expected `left` or `right`, found {other}"))),
-        };
+        let dir = self.dir()?;
         let name = self.ident()?;
         self.expect(&Tok::Colon)?;
         self.expect(&Tok::LParen)?;
@@ -255,7 +333,6 @@ impl Parser {
         } else {
             (SyncMode::Dynamic, SyncMode::Dynamic)
         };
-        let end = self.toks[self.pos.saturating_sub(1)].span;
         Ok(MessageDef {
             name,
             dir,
@@ -263,7 +340,7 @@ impl Parser {
             lifetime,
             sync_left,
             sync_right,
-            span: start.join(end),
+            span: start.join(self.prev_span()),
         })
     }
 
@@ -306,17 +383,13 @@ impl Parser {
             return Ok(SyncMode::Dynamic);
         }
         self.expect(&Tok::Hash)?;
-        match self.peek().clone() {
-            Tok::Int { value, .. } => {
-                self.bump();
-                Ok(SyncMode::Static(value))
-            }
-            Tok::Ident(msg) => {
-                self.bump();
+        match self.bump() {
+            (Tok::Int { value, .. }, _) => Ok(SyncMode::Static(value)),
+            (Tok::Ident(msg), _) => {
                 let offset = if self.eat(&Tok::Plus) { self.int()? } else { 0 };
                 Ok(SyncMode::Dependent { msg, offset })
             }
-            other => Err(self.err(format!("expected sync mode, found {other}"))),
+            (other, span) => Err(expected("sync mode", &other, span)),
         }
     }
 
@@ -326,14 +399,7 @@ impl Parser {
         self.expect(&Tok::Fn)?;
         let name = self.ident()?;
         self.expect(&Tok::LParen)?;
-        let mut arg_widths = Vec::new();
-        while !matches!(self.peek(), Tok::RParen) {
-            arg_widths.push(self.logic_type()?);
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
-        self.expect(&Tok::RParen)?;
+        let (arg_widths, _) = self.list(&Tok::RParen, Parser::logic_type)?;
         self.expect(&Tok::Arrow)?;
         let ret_width = self.logic_type()?;
         let end = self.expect(&Tok::Semi)?;
@@ -349,28 +415,7 @@ impl Parser {
         let start = self.expect(&Tok::Proc)?;
         let name = self.ident()?;
         self.expect(&Tok::LParen)?;
-        let mut params = Vec::new();
-        while !matches!(self.peek(), Tok::RParen) {
-            let pstart = self.span();
-            let pname = self.ident()?;
-            self.expect(&Tok::Colon)?;
-            let side = match self.bump() {
-                Tok::Left => Dir::Left,
-                Tok::Right => Dir::Right,
-                other => return Err(self.err(format!("expected `left` or `right`, found {other}"))),
-            };
-            let chan = self.ident()?;
-            params.push(EndpointParam {
-                name: pname,
-                side,
-                chan,
-                span: pstart.join(self.toks[self.pos - 1].span),
-            });
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
-        self.expect(&Tok::RParen)?;
+        let (params, _) = self.list(&Tok::RParen, Parser::endpoint_param)?;
         self.expect(&Tok::LBrace)?;
 
         let mut regs = Vec::new();
@@ -383,24 +428,22 @@ impl Parser {
                 Tok::Reg => regs.push(self.reg_def()?),
                 Tok::Chan => chans.push(self.chan_inst()?),
                 Tok::Spawn => spawns.push(self.spawn()?),
-                Tok::Loop => {
-                    self.bump();
+                Tok::Loop | Tok::Recursive => {
+                    let (kind, _) = self.bump();
                     self.expect(&Tok::LBrace)?;
                     let t = self.seq()?;
                     self.expect(&Tok::RBrace)?;
-                    threads.push(Thread::Loop(t));
-                }
-                Tok::Recursive => {
-                    self.bump();
-                    self.expect(&Tok::LBrace)?;
-                    let t = self.seq()?;
-                    self.expect(&Tok::RBrace)?;
-                    threads.push(Thread::Recursive(t));
+                    threads.push(match kind {
+                        Tok::Loop => Thread::Loop(t),
+                        _ => Thread::Recursive(t),
+                    });
                 }
                 other => {
-                    return Err(self.err(format!(
-                        "expected `reg`, `chan`, `spawn`, `loop`, or `recursive`, found {other}"
-                    )))
+                    return Err(expected(
+                        "`reg`, `chan`, `spawn`, `loop`, or `recursive`",
+                        other,
+                        self.span(),
+                    ))
                 }
             }
         }
@@ -413,6 +456,21 @@ impl Parser {
             spawns,
             threads,
             span: start.join(end),
+        })
+    }
+
+    // ep : left ch
+    fn endpoint_param(&mut self) -> Result<EndpointParam, ParseError> {
+        let start = self.span();
+        let name = self.ident()?;
+        self.expect(&Tok::Colon)?;
+        let side = self.dir()?;
+        let chan = self.ident()?;
+        Ok(EndpointParam {
+            name,
+            side,
+            chan,
+            span: start.join(self.prev_span()),
         })
     }
 
@@ -476,14 +534,7 @@ impl Parser {
         let start = self.expect(&Tok::Spawn)?;
         let proc_name = self.ident()?;
         self.expect(&Tok::LParen)?;
-        let mut args = Vec::new();
-        while !matches!(self.peek(), Tok::RParen) {
-            args.push(self.ident()?);
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
-        self.expect(&Tok::RParen)?;
+        let (args, _) = self.list(&Tok::RParen, Parser::ident)?;
         let end = self.expect(&Tok::Semi)?;
         Ok(Spawn {
             proc_name,
@@ -499,387 +550,234 @@ impl Parser {
         let op = match self.peek() {
             Tok::WaitOp => SeqOp::Wait,
             Tok::Semi => SeqOp::Join,
-            _ => {
-                return Ok(match item {
-                    Item::Plain(t) => t,
-                    Item::Binding { name, value, span } => Term::new(
-                        TermKind::Let {
-                            name,
-                            value: Box::new(value),
-                            op: SeqOp::Wait,
-                            body: Box::new(Term::new(TermKind::Unit, span)),
-                        },
-                        span,
-                    ),
-                })
-            }
+            _ => return Ok(item.then(SeqOp::Wait, None)),
         };
         self.bump();
         // Allow a trailing separator before a closing brace/paren.
-        if matches!(self.peek(), Tok::RBrace | Tok::RParen | Tok::Eof) {
-            return Ok(match item {
-                Item::Plain(t) => t,
-                Item::Binding { name, value, span } => Term::new(
-                    TermKind::Let {
-                        name,
-                        value: Box::new(value),
-                        op,
-                        body: Box::new(Term::new(TermKind::Unit, span)),
-                    },
-                    span,
-                ),
-            });
-        }
-        let rest = self.nested(Parser::seq)?;
-        Ok(match item {
-            Item::Plain(t) => {
-                let span = t.span.join(rest.span);
-                Term::new(
-                    TermKind::Seq {
-                        first: Box::new(t),
-                        op,
-                        rest: Box::new(rest),
-                    },
-                    span,
-                )
-            }
-            Item::Binding { name, value, span } => {
-                let span = span.join(rest.span);
-                Term::new(
-                    TermKind::Let {
-                        name,
-                        value: Box::new(value),
-                        op,
-                        body: Box::new(rest),
-                    },
-                    span,
-                )
-            }
-        })
+        let rest = if matches!(self.peek(), Tok::RBrace | Tok::RParen | Tok::Eof) {
+            None
+        } else {
+            Some(self.nested(Parser::seq)?)
+        };
+        Ok(item.then(op, rest))
     }
 
     fn item(&mut self) -> Result<Item, ParseError> {
+        let start = self.span();
         match self.peek() {
             Tok::Let => {
-                let start = self.span();
                 self.bump();
                 let name = self.ident()?;
                 self.expect(&Tok::Equals)?;
-                let value = match self.nested(Parser::item)? {
-                    Item::Plain(t) => t,
-                    Item::Binding { .. } => {
-                        return Err(self.err("`let` cannot directly bind another `let`".into()))
-                    }
+                let Item::Plain(value) = self.nested(Parser::item)? else {
+                    return Err(self.err("`let` cannot directly bind another `let`".into()));
                 };
                 let span = start.join(value.span);
                 Ok(Item::Binding { name, value, span })
             }
             Tok::Set => {
-                let start = self.span();
                 self.bump();
-                let reg = self.ident()?;
-                let index = if self.eat(&Tok::LBracket) {
-                    let idx = self.expr()?;
-                    self.expect(&Tok::RBracket)?;
-                    Some(Box::new(idx))
-                } else {
-                    None
-                };
-                self.expect(&Tok::ColonEq)?;
-                let value = self.expr()?;
-                let span = start.join(value.span);
-                Ok(Item::Plain(Term::new(
-                    TermKind::Assign {
-                        reg,
-                        index,
-                        value: Box::new(value),
-                    },
-                    span,
-                )))
+                self.assign(start)
             }
             // Bare `r := v` assignment (paper Fig. 6 allows both forms).
-            Tok::Ident(_) if *self.peek2() == Tok::ColonEq => {
-                let start = self.span();
-                let reg = self.ident()?;
-                self.bump(); // :=
-                let value = self.expr()?;
-                let span = start.join(value.span);
-                Ok(Item::Plain(Term::new(
-                    TermKind::Assign {
-                        reg,
-                        index: None,
-                        value: Box::new(value),
-                    },
-                    span,
-                )))
-            }
+            Tok::Ident(_) if *self.peek2() == Tok::ColonEq => self.assign(start),
             _ => Ok(Item::Plain(self.expr()?)),
         }
     }
 
-    // Precedence climbing. Lowest: comparisons; highest: unary.
+    // r := v | r[i] := v, after `set` if there is one
+    fn assign(&mut self, start: Span) -> Result<Item, ParseError> {
+        let reg = self.ident()?;
+        let index = self.index()?;
+        self.expect(&Tok::ColonEq)?;
+        let value = Box::new(self.expr()?);
+        let span = start.join(value.span);
+        Ok(Item::Plain(Term::new(
+            TermKind::Assign { reg, index, value },
+            span,
+        )))
+    }
+
+    // An optional `[i]` after a register name.
+    fn index(&mut self) -> Result<Option<Box<Term>>, ParseError> {
+        if !self.eat(&Tok::LBracket) {
+            return Ok(None);
+        }
+        let i = self.expr()?;
+        self.expect(&Tok::RBracket)?;
+        Ok(Some(Box::new(i)))
+    }
+
     fn expr(&mut self) -> Result<Term, ParseError> {
-        self.nested(Parser::cmp_expr)
+        self.nested(Parser::binary)
     }
 
-    fn cmp_expr(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.or_expr()?;
+    /// Operands joined by binary operators, by operator precedence: an
+    /// operator waits on `pending`, with its left operand, until the next
+    /// operator binds no tighter. Waiting operators therefore bind more
+    /// tightly going up the stack, and equal powers apply left to right.
+    /// All nesting levels share the stack and each call uses only what it
+    /// pushed, so a level takes one call whatever operators it holds.
+    fn binary(&mut self) -> Result<Term, ParseError> {
+        let base = self.pending.len();
+        let mut term = self.unary()?;
         loop {
-            let op = match self.peek() {
-                Tok::EqEq => BinOp::Eq,
-                Tok::NotEq => BinOp::Ne,
-                Tok::LessThan => BinOp::Lt,
-                Tok::LessEq => BinOp::Le,
-                Tok::GreaterThan => BinOp::Gt,
-                Tok::GreaterEq => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.or_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Term::new(TermKind::Binop(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        Ok(lhs)
-    }
-
-    fn or_expr(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.xor_expr()?;
-        while matches!(self.peek(), Tok::Pipe) {
-            self.bump();
-            let rhs = self.xor_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Term::new(
-                TermKind::Binop(BinOp::Or, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn xor_expr(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while matches!(self.peek(), Tok::Caret) {
-            self.bump();
-            let rhs = self.and_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Term::new(
-                TermKind::Binop(BinOp::Xor, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.shift_expr()?;
-        while matches!(self.peek(), Tok::Amp) {
-            self.bump();
-            let rhs = self.shift_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Term::new(
-                TermKind::Binop(BinOp::And, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn shift_expr(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::ShlOp => BinOp::Shl,
-                Tok::ShrOp => BinOp::Shr,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.add_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Term::new(TermKind::Binop(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Term::new(TermKind::Binop(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        Ok(lhs)
-    }
-
-    // `*` in operand position multiplies; as a prefix it reads a register.
-    fn mul_expr(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        while matches!(self.peek(), Tok::Star) {
-            self.bump();
-            let rhs = self.unary_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Term::new(
-                TermKind::Binop(BinOp::Mul, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Term, ParseError> {
-        let start = self.span();
-        let op = match self.peek() {
-            Tok::Tilde => Some(UnOp::Not),
-            Tok::Bang => Some(UnOp::LogicNot),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let inner = self.nested(Parser::unary_expr)?;
-            let span = start.join(inner.span);
-            return Ok(Term::new(TermKind::Unop(op, Box::new(inner)), span));
-        }
-        self.postfix_expr()
-    }
-
-    fn postfix_expr(&mut self) -> Result<Term, ParseError> {
-        let mut t = self.atom()?;
-        // Static slices: t[hi:lo] or t[bit].
-        while matches!(self.peek(), Tok::LBracket) {
-            self.bump();
-            let hi = self.int()? as usize;
-            let lo = if self.eat(&Tok::Colon) {
-                self.int()? as usize
-            } else {
-                hi
-            };
-            let end = self.expect(&Tok::RBracket)?;
-            if lo > hi {
-                return Err(self.err(format!("slice [{hi}:{lo}] has low bit above high bit")));
+            let next = binary_op(self.peek());
+            // No operator has power 0: at the end, every waiting one applies.
+            let power = next.map_or(0, |(_, power)| power);
+            while self.pending[base..].last().is_some_and(|w| w.2 >= power) {
+                let (lhs, op, _) = self.pending.pop().expect("checked above");
+                let span = lhs.span.join(term.span);
+                term = Term::new(TermKind::Binop(op, Box::new(lhs), Box::new(term)), span);
             }
-            let span = t.span.join(end);
-            t = Term::new(
-                TermKind::Slice {
-                    base: Box::new(t),
-                    hi,
-                    lo,
-                },
-                span,
-            );
+            let Some((op, power)) = next else {
+                return Ok(term);
+            };
+            self.bump();
+            self.pending.push((term, op, power));
+            term = self.unary()?;
         }
-        Ok(t)
+    }
+
+    /// A prefix operator and its operand, or an atom and its static
+    /// slices (`t[hi:lo]`, `t[bit]`).
+    fn unary(&mut self) -> Result<Term, ParseError> {
+        let op = match self.peek() {
+            Tok::Tilde => UnOp::Not,
+            Tok::Bang => UnOp::LogicNot,
+            _ => {
+                let mut t = self.atom()?;
+                while self.eat(&Tok::LBracket) {
+                    let hi = self.int()? as usize;
+                    let lo = if self.eat(&Tok::Colon) {
+                        self.int()? as usize
+                    } else {
+                        hi
+                    };
+                    let end = self.expect(&Tok::RBracket)?;
+                    if lo > hi {
+                        return Err(
+                            self.err(format!("slice [{hi}:{lo}] has low bit above high bit"))
+                        );
+                    }
+                    let span = t.span.join(end);
+                    t = Term::new(
+                        TermKind::Slice {
+                            base: Box::new(t),
+                            hi,
+                            lo,
+                        },
+                        span,
+                    );
+                }
+                return Ok(t);
+            }
+        };
+        let (_, start) = self.bump();
+        let inner = self.nested(Parser::unary)?;
+        let span = start.join(inner.span);
+        Ok(Term::new(TermKind::Unop(op, Box::new(inner)), span))
+    }
+
+    /// The sequence up to `close`, after the bracket that opens it, or
+    /// `None` if the brackets are empty.
+    fn block(&mut self, close: &Tok) -> Result<Option<Term>, ParseError> {
+        if self.eat(close) {
+            return Ok(None);
+        }
+        let t = self.seq()?;
+        self.expect(close)?;
+        Ok(Some(t))
+    }
+
+    // ep.msg
+    fn endpoint_msg(&mut self) -> Result<(String, String), ParseError> {
+        let ep = self.ident()?;
+        self.expect(&Tok::Dot)?;
+        Ok((ep, self.ident()?))
+    }
+
+    // if cond { … } | if cond { … } else { … } | if cond { … } else if …
+    fn if_else(&mut self, start: Span) -> Result<Term, ParseError> {
+        let cond = Box::new(self.expr()?);
+        self.expect(&Tok::LBrace)?;
+        let then_t = self.block(&Tok::RBrace)?;
+        let then_t = Box::new(then_t.unwrap_or_else(|| Term::new(TermKind::Unit, start)));
+        let else_t = if !self.eat(&Tok::Else) {
+            None
+        } else if matches!(self.peek(), Tok::If) {
+            Some(Box::new(self.nested(Parser::atom)?))
+        } else {
+            self.expect(&Tok::LBrace)?;
+            self.block(&Tok::RBrace)?.map(Box::new)
+        };
+        let span = start.join(self.prev_span());
+        Ok(Term::new(
+            TermKind::If {
+                cond,
+                then_t,
+                else_t,
+            },
+            span,
+        ))
     }
 
     fn atom(&mut self) -> Result<Term, ParseError> {
-        let start = self.span();
-        match self.peek().clone() {
-            Tok::Int { value, width } => {
-                self.bump();
-                Ok(Term::new(
-                    TermKind::Lit {
-                        value,
-                        width: width.filter(|w| *w > 0),
-                    },
-                    start,
-                ))
-            }
-            Tok::LParen => {
-                self.bump();
-                if self.eat(&Tok::RParen) {
-                    return Ok(Term::new(TermKind::Unit, start));
-                }
-                let inner = self.seq()?;
-                self.expect(&Tok::RParen)?;
-                Ok(inner)
-            }
-            Tok::LBrace => {
-                self.bump();
-                if self.eat(&Tok::RBrace) {
-                    return Ok(Term::new(TermKind::Unit, start));
-                }
-                let inner = self.seq()?;
-                self.expect(&Tok::RBrace)?;
-                Ok(inner)
-            }
+        let (tok, start) = self.bump();
+        let unit = || Term::new(TermKind::Unit, start);
+        match tok {
+            Tok::Int { value, width } => Ok(Term::new(
+                TermKind::Lit {
+                    value,
+                    width: width.filter(|w| *w > 0),
+                },
+                start,
+            )),
+            Tok::LParen => Ok(self.block(&Tok::RParen)?.unwrap_or_else(unit)),
+            Tok::LBrace => Ok(self.block(&Tok::RBrace)?.unwrap_or_else(unit)),
             Tok::Star => {
-                self.bump();
                 let reg = self.ident()?;
-                let index = if self.eat(&Tok::LBracket) {
-                    let idx = self.expr()?;
-                    self.expect(&Tok::RBracket)?;
-                    Some(Box::new(idx))
-                } else {
-                    None
-                };
-                let end = self.toks[self.pos - 1].span;
-                Ok(Term::new(TermKind::RegRead { reg, index }, start.join(end)))
+                let index = self.index()?;
+                let span = start.join(self.prev_span());
+                Ok(Term::new(TermKind::RegRead { reg, index }, span))
             }
             Tok::Recv => {
-                self.bump();
-                let ep = self.ident()?;
-                self.expect(&Tok::Dot)?;
-                let msg = self.ident()?;
-                let end = self.toks[self.pos - 1].span;
-                Ok(Term::new(TermKind::Recv { ep, msg }, start.join(end)))
+                let (ep, msg) = self.endpoint_msg()?;
+                let span = start.join(self.prev_span());
+                Ok(Term::new(TermKind::Recv { ep, msg }, span))
             }
             Tok::Send => {
-                self.bump();
-                let ep = self.ident()?;
-                self.expect(&Tok::Dot)?;
-                let msg = self.ident()?;
+                let (ep, msg) = self.endpoint_msg()?;
                 self.expect(&Tok::LParen)?;
-                let value = self.seq()?;
+                let value = Box::new(self.seq()?);
                 let end = self.expect(&Tok::RParen)?;
                 Ok(Term::new(
-                    TermKind::Send {
-                        ep,
-                        msg,
-                        value: Box::new(value),
-                    },
+                    TermKind::Send { ep, msg, value },
                     start.join(end),
                 ))
             }
             Tok::Cycle => {
-                self.bump();
                 let n = self.int()?;
-                let end = self.toks[self.pos - 1].span;
-                Ok(Term::new(TermKind::Cycle(n), start.join(end)))
+                Ok(Term::new(TermKind::Cycle(n), start.join(self.prev_span())))
             }
             Tok::Ready => {
-                self.bump();
                 self.expect(&Tok::LParen)?;
-                let ep = self.ident()?;
-                self.expect(&Tok::Dot)?;
-                let msg = self.ident()?;
+                let (ep, msg) = self.endpoint_msg()?;
                 let end = self.expect(&Tok::RParen)?;
                 Ok(Term::new(TermKind::Ready { ep, msg }, start.join(end)))
             }
             Tok::Concat => {
-                self.bump();
                 self.expect(&Tok::LParen)?;
-                let mut parts = Vec::new();
-                while !matches!(self.peek(), Tok::RParen) {
-                    parts.push(self.expr()?);
-                    if !self.eat(&Tok::Comma) {
-                        break;
-                    }
-                }
-                let end = self.expect(&Tok::RParen)?;
+                let (parts, end) = self.list(&Tok::RParen, Parser::expr)?;
                 if parts.is_empty() {
                     return Err(self.err("empty concat".into()));
                 }
                 Ok(Term::new(TermKind::Concat(parts), start.join(end)))
             }
             Tok::Dprint => {
-                self.bump();
                 let label = match self.bump() {
-                    Tok::Str(s) => s,
-                    other => return Err(self.err(format!("expected string label, found {other}"))),
+                    (Tok::Str(s), _) => s,
+                    (other, span) => return Err(expected("string label", &other, span)),
                 };
                 let value = if self.eat(&Tok::LParen) {
                     let v = self.expr()?;
@@ -888,75 +786,23 @@ impl Parser {
                 } else {
                     None
                 };
-                let end = self.toks[self.pos - 1].span;
-                Ok(Term::new(
-                    TermKind::Dprint { label, value },
-                    start.join(end),
-                ))
+                let span = start.join(self.prev_span());
+                Ok(Term::new(TermKind::Dprint { label, value }, span))
             }
-            Tok::Recurse => {
-                self.bump();
-                Ok(Term::new(TermKind::Recurse, start))
-            }
-            Tok::If => {
-                self.bump();
-                let cond = self.expr()?;
-                self.expect(&Tok::LBrace)?;
-                let then_t = if self.eat(&Tok::RBrace) {
-                    Term::new(TermKind::Unit, start)
-                } else {
-                    let t = self.seq()?;
-                    self.expect(&Tok::RBrace)?;
-                    t
-                };
-                let else_t = if self.eat(&Tok::Else) {
-                    if matches!(self.peek(), Tok::If) {
-                        Some(Box::new(self.nested(Parser::atom)?))
-                    } else {
-                        self.expect(&Tok::LBrace)?;
-                        if self.eat(&Tok::RBrace) {
-                            None
-                        } else {
-                            let t = self.seq()?;
-                            self.expect(&Tok::RBrace)?;
-                            Some(Box::new(t))
-                        }
-                    }
-                } else {
-                    None
-                };
-                let end = self.toks[self.pos - 1].span;
-                Ok(Term::new(
-                    TermKind::If {
-                        cond: Box::new(cond),
-                        then_t: Box::new(then_t),
-                        else_t,
-                    },
-                    start.join(end),
-                ))
-            }
+            Tok::Recurse => Ok(Term::new(TermKind::Recurse, start)),
+            Tok::If => self.if_else(start),
             Tok::Ident(name) => {
-                self.bump();
-                if matches!(self.peek(), Tok::LParen) {
-                    // extern function call
-                    self.bump();
-                    let mut args = Vec::new();
-                    while !matches!(self.peek(), Tok::RParen) {
-                        args.push(self.expr()?);
-                        if !self.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
-                    let end = self.expect(&Tok::RParen)?;
-                    Ok(Term::new(
-                        TermKind::ExternCall { func: name, args },
-                        start.join(end),
-                    ))
-                } else {
-                    Ok(Term::new(TermKind::Var(name), start))
+                if !self.eat(&Tok::LParen) {
+                    return Ok(Term::new(TermKind::Var(name), start));
                 }
+                // An extern function call.
+                let (args, end) = self.list(&Tok::RParen, Parser::expr)?;
+                Ok(Term::new(
+                    TermKind::ExternCall { func: name, args },
+                    start.join(end),
+                ))
             }
-            other => Err(self.err(format!("expected a term, found {other}"))),
+            other => Err(expected("a term", &other, start)),
         }
     }
 }
@@ -1075,6 +921,96 @@ mod tests {
         let prog2 =
             parse("proc p() { reg r : logic[8]; loop { set r := (*r)[3:0] << 1 } }").unwrap();
         drop(prog2);
+    }
+
+    /// The 14 binary operators, each with its binding power: a higher
+    /// power binds tighter, and every level is left-associative.
+    const BINARY: [(&str, u8); 14] = [
+        ("==", 1),
+        ("!=", 1),
+        ("<", 1),
+        ("<=", 1),
+        (">", 1),
+        (">=", 1),
+        ("|", 2),
+        ("^", 3),
+        ("&", 4),
+        ("<<", 5),
+        (">>>", 5),
+        ("+", 6),
+        ("-", 6),
+        ("*", 7),
+    ];
+
+    /// The loop body's term, fully parenthesized by the printer.
+    fn shape(expr: &str) -> String {
+        let src = format!("proc p() {{ loop {{ {expr} }} }}");
+        let prog = parse(&src).unwrap_or_else(|e| panic!("{expr}: {}", e.render(&src)));
+        let Thread::Loop(t) = &prog.procs[0].threads[0] else {
+            panic!("{expr}: expected a loop")
+        };
+        crate::pretty_term(t)
+    }
+
+    #[test]
+    fn binary_operators_bind_by_the_precedence_table() {
+        for (op1, p1) in BINARY {
+            for (op2, p2) in BINARY {
+                let expected = if p1 >= p2 {
+                    format!("((a {op1} b) {op2} c)")
+                } else {
+                    format!("(a {op1} (b {op2} c))")
+                };
+                assert_eq!(shape(&format!("a {op1} b {op2} c")), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn unary_operators_and_slices_bind_tighter_than_binary_ones() {
+        assert_eq!(shape("~a[3:0] + b"), "((~(a)[3:0]) + b)");
+        assert_eq!(shape("!a == b"), "((!a) == b)");
+        assert_eq!(shape("~!a * b[0]"), "((~(!a)) * (b)[0:0])");
+    }
+
+    /// The error's line, column and source text.
+    fn error_at(src: &str) -> (usize, usize, &str) {
+        let err = parse(src).unwrap_err();
+        let (line, col) = err.span.line_col(src);
+        (line, col, &src[err.span.start..err.span.end])
+    }
+
+    #[test]
+    fn message_direction_errors_point_at_the_direction() {
+        let src = "chan c { foo m : (logic@#1) }";
+        assert_eq!(error_at(src), (1, 10, "foo"));
+    }
+
+    #[test]
+    fn endpoint_side_errors_point_at_the_side() {
+        let src = "proc p(ep : up c) { loop { cycle 1 } }";
+        assert_eq!(error_at(src), (1, 13, "up"));
+    }
+
+    #[test]
+    fn dprint_label_errors_point_at_the_label() {
+        let src = "proc p() { loop { dprint 5 >> cycle 1 } }";
+        assert_eq!(error_at(src), (1, 26, "5"));
+    }
+
+    #[test]
+    fn non_ascii_characters_render_whole() {
+        let src = "proc p() { reg r : logic; loop { set r := é >> cycle 1 } }";
+        let err = parse(src).unwrap_err();
+        assert_eq!(err.render(src), "1:43: unexpected character `é` (at `é`)");
+        // Spans that end inside a character, or past the source, clamp.
+        for (start, end) in [(42, 43), (43, 44), (0, 999), (999, 9999)] {
+            let err = ParseError {
+                message: "m".into(),
+                span: Span::new(start, end),
+            };
+            assert!(err.render(src).starts_with("1:"), "{start}..{end}");
+        }
     }
 
     #[test]

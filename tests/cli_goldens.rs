@@ -123,3 +123,27 @@ fn bad_program_exits_1_with_rendered_diagnostic() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn non_ascii_character_exits_1_with_rendered_diagnostic() {
+    // The lexer names the whole character and spans all of its bytes, so
+    // rendering the diagnostic cannot slice the source inside it.
+    let dir = std::env::temp_dir().join(format!("anvilc-golden-utf8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let input = dir.join("accent.anv");
+    std::fs::write(
+        &input,
+        "proc p() { reg r : logic; loop { set r := é >> cycle 1 } }",
+    )
+    .expect("write input");
+
+    let out = run(&[input.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert_eq!(
+        stderr(&out),
+        "1:43: unexpected character `é` (at `é`)\n",
+        "{}",
+        stderr(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
