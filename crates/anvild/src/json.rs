@@ -16,7 +16,7 @@
 //! a stack overflow.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use anvil_syntax::json_escape_into;
 
@@ -128,52 +128,57 @@ impl Json {
         }
         Ok(value)
     }
+
+    /// Appends the compact single-line serialization (no added
+    /// whitespace, the framing anvild's newline-delimited transport
+    /// requires) to `out`: strings and keys are escaped straight into it,
+    /// so a whole frame is built in one buffer.
+    pub fn write_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => {
+                if !n.is_finite() {
+                    out.push_str("null") // JSON has no NaN/Inf
+                } else if n.fract() == 0.0 && n.abs() < 9e15 {
+                    let _ = write!(out, "{}", *n as i64);
+                } else {
+                    let _ = write!(out, "{n}");
+                }
+            }
+            Json::Str(s) => json_escape_into(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(map) => {
+                out.push('{');
+                for (i, (k, v)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    json_escape_into(out, k);
+                    out.push(':');
+                    v.write_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
 
 impl fmt::Display for Json {
-    /// Compact single-line serialization (no added whitespace), the
-    /// framing anvild's newline-delimited transport requires.
+    /// The serialization of [`Json::write_into`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    f.write_str("null") // JSON has no NaN/Inf
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                json_escape_into(&mut buf, s);
-                f.write_str(&buf)
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    json_escape_into(&mut key, k);
-                    write!(f, "{key}:{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_into(&mut out);
+        f.write_str(&out)
     }
 }
 

@@ -1340,9 +1340,12 @@ struct AdmittedRequest {
 }
 
 impl<R, W: Write> Connection<R, W> {
-    /// Writes one frame, newline included, in one write.
+    /// Serializes one frame into one buffer and writes it, newline
+    /// included, in one write.
     fn send(&self, frame: &Json) {
-        let line = format!("{frame}\n");
+        let mut line = String::new();
+        frame.write_into(&mut line);
+        line.push('\n');
         let mut w = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = w.write_all(line.as_bytes());
         let _ = w.flush();

@@ -14,7 +14,9 @@
 //! per-op dispatch cost is amortized and the lane loops auto-vectorize —
 //! aggregate stimulus throughput (cycles·lanes/sec) scales with SIMD width
 //! where a scalar [`Sim`](crate::Sim) per stimulus pays full dispatch per
-//! lane.
+//! lane. On x86-64 CPUs with AVX2, detected when each group is built, the
+//! groups run an AVX2 copy of the executor's loops; elsewhere they run the
+//! portable (baseline SSE2 on x86-64) code. Both give identical results.
 //!
 //! Memories with no write port (ROMs, such as the AES core's S-boxes) are
 //! not widened: every lane of every batch reads the one image the
@@ -36,9 +38,10 @@
 //!
 //! For multi-core sweeps, [`TapeProgram`] shares one lowered tape across
 //! threads and [`sweep_chunks`] is the `std::thread::scope` chunked
-//! driver: it carves a logical lane range into per-worker [`SimBatch`]es
-//! and runs a caller-supplied closure on each chunk. `anvil-verify`'s
-//! `bmc_sweep` and the fuzzing benches are built on it.
+//! driver: it carves a logical lane range into chunks, and each worker
+//! runs a caller-supplied closure on its chunks with one [`SimBatch`] it
+//! keeps and resets between them. `anvil-verify`'s `bmc_sweep` and the
+//! fuzzing benches are built on it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,8 +60,10 @@ use crate::tape::{
 /// [`TapeProgram`] build time — [`TapeOptions::stride`], then the
 /// `ANVIL_SIM_LANES` environment variable, then this default — and
 /// [`SimBatch`] accepts any lane count, stacking full-stride groups plus
-/// one tail group of the smallest width that covers the remainder.
-pub const LANE_STRIDE: usize = 16;
+/// one tail group of the smallest width that covers the remainder. The
+/// default is the widest: a 32-lane sweep chunk is one group, so each op
+/// is decoded once per chunk, and 32 lanes are eight AVX2 registers.
+pub const LANE_STRIDE: usize = 32;
 
 /// A module lowered once to its instruction tape, shareable across
 /// threads.
@@ -607,13 +612,17 @@ impl SimBatch {
 
 /// The `std::thread::scope` chunked sweep driver: carves `total` logical
 /// lanes into [`SimBatch`]es of at most `chunk` lanes and runs `f` on
-/// every chunk across up to `workers` threads, sharing one lowered tape.
+/// every chunk across up to `workers` threads (the calling thread is one
+/// of them), sharing one lowered tape.
 ///
-/// `f` receives the chunk's first logical lane index and a fresh batch of
-/// `min(chunk, total - first)` lanes; results are returned **in chunk
-/// order** regardless of which worker ran which chunk, so callers that
-/// need sequential semantics (e.g. `bmc_sweep`'s first-counterexample
-/// guarantee) can fold over the results deterministically.
+/// `f` receives the chunk's first logical lane index and a batch of
+/// `min(chunk, total - first)` lanes in its power-on state: each worker
+/// keeps one batch and [`SimBatch::reset`]s it between chunks, building a
+/// new one only when the lane count changes (the ragged last chunk).
+/// Results are returned **in chunk order** regardless of which worker ran
+/// which chunk, so callers that need sequential semantics (e.g.
+/// `bmc_sweep`'s first-counterexample guarantee) can fold over the
+/// results deterministically.
 ///
 /// # Errors
 ///
@@ -634,45 +643,34 @@ where
     F: Fn(usize, &mut SimBatch) -> Result<R, SimError> + Sync,
 {
     assert!(chunk > 0, "chunk size must be positive");
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    let n_chunks = total.div_ceil(chunk);
-    if workers.max(1).min(n_chunks) <= 1 {
-        // Inline path: with one effective worker the per-chunk batch
-        // allocation (and the thread scope) is pure overhead — reuse a
-        // single batch, rewound between chunks. `reset` restores
-        // power-on state, so `f` still sees a factory-fresh batch.
-        let mut batch = program.batch(chunk.min(total));
-        let mut out = Vec::with_capacity(n_chunks);
-        for i in 0..n_chunks {
+    run_workers(
+        total.div_ceil(chunk),
+        workers,
+        || None,
+        |kept: &mut Option<SimBatch>, i| {
             let first = i * chunk;
             let lanes = chunk.min(total - first);
-            if lanes != batch.lanes() {
-                batch = program.batch(lanes);
-            } else if i > 0 {
-                batch.reset();
-            }
-            out.push(f(first, &mut batch)?);
-        }
-        return Ok(out);
-    }
-    run_indexed(n_chunks, workers, |i| {
-        let first = i * chunk;
-        let lanes = chunk.min(total - first);
-        let mut batch = program.batch(lanes);
-        f(first, &mut batch)
-    })
+            let batch = match kept {
+                Some(batch) if batch.lanes() == lanes => {
+                    batch.reset();
+                    batch
+                }
+                _ => kept.insert(program.batch(lanes)),
+            };
+            f(first, batch)
+        },
+    )
     .into_iter()
     .collect()
 }
 
 /// Runs `f(i)` for every `i in 0..n` across up to `workers` scoped
-/// threads (an atomic work-queue — no work partitioning assumptions),
-/// returning the results **in index order** regardless of which worker
-/// ran which index. The generic scaffold under [`sweep_chunks`] and
-/// `anvil-verify`'s schedule sweep; with `workers <= 1` (or `n <= 1`) it
-/// degenerates to a plain sequential map with no thread setup.
+/// threads (an atomic work-queue — no work partitioning assumptions; the
+/// calling thread is one of the workers), returning the results **in
+/// index order** regardless of which worker ran which index. The generic
+/// scaffold under `anvil-verify`'s schedule sweep; with `workers <= 1`
+/// (or `n <= 1`) every index runs on the calling thread and no thread
+/// starts.
 ///
 /// # Panics
 ///
@@ -682,32 +680,44 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = workers.max(1).min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
+    run_workers(n, workers, || (), |_: &mut (), i| f(i))
+}
+
+/// The scaffold under [`run_indexed`] and [`sweep_chunks`]: up to
+/// `workers` workers — the calling thread and `workers - 1` scoped
+/// threads — claim the indices `0..n` from one atomic counter. Each worker
+/// makes one state with `init` and passes it to `f` for every index it
+/// claims. Results come back in index order.
+fn run_workers<S, R, I, F>(n: usize, workers: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut state = init();
+        let mut got = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            got.push((i, f(&mut state, i)));
+        }
+        got
+    };
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut got = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        got.push((i, f(i)));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("indexed worker panicked") {
+        let helpers: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(work)).collect();
+        let mut store = |got: Vec<(usize, R)>| {
+            for (i, r) in got {
                 slots[i] = Some(r);
             }
+        };
+        store(work());
+        for h in helpers {
+            store(h.join().expect("indexed worker panicked"));
         }
     });
     slots
@@ -847,11 +857,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_chunks_single_worker_inline_path_matches_threaded() {
-        // With one effective worker, chunks run inline on a single
-        // reused batch (rewound between chunks) instead of a fresh
-        // allocation each — `f` must still observe power-on state,
-        // empty logs, and cycle 0 on every chunk.
+    fn sweep_chunks_agree_across_worker_counts() {
+        // 30 lanes in chunks of 8: the last chunk is ragged (6 lanes), so
+        // a worker that kept an 8-lane batch builds a new one for it.
         let program = TapeProgram::compile(&counter()).unwrap();
         let pass = |workers| {
             sweep_chunks(&program, 30, 8, workers, |first, batch| {
@@ -863,7 +871,64 @@ mod tests {
             })
             .unwrap()
         };
-        assert_eq!(pass(1), pass(4));
+        let one = pass(1);
+        assert_eq!(one, vec![(0, 8, 1), (8, 8, 4), (16, 8, 2), (24, 6, 5)]);
+        assert_eq!(pass(2), one);
+        assert_eq!(pass(3), one);
+    }
+
+    /// A ROM, a memory with a write port and a debug print: the state a
+    /// chunk can leave behind in the batch its worker keeps.
+    fn stateful() -> Module {
+        let mut m = Module::new("stateful");
+        let en = m.input("en", 1);
+        let addr = m.input("addr", 2);
+        let q = m.reg("q", 8);
+        let out = m.output("out", 8);
+        let image = (1..=4).map(|v| Bits::from_u64(v * 0x11, 8)).collect();
+        let rom = m.array_init("rom", 8, 4, image);
+        let mem = m.array("mem", 8, 4);
+        let read = |array| Expr::ArrayRead {
+            array,
+            index: Box::new(Expr::Signal(addr)),
+        };
+        m.update_when(q, Expr::Signal(en), Expr::Signal(q).add(read(rom)));
+        m.array_write(mem, Expr::Signal(en), Expr::Signal(addr), Expr::Signal(q));
+        m.assign(out, read(mem));
+        m.dprint(Expr::Signal(en), "q", Some(Expr::Signal(q)));
+        m
+    }
+
+    #[test]
+    fn sweep_chunks_hand_every_chunk_a_power_on_batch() {
+        let m = stateful();
+        let (rom, mem) = (m.find_array("rom").unwrap(), m.find_array("mem").unwrap());
+        let program = TapeProgram::compile(&m).unwrap();
+        let mut fresh = program.batch(8);
+        let (fresh_words, fresh_fps) = (fresh.memory_words(), fresh.fingerprints());
+        for workers in [1, 2] {
+            let firsts = sweep_chunks(&program, 40, 8, workers, |first, batch| {
+                assert_eq!(batch.cycle(), 0, "chunk {first}");
+                assert_eq!(batch.memory_words(), fresh_words, "chunk {first}: ROM copy");
+                assert_eq!(batch.fingerprints(), fresh_fps, "chunk {first}");
+                for lane in 0..batch.lanes() {
+                    assert!(batch.log(lane).is_empty(), "chunk {first}");
+                    assert!(batch.toggle_counts(lane).iter().all(|&t| t == 0));
+                    assert_eq!(batch.peek_array(lane, rom, 2).to_u64(), 0x33);
+                    assert_eq!(batch.peek_array(lane, mem, 2).to_u64(), 0);
+                }
+                batch.poke_array(3, rom, 2, Bits::from_u64(0xEE, 8));
+                batch.poke_all("en", Bits::bit(true))?;
+                batch.poke_all("addr", Bits::from_u64(2, 2))?;
+                batch.run(3);
+                assert!(batch.memory_words() > fresh_words, "a laned ROM copy");
+                assert_eq!(batch.log(0).len(), 3);
+                assert_eq!(batch.peek_array(3, mem, 2).to_u64(), 0xEE * 2 % 256);
+                Ok(first)
+            })
+            .unwrap();
+            assert_eq!(firsts, vec![0, 8, 16, 24, 32]);
+        }
     }
 
     #[test]

@@ -44,8 +44,12 @@
 //! lowered tape: the state arena becomes a structure-of-arrays whose lane
 //! stride is monomorphized at `{4, 8, 16, 32}` and chosen when the
 //! [`TapeProgram`] is built (`ANVIL_SIM_LANES` overrides the
-//! [`LANE_STRIDE`] default), so each op decodes once and its inner loop
-//! covers a compile-time-known row over contiguous memory. A
+//! [`LANE_STRIDE`] default of 32), so each op decodes once and its inner
+//! loop covers a compile-time-known row over contiguous memory. On x86-64
+//! CPUs with AVX2, detected when each lane group is built, those loops
+//! run as an AVX2 copy of the same code (the crate's only `unsafe` is the
+//! calls into it, in the `tape::avx2` module); elsewhere, and in `Sim`'s
+//! one-lane engine, they run the portable build. A
 //! superinstruction fusion pass and dirty-region settle-skipping
 //! ([`TapeOptions`]) cut the op count and the per-cycle work further —
 //! all bit-identical to the tree engine.
@@ -56,6 +60,8 @@
 //! backend.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod batch;
 mod bfm;

@@ -57,6 +57,9 @@
 //!   settle loop skips it entirely — the basis of settle-skipping for
 //!   designs with quiet subgraphs.
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+
 use std::sync::Arc;
 
 use anvil_rtl::{ArrayId, BinaryOp, Bits, Expr, Module, SignalId, SignalKind, UnaryOp};
@@ -76,14 +79,17 @@ struct Slot {
 }
 
 impl Slot {
+    #[inline(always)]
     fn off(self) -> usize {
         self.off as usize
     }
 
+    #[inline(always)]
     fn words(self) -> usize {
         self.words as usize
     }
 
+    #[inline(always)]
     fn width(self) -> usize {
         self.width as usize
     }
@@ -93,6 +99,7 @@ impl Slot {
     }
 
     /// Mask keeping only the valid bits of the top word.
+    #[inline(always)]
     fn top_mask(self) -> u64 {
         let r = self.width % 64;
         if r == 0 {
@@ -1342,12 +1349,21 @@ fn partition_regions(tape: &mut Tape, enabled: bool, coalesce: bool) {
 // lane loops auto-vectorize.
 //
 // `L` is a const generic, monomorphized for every width in
-// [`LANE_WIDTHS`] (4 · u64 = one AVX2 register, 8 = one AVX-512
-// register, 16/32 = unrolled multiples that amortize the decode
-// further). The [`LaneGroup`] trait object erases the width so
-// `SimBatch` can mix strides — full-width groups plus a narrower tail.
-// `L = 1` is `Sim`'s compiled backend: at one lane the laned layout is
-// the flat scalar one.
+// [`LANE_WIDTHS`]; wider strides amortize the decode further. The
+// [`LaneGroup`] trait object erases the width so `SimBatch` can mix
+// strides — full-width groups plus a narrower tail. `L = 1` is `Sim`'s
+// compiled backend: at one lane the laned layout is the flat scalar one.
+//
+// Instruction set: the release build targets baseline x86-64, so the
+// portable engine's lane loops compile to 128-bit SSE2 (two `u64` lanes
+// per instruction) and `count_ones` to a bit-twiddling sequence. On a CPU
+// with AVX2, `new_lane_group` wraps each group in `avx2::Avx2`, whose
+// settle, commit, row-poke and fingerprint entry points are
+// `#[target_feature(enable = "avx2")]` copies of the same bodies: 256-bit
+// lane loops (four lanes per instruction) and a byte-table popcount. The
+// bodies are `#[inline(always)]` from those entry points down to
+// `exec_op_lanes` and its row helpers so that the copies really are
+// AVX2 code. `Sim` and other targets run the portable engine.
 //
 // Lane-divergent behaviour (mux selects, shift amounts, memory indices,
 // print enables, toggle counts, fingerprints) is handled per lane, so
@@ -1361,15 +1377,15 @@ fn partition_regions(tape: &mut Tape, enabled: bool, coalesce: bool) {
 // regions. Clean regions' slots already hold settled values, and no
 // region reads another's slots, so the skip is unobservable.
 
-#[inline]
+#[inline(always)]
 fn lane_base<const L: usize>(s: Slot, k: usize) -> usize {
     (s.off() + k) * L
 }
 
-/// Loads one laned word row as a fixed-size array (two AVX-512 loads at
-/// `L = 16`). The copy decouples source reads from destination writes:
-/// the per-op lane loops then carry no aliasing or bounds checks and
-/// compile to straight vector code.
+/// Loads one laned word row as a fixed-size array (16 SSE2 or 8 AVX2
+/// loads at `L = 32`). The copy decouples source reads from destination
+/// writes: the per-op lane loops then carry no aliasing or bounds checks
+/// and compile to straight vector code.
 #[inline(always)]
 fn row<const L: usize>(arena: &[u64], base: usize) -> [u64; L] {
     arena[base..base + L].try_into().unwrap()
@@ -1381,12 +1397,14 @@ fn row_mut<const L: usize>(arena: &mut [u64], base: usize) -> &mut [u64; L] {
     (&mut arena[base..base + L]).try_into().unwrap()
 }
 
+#[inline(always)]
 fn zero_slot_lane<const L: usize>(arena: &mut [u64], s: Slot, l: usize) {
     for k in 0..s.words() {
         arena[lane_base::<L>(s, k) + l] = 0;
     }
 }
 
+#[inline(always)]
 fn any_set_lane<const L: usize>(arena: &[u64], s: Slot, l: usize) -> bool {
     (0..s.words()).any(|k| arena[lane_base::<L>(s, k) + l] != 0)
 }
@@ -1394,6 +1412,7 @@ fn any_set_lane<const L: usize>(arena: &[u64], s: Slot, l: usize) -> bool {
 /// Reads `n` (≤ 64) bits of lane `l` of `s` starting at bit `lo`; bits
 /// past the slot's storage are zero (slot values keep their high bits
 /// masked).
+#[inline(always)]
 fn read_chunk_lane<const L: usize>(arena: &[u64], s: Slot, lo: usize, n: usize, l: usize) -> u64 {
     let total = s.words() * 64;
     if lo >= total {
@@ -1413,6 +1432,7 @@ fn read_chunk_lane<const L: usize>(arena: &[u64], s: Slot, lo: usize, n: usize, 
 
 /// ORs `n` (≤ 64) bits into lane `l` of `s` starting at bit `lo`; the
 /// target bits must currently be zero.
+#[inline(always)]
 fn or_chunk_lane<const L: usize>(
     arena: &mut [u64],
     s: Slot,
@@ -1433,6 +1453,7 @@ fn or_chunk_lane<const L: usize>(
 /// ORs `n` bits of lane `l` of `src` (from `src_lo`) into `dst` at
 /// `dst_lo` (used where the bit offset differs per lane, i.e. run-time
 /// shifts).
+#[inline(always)]
 fn or_bits_lane<const L: usize>(
     arena: &mut [u64],
     dst: Slot,
@@ -1455,6 +1476,7 @@ fn or_bits_lane<const L: usize>(
 /// is `(src[wi+k] >> sh) | (src[wi+k+1] << (64-sh))`, so the shift
 /// arithmetic is decided once per word and the lane loops are straight
 /// (branch-free, auto-vectorizable) passes over contiguous words.
+#[inline(always)]
 fn slice_lanes<const L: usize>(arena: &mut [u64], dst: Slot, src: Slot, lo: usize) {
     let (wi, sh) = (lo / 64, lo % 64);
     let sw = src.words();
@@ -1486,6 +1508,7 @@ fn slice_lanes<const L: usize>(arena: &mut [u64], dst: Slot, src: Slot, lo: usiz
 /// `n` bits of `src` into `dst` starting at bit `dst_lo` (target bits
 /// must be zero). One shift decision per source word, branch-free lane
 /// loops.
+#[inline(always)]
 fn deposit_lanes<const L: usize>(arena: &mut [u64], dst: Slot, dst_lo: usize, src: Slot, n: usize) {
     let mut k = 0;
     while k * 64 < n {
@@ -1523,6 +1546,7 @@ fn deposit_lanes<const L: usize>(arena: &mut [u64], dst: Slot, dst_lo: usize, sr
 /// of `src` read as zero; target bits must be zero). A funnel-shift read
 /// feeds a shifted deposit, 64 bits per chunk — shift decisions happen
 /// once per chunk, the lane loops are branch-free.
+#[inline(always)]
 fn gather_lanes<const L: usize>(
     arena: &mut [u64],
     dst: Slot,
@@ -1581,6 +1605,7 @@ fn gather_lanes<const L: usize>(
     }
 }
 
+#[inline(always)]
 fn unsigned_lt_lane<const L: usize>(arena: &[u64], a: Slot, b: Slot, l: usize) -> bool {
     for k in (0..a.words()).rev() {
         let (x, y) = (
@@ -1595,6 +1620,7 @@ fn unsigned_lt_lane<const L: usize>(arena: &[u64], a: Slot, b: Slot, l: usize) -
 }
 
 /// Masks the top word of every lane of `s` down to its valid bits.
+#[inline(always)]
 fn mask_top_lanes<const L: usize>(arena: &mut [u64], s: Slot) {
     let m = s.top_mask();
     if m == u64::MAX {
@@ -1608,6 +1634,7 @@ fn mask_top_lanes<const L: usize>(arena: &mut [u64], s: Slot) {
 
 /// Zeroes every lane of `s` (fixed-size rows: plain vector stores, no
 /// `memset` call for the typical one/two-word slot).
+#[inline(always)]
 fn zero_slot_lanes<const L: usize>(arena: &mut [u64], s: Slot) {
     for k in 0..s.words() {
         *row_mut::<L>(arena, lane_base::<L>(s, k)) = [0u64; L];
@@ -1642,6 +1669,7 @@ fn read_lanes<const L: usize>(
 /// Executes one op across all lanes. `scratch` holds `L` lane-major
 /// segments for multi-word multiplication; `arrays` is the engine's
 /// memory store (see [`LaneEngine`]).
+#[inline(always)]
 fn exec_op_lanes<const L: usize>(
     op: &Op,
     arena: &mut [u64],
@@ -2112,11 +2140,25 @@ pub(crate) struct LaneEngine<const L: usize> {
     scratch: Vec<u64>,
     /// Pre-sized gather buffer reused by every fingerprint call.
     fp_scratch: Vec<u64>,
-    /// Per-region dirty bits (settle-skipping): a region executes on the
-    /// next settle only if one of its inputs changed since the last one.
-    region_dirty: Vec<bool>,
+    dirty: DirtyRegions,
+}
+
+/// Per-region dirty bits (settle-skipping): a region executes on the next
+/// settle only if one of its inputs changed since the last one.
+struct DirtyRegions {
+    regions: Vec<bool>,
     /// Fast path: true iff any region is dirty.
-    any_dirty: bool,
+    any: bool,
+}
+
+impl DirtyRegions {
+    #[inline(always)]
+    fn mark(&mut self, r: u32) {
+        if r != u32::MAX {
+            self.regions[r as usize] = true;
+            self.any = true;
+        }
+    }
 }
 
 impl<const L: usize> LaneEngine<L> {
@@ -2156,25 +2198,20 @@ impl<const L: usize> LaneEngine<L> {
             toggles: vec![0; n * L],
             scratch: vec![0; mul_words * L],
             fp_scratch: vec![0; fp_words],
-            region_dirty: vec![true; tape.regions.len()],
+            dirty: DirtyRegions {
+                regions: vec![true; tape.regions.len()],
+                any: true,
+            },
             tape,
-            any_dirty: true,
-        }
-    }
-
-    #[inline]
-    fn mark_region(&mut self, r: u32) {
-        if r != u32::MAX {
-            self.region_dirty[r as usize] = true;
-            self.any_dirty = true;
         }
     }
 
     /// Settles all lanes: one pass over the dirty regions' op ranges,
     /// every op's inner loop covering all `L` lanes. Clean regions are
     /// skipped entirely — their slots already hold settled values.
+    #[inline(always)]
     pub(crate) fn settle(&mut self) {
-        if !self.any_dirty {
+        if !self.dirty.any {
             return;
         }
         // Opened only when there is work — the settle-skip early return
@@ -2185,9 +2222,9 @@ impl<const L: usize> LaneEngine<L> {
         // constant, so the check folds away.
         let _sp = anvil_trace::span("sim", "settle");
         let traced = L > 1 && anvil_trace::enabled();
-        let tape = Arc::clone(&self.tape);
+        let tape = &*self.tape;
         for (ri, (s, e)) in tape.regions.iter().enumerate() {
-            if !self.region_dirty[ri] {
+            if !self.dirty.regions[ri] {
                 continue;
             }
             let _sp_region = if traced {
@@ -2204,17 +2241,19 @@ impl<const L: usize> LaneEngine<L> {
                     &tape.arrays,
                 );
             }
-            self.region_dirty[ri] = false;
+            self.dirty.regions[ri] = false;
         }
-        self.any_dirty = false;
+        self.dirty.any = false;
     }
 
     /// One clock edge for every lane: per-lane debug prints (delivered to
     /// `sink` as `(lane, message)`), per-lane toggle counting, per-lane
-    /// array writes, and the register commit.
+    /// array writes, and the register commit. The engine must be settled
+    /// (every caller settles first).
+    #[inline(always)]
     pub(crate) fn commit(&mut self, sink: &mut dyn FnMut(usize, String)) {
-        self.settle();
-        let tape = Arc::clone(&self.tape);
+        debug_assert!(!self.dirty.any, "commit on an unsettled engine");
+        let tape = &*self.tape;
 
         for p in &tape.prints {
             for l in 0..L {
@@ -2268,8 +2307,8 @@ impl<const L: usize> LaneEngine<L> {
                 }
             }
             if wrote {
-                for ri in 0..tape.array_regions[w.array as usize].len() {
-                    self.mark_region(tape.array_regions[w.array as usize][ri]);
+                for r in &tape.array_regions[w.array as usize] {
+                    self.dirty.mark(*r);
                 }
             }
         }
@@ -2281,7 +2320,7 @@ impl<const L: usize> LaneEngine<L> {
             let n = next.words() * L;
             if self.arena[d..d + n] != self.arena[s..s + n] {
                 self.arena.copy_within(s..s + n, d);
-                self.mark_region(tape.commit_region[i]);
+                self.dirty.mark(tape.commit_region[i]);
             }
         }
     }
@@ -2308,8 +2347,7 @@ impl<const L: usize> LaneEngine<L> {
             return;
         }
         value.write_lane_slab(&mut self.arena[base..base + s.words() * L], L, lane);
-        let r = self.tape.sig_region[id.0];
-        self.mark_region(r);
+        self.dirty.mark(self.tape.sig_region[id.0]);
     }
 
     /// Writes one `u64`-sourced value per sublane of an input signal in a
@@ -2320,6 +2358,7 @@ impl<const L: usize> LaneEngine<L> {
     /// [`Bits::from_u64`] + [`LaneEngine::poke_lane`] per lane. `vals`
     /// may be shorter than `L` (tail groups); missing sublanes keep their
     /// value.
+    #[inline(always)]
     pub(crate) fn poke_rows_u64(&mut self, id: SignalId, vals: &[u64]) {
         let s = self.tape.sig_slots[id.0];
         let base = s.off() * L;
@@ -2346,8 +2385,7 @@ impl<const L: usize> LaneEngine<L> {
             }
         }
         if changed {
-            let r = self.tape.sig_region[id.0];
-            self.mark_region(r);
+            self.dirty.mark(self.tape.sig_region[id.0]);
         }
     }
 
@@ -2389,7 +2427,7 @@ impl<const L: usize> LaneEngine<L> {
         value: &Bits,
         lane: usize,
     ) {
-        let tape = Arc::clone(&self.tape);
+        let tape = &*self.tape;
         let meta = &tape.arrays[array.0];
         assert!(
             index < meta.depth as usize,
@@ -2400,7 +2438,7 @@ impl<const L: usize> LaneEngine<L> {
         let store = self.arrays[array.0].get_or_insert_with(|| Bits::broadcast_slab(&meta.init, L));
         value.write_lane_slab(&mut store[index * wpe * L..(index + 1) * wpe * L], L, lane);
         for r in &tape.array_regions[array.0] {
-            self.mark_region(*r);
+            self.dirty.mark(*r);
         }
     }
 
@@ -2419,8 +2457,9 @@ impl<const L: usize> LaneEngine<L> {
     /// [`SimBackend::state_fingerprint`] for equal states. Reuses the
     /// engine's pre-sized gather scratch, so the call is allocation-free
     /// unless a poke has copied a ROM.
+    #[inline(always)]
     pub(crate) fn state_fingerprint_lane(&mut self, lane: usize) -> u64 {
-        let tape = Arc::clone(&self.tape);
+        let tape = &*self.tape;
         let mut h = StateHasher::new();
         for s in &tape.reg_fp {
             let n = s.words();
@@ -2463,7 +2502,7 @@ impl<const L: usize> LaneEngine<L> {
     /// from their images, and a poked ROM's copy is dropped so its lanes
     /// read the shared image again.
     pub(crate) fn reset(&mut self) {
-        let tape = Arc::clone(&self.tape);
+        let tape = &*self.tape;
         for (k, w) in tape.init_arena.iter().enumerate() {
             self.arena[k * L..(k + 1) * L].fill(*w);
         }
@@ -2479,8 +2518,8 @@ impl<const L: usize> LaneEngine<L> {
             }
         }
         self.toggles.fill(0);
-        self.region_dirty.fill(true);
-        self.any_dirty = true;
+        self.dirty.regions.fill(true);
+        self.dirty.any = true;
     }
 }
 
@@ -2497,6 +2536,7 @@ pub(crate) trait LaneGroup: Send + Sync {
     /// tape's image until poked).
     fn memory_words(&self) -> usize;
     fn settle(&mut self);
+    /// One clock edge of a settled group (see [`LaneEngine::commit`]).
     fn commit(&mut self, sink: &mut dyn FnMut(usize, String));
     fn peek_lane(&self, id: SignalId, lane: usize) -> Bits;
     fn poke_lane(&mut self, id: SignalId, value: &Bits, lane: usize);
@@ -2570,12 +2610,22 @@ impl<const L: usize> LaneGroup for LaneEngine<L> {
 /// Instantiates the monomorphized lane engine for a validated width.
 pub(crate) fn new_lane_group(tape: Arc<Tape>, width: usize) -> Box<dyn LaneGroup> {
     match width {
-        4 => Box::new(LaneEngine::<4>::new(tape)),
-        8 => Box::new(LaneEngine::<8>::new(tape)),
-        16 => Box::new(LaneEngine::<16>::new(tape)),
-        32 => Box::new(LaneEngine::<32>::new(tape)),
+        4 => lane_group::<4>(tape),
+        8 => lane_group::<8>(tape),
+        16 => lane_group::<16>(tape),
+        32 => lane_group::<32>(tape),
         other => unreachable!("unvalidated lane width {other}"),
     }
+}
+
+/// The AVX2 copy of the engine where the CPU has AVX2 (checked here, once
+/// per group), the portable one everywhere else.
+fn lane_group<const L: usize>(tape: Arc<Tape>) -> Box<dyn LaneGroup> {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(group) = avx2::Avx2::<L>::new(&tape) {
+        return Box::new(group);
+    }
+    Box::new(LaneEngine::<L>::new(tape))
 }
 
 /// Smallest monomorphized width that covers `lanes` (tail groups), or

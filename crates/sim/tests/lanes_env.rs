@@ -54,7 +54,7 @@ fn unrecognized_lane_width_is_an_error() {
 
     // An explicit `TapeOptions::stride` wins over the environment, and an
     // invalid one is the same structured error.
-    std::env::set_var("ANVIL_SIM_LANES", "32");
+    std::env::set_var("ANVIL_SIM_LANES", "4");
     let opts = TapeOptions {
         stride: Some(8),
         ..TapeOptions::default()
@@ -74,7 +74,9 @@ fn unrecognized_lane_width_is_an_error() {
         Err(SimError::UnknownLaneWidth(v)) if v == "5"
     ));
 
-    // Unset (and empty) fall back to the default stride.
+    // Unset (and empty) fall back to the default stride, the widest
+    // monomorphized width.
+    assert_eq!(LANE_STRIDE, 32);
     std::env::set_var("ANVIL_SIM_LANES", "");
     assert_eq!(
         TapeProgram::compile(&toggler()).unwrap().stride(),

@@ -344,6 +344,23 @@ pub enum BinOp {
     Shr,
 }
 
+impl BinOp {
+    /// Binding power: a higher power binds tighter, and every level is
+    /// left-associative. The parser builds trees by it and the printer
+    /// adds parentheses by it.
+    pub(crate) fn power(self) -> u8 {
+        match self {
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 1,
+            BinOp::Or => 2,
+            BinOp::Xor => 3,
+            BinOp::And => 4,
+            BinOp::Shl | BinOp::Shr => 5,
+            BinOp::Add | BinOp::Sub => 6,
+            BinOp::Mul => 7,
+        }
+    }
+}
+
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -146,27 +146,28 @@ impl Item {
     }
 }
 
-/// The binary operator a token spells, with its binding power: a higher
-/// power binds tighter, and every level is left-associative.
+/// The binary operator a token spells, with its binding power
+/// ([`BinOp::power`]).
 fn binary_op(t: &Tok) -> Option<(BinOp, u8)> {
-    Some(match t {
-        Tok::EqEq => (BinOp::Eq, 1),
-        Tok::NotEq => (BinOp::Ne, 1),
-        Tok::LessThan => (BinOp::Lt, 1),
-        Tok::LessEq => (BinOp::Le, 1),
-        Tok::GreaterThan => (BinOp::Gt, 1),
-        Tok::GreaterEq => (BinOp::Ge, 1),
-        Tok::Pipe => (BinOp::Or, 2),
-        Tok::Caret => (BinOp::Xor, 3),
-        Tok::Amp => (BinOp::And, 4),
-        Tok::ShlOp => (BinOp::Shl, 5),
-        Tok::ShrOp => (BinOp::Shr, 5),
-        Tok::Plus => (BinOp::Add, 6),
-        Tok::Minus => (BinOp::Sub, 6),
+    let op = match t {
+        Tok::EqEq => BinOp::Eq,
+        Tok::NotEq => BinOp::Ne,
+        Tok::LessThan => BinOp::Lt,
+        Tok::LessEq => BinOp::Le,
+        Tok::GreaterThan => BinOp::Gt,
+        Tok::GreaterEq => BinOp::Ge,
+        Tok::Pipe => BinOp::Or,
+        Tok::Caret => BinOp::Xor,
+        Tok::Amp => BinOp::And,
+        Tok::ShlOp => BinOp::Shl,
+        Tok::ShrOp => BinOp::Shr,
+        Tok::Plus => BinOp::Add,
+        Tok::Minus => BinOp::Sub,
         // `*` after an operand multiplies; as a prefix it reads a register.
-        Tok::Star => (BinOp::Mul, 7),
+        Tok::Star => BinOp::Mul,
         _ => return None,
-    })
+    };
+    Some((op, op.power()))
 }
 
 /// "expected `what`, found `found`", located at `span`.
@@ -942,14 +943,26 @@ mod tests {
         ("*", 7),
     ];
 
-    /// The loop body's term, fully parenthesized by the printer.
+    /// The loop body's term with every operator application in
+    /// parentheses: the shape of the tree the parser built.
     fn shape(expr: &str) -> String {
         let src = format!("proc p() {{ loop {{ {expr} }} }}");
         let prog = parse(&src).unwrap_or_else(|e| panic!("{expr}: {}", e.render(&src)));
         let Thread::Loop(t) = &prog.procs[0].threads[0] else {
             panic!("{expr}: expected a loop")
         };
-        crate::pretty_term(t)
+        parenthesized(t)
+    }
+
+    fn parenthesized(t: &Term) -> String {
+        match &t.kind {
+            TermKind::Binop(op, a, b) => {
+                format!("({} {op} {})", parenthesized(a), parenthesized(b))
+            }
+            TermKind::Unop(op, a) => format!("({op}{})", parenthesized(a)),
+            TermKind::Slice { base, hi, lo } => format!("({})[{hi}:{lo}]", parenthesized(base)),
+            _ => crate::pretty_term(t),
+        }
     }
 
     #[test]

@@ -168,12 +168,22 @@ pub fn pretty_term(t: &Term) -> String {
         },
         TermKind::Cycle(n) => format!("cycle {n}"),
         TermKind::Ready { ep, msg } => format!("ready({ep}.{msg})"),
+        // Left-associative: an equal-power right operand needs parentheses.
         TermKind::Binop(op, a, b) => {
-            format!("({} {op} {})", pretty_term(a), pretty_term(b))
+            format!(
+                "{} {op} {}",
+                operand(a, op.power()),
+                operand(b, op.power() + 1)
+            )
         }
-        TermKind::Unop(op, a) => format!("({op}{})", pretty_term(a)),
+        TermKind::Unop(op, a) => format!("{op}{}", operand(a, PREFIX)),
         TermKind::Slice { base, hi, lo } => {
-            format!("({})[{hi}:{lo}]", pretty_term(base))
+            let base = match &base.kind {
+                // `*r[…]` would read the brackets as the register's index.
+                TermKind::RegRead { index: None, .. } => format!("({})", pretty_term(base)),
+                _ => operand(base, CLOSED),
+            };
+            format!("{base}[{hi}:{lo}]")
         }
         TermKind::Concat(parts) => {
             let inner: Vec<String> = parts.iter().map(pretty_term).collect();
@@ -188,6 +198,48 @@ pub fn pretty_term(t: &Term) -> String {
             None => format!("dprint \"{label}\""),
         },
         TermKind::Recurse => "recurse".to_string(),
+    }
+}
+
+/// How tightly a prefix operator holds its operand: above every binary
+/// operator's [`BinOp::power`].
+const PREFIX: u8 = 8;
+/// How tightly the closed forms hold together (literals, names, register
+/// reads, calls, `concat`, `recv`, …, and slices of them): above prefix
+/// operators.
+const CLOSED: u8 = 9;
+
+/// How tightly `t` holds together as an operand, on the scale of
+/// [`BinOp::power`]. Sequence-level terms (`>>`, `let`, `set`, `if`,
+/// `dprint`) are 0: as operands they are always parenthesized.
+fn power(t: &Term) -> u8 {
+    match &t.kind {
+        TermKind::Binop(op, ..) => op.power(),
+        TermKind::Unop(..) => PREFIX,
+        TermKind::Lit { .. }
+        | TermKind::Unit
+        | TermKind::Var(_)
+        | TermKind::RegRead { .. }
+        | TermKind::Slice { .. }
+        | TermKind::Concat(_)
+        | TermKind::ExternCall { .. }
+        | TermKind::Recv { .. }
+        | TermKind::Send { .. }
+        | TermKind::Ready { .. }
+        | TermKind::Cycle(_)
+        | TermKind::Recurse => CLOSED,
+        _ => 0,
+    }
+}
+
+/// `t` printed where it must bind at least as tightly as `min`: in
+/// parentheses only where the parser would otherwise bind it differently,
+/// so printing adds no nesting levels the source did not need.
+fn operand(t: &Term, min: u8) -> String {
+    if power(t) >= min {
+        pretty_term(t)
+    } else {
+        format!("({})", pretty_term(t))
     }
 }
 
@@ -312,6 +364,49 @@ mod tests {
                 recursive { let y = recv ep.rd_res >> { cycle 1 >> recurse } }
             }",
         );
+    }
+
+    /// Parentheses go only where precedence needs them, so deep but valid
+    /// programs print within the parser's nesting limit.
+    #[test]
+    fn printing_adds_only_the_parentheses_precedence_needs() {
+        let body = |expr: &str| {
+            format!("proc p() {{ reg r : logic[8]; loop {{ set r := {expr} >> cycle 1 }} }}")
+        };
+        let sum = vec!["*r"; 300].join(" + ");
+        roundtrip(&body(&sum));
+        let nots = format!("{}*r", "~".repeat(140));
+        roundtrip(&body(&nots));
+        let printed = |expr: &str| {
+            let p = parse(&body(expr)).unwrap();
+            let Thread::Loop(t) = &p.procs[0].threads[0] else {
+                unreachable!("one loop thread")
+            };
+            let TermKind::Seq { first, .. } = &t.kind else {
+                unreachable!("set >> cycle")
+            };
+            let TermKind::Assign { value, .. } = &first.kind else {
+                unreachable!("set r := …")
+            };
+            pretty_term(value)
+        };
+        // Each is written with exactly the parentheses it needs, so it
+        // prints as written.
+        for expr in [
+            "*r + *r + *r",
+            "*r + (*r + *r)",
+            "(*r | *r) & *r",
+            "*r - *r * *r == 1",
+            "~(*r + 1)",
+            "!~(*r)[3:0]",
+            "(~*r)[3:0]",
+            "(*r)[7:0][3:0] + *r[1]",
+            "(if *r == 1 { 2 } else { 3 }) + *r",
+            "(cycle 1 >> *r) + 1",
+        ] {
+            assert_eq!(printed(expr), expr);
+            roundtrip(&body(expr));
+        }
     }
 
     #[test]

@@ -101,24 +101,34 @@ impl WireDiagnostic {
 
 /// Appends `s` to `out` as a JSON string literal (RFC 8259 §7: quotes,
 /// backslashes, and control characters escaped; everything else passed
-/// through verbatim as UTF-8).
+/// through verbatim as UTF-8). Each run of bytes between escapes is
+/// copied with one push; every escaped byte is ASCII, so each run is
+/// whole UTF-8 of `s`.
 pub fn json_escape_into(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -132,6 +142,82 @@ pub fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-`char` escaper `json_escape_into` replaced: the oracle its
+    /// output must equal byte for byte.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_escaper_matches_the_per_char_oracle() {
+        let mut cases: Vec<String> = (0u8..0x80)
+            .flat_map(|b| {
+                let c = char::from(b);
+                [
+                    c.to_string(),
+                    format!("ab{c}"),
+                    format!("{c}cd"),
+                    format!("a{c}{c}b"),
+                ]
+            })
+            .collect();
+        cases.extend(
+            [
+                "",
+                "é→",
+                "ünïcödé \"quoted\"\n",
+                "日本\t語\u{1}",
+                "\u{10FFFF}\\\u{7f}",
+            ]
+            .map(String::from),
+        );
+        // Seeded random strings over an alphabet of every escape class,
+        // plain ASCII and one-, two- and four-byte non-ASCII characters.
+        let alphabet = [
+            'a', 'Z', ' ', '"', '\\', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{0}', '\u{1f}',
+            '\u{7f}', 'é', '→', '😀',
+        ];
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2_000 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let len = (seed % 24) as usize;
+            let mut x = seed;
+            cases.push(
+                (0..len)
+                    .map(|_| {
+                        x = x.rotate_left(5).wrapping_mul(0x2545_F491_4F6C_DD1D);
+                        alphabet[(x >> 60) as usize]
+                    })
+                    .collect(),
+            );
+        }
+        for s in &cases {
+            assert_eq!(json_string(s), escape_per_char(s), "{s:?}");
+            let mut appended = String::from("prefix");
+            json_escape_into(&mut appended, s);
+            assert_eq!(appended, format!("prefix{}", escape_per_char(s)));
+        }
+    }
 
     #[test]
     fn escapes_follow_rfc_8259() {
