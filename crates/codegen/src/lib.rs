@@ -917,7 +917,6 @@ mod tests {
         for _ in 0..cycles {
             sender.drive(sim).unwrap();
             recv.drive(sim).unwrap();
-            sim.settle();
             sender.observe(sim).unwrap();
             recv.observe(sim).unwrap();
             sim.step().unwrap();

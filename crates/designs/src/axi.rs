@@ -322,7 +322,6 @@ mod tests {
                 Bits::bit(self.pending.is_none()),
             )
             .unwrap();
-            sim.settle();
             if self.pending.is_none()
                 && sim
                     .peek(&format!("{}_req_valid", self.prefix))

@@ -275,7 +275,6 @@ mod tests {
                 .unwrap();
             let accept_req = pending_mem.is_none();
             sim.poke("mem_mreq_ack", Bits::bit(accept_req)).unwrap();
-            sim.settle();
             // The walk starts when the vreq handshake completes.
             if walk_start.is_none()
                 && sim.peek("cpu_vreq_valid").unwrap().is_truthy()

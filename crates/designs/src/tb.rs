@@ -43,7 +43,6 @@ pub fn run_req_res(
     for _ in 0..cycles {
         sender.drive(&mut sim)?;
         recv.drive(&mut sim)?;
-        sim.settle();
         sender.observe(&sim)?;
         recv.observe(&sim)?;
         sim.step()?;

@@ -194,7 +194,6 @@ mod tests {
             install.drive(&mut sim).unwrap();
             lookup.drive(&mut sim).unwrap();
             res.drive(&mut sim).unwrap();
-            sim.settle();
             install.observe(&sim).unwrap();
             lookup.observe(&sim).unwrap();
             res.observe(&sim).unwrap();

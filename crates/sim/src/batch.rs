@@ -31,10 +31,9 @@
 //! reference engine over the paper's ten-design evaluation suite in
 //! `tests/batch_differential.rs`).
 //!
-//! Unlike [`Sim`](crate::Sim) — which settles eagerly after every poke so
-//! reads can take `&self` — `SimBatch` settles *lazily*: pokes only mark
-//! lanes dirty and the (laned, more expensive) settle runs once per
-//! step/read. Reads therefore take `&mut self`.
+//! Like [`Sim`](crate::Sim), `SimBatch` settles *lazily*: pokes only mark
+//! lanes dirty and the laned settle runs once per step or read. Its reads
+//! take `&mut self`, since the settle they may run mutates the group.
 //!
 //! For multi-core sweeps, [`TapeProgram`] shares one lowered tape across
 //! threads and [`sweep_chunks`] is the `std::thread::scope` chunked
@@ -214,9 +213,9 @@ impl TapeProgram {
 /// by the multi-lane tape engine.
 ///
 /// Execution model: lanes share one lowered tape; each settle decodes
-/// every op once and covers all lanes. Unlike [`Sim`](crate::Sim), the
-/// batch settles *lazily* — pokes mark lanes dirty and reads settle on
-/// demand, which is why reads take `&mut self`.
+/// every op once and covers all lanes. The batch settles *lazily* —
+/// pokes mark lanes dirty and reads settle on demand, which is why reads
+/// take `&mut self`.
 pub struct SimBatch {
     module: Arc<Module>,
     names: Arc<HashMap<String, SignalId>>,
@@ -430,14 +429,6 @@ impl SimBatch {
             self.poke(lane, name, value.clone())?;
         }
         Ok(())
-    }
-
-    /// Evaluates all combinational logic on every lane against the
-    /// current inputs and register state (no-op for settled groups).
-    pub fn settle(&mut self) {
-        for g in &mut self.groups {
-            g.settle();
-        }
     }
 
     /// Reads a signal's settled value on one lane.

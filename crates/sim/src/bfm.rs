@@ -49,13 +49,13 @@ impl MsgPorts {
 /// An agent advanced by the [`Testbench`] once per cycle.
 ///
 /// Each cycle runs `drive` for every agent (pokes, based on state decided
-/// in earlier cycles), then settles the design, then `observe` for every
-/// agent (peeks; completion detection), then clocks the design.
+/// in earlier cycles), then `observe` for every agent (peeks; completion
+/// detection), then clocks the design.
 pub trait Agent: std::any::Any {
     /// Phase 1: drive inputs for this cycle.
     fn drive(&mut self, sim: &mut Sim) -> Result<(), SimError>;
-    /// Phase 2: observe settled outputs for this cycle (read-only on the
-    /// design: the simulation state is eagerly settled).
+    /// Phase 2: observe this cycle's outputs. Read-only on the design:
+    /// the first peek after the pokes settles it (see [`Sim`]).
     fn observe(&mut self, sim: &Sim) -> Result<(), SimError>;
     /// Upcast for concrete-type retrieval from a [`Testbench`].
     fn as_any(&self) -> &dyn std::any::Any;
@@ -287,13 +287,12 @@ impl Testbench {
         self.agents.get(idx)?.as_any().downcast_ref::<T>()
     }
 
-    /// Advances one cycle: drive all agents, settle, observe all agents,
-    /// clock the design.
+    /// Advances one cycle: drive all agents, observe all agents, clock
+    /// the design.
     pub fn cycle(&mut self) -> Result<(), SimError> {
         for a in &mut self.agents {
             a.drive(&mut self.sim)?;
         }
-        self.sim.settle();
         for a in &mut self.agents {
             a.observe(&self.sim)?;
         }
@@ -384,7 +383,6 @@ mod tests {
         for _ in 0..30 {
             sender.drive(&mut sim).unwrap();
             recv.drive(&mut sim).unwrap();
-            sim.settle();
             sender.observe(&sim).unwrap();
             recv.observe(&sim).unwrap();
             sim.step().unwrap();
@@ -407,7 +405,6 @@ mod tests {
         for _ in 0..40 {
             sender.drive(&mut sim).unwrap();
             recv.drive(&mut sim).unwrap();
-            sim.settle();
             sender.observe(&sim).unwrap();
             recv.observe(&sim).unwrap();
             sim.step().unwrap();

@@ -24,6 +24,7 @@
 //! are differentially property-tested against each other over the paper's
 //! ten-design evaluation suite.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -187,7 +188,8 @@ impl fmt::Display for Backend {
 /// toggle counters). The facade owns name resolution, width checking,
 /// cycle counting, and the debug-print log; it guarantees that
 /// `peek_id`/`poke_id` receive valid ids and width-matched values, and
-/// that the engine is settled before any read.
+/// that the engine is settled before it reads a signal or evaluates an
+/// expression.
 pub trait SimBackend: Send {
     /// Which engine this is.
     fn kind(&self) -> Backend;
@@ -549,9 +551,9 @@ impl SimBackend for TreeEngine {
     }
 
     fn poke_id(&mut self, id: SignalId, value: Bits) {
-        // Re-poking an unchanged value must not dirty the engine: with
-        // eager settling, every dirtying poke costs a full settle pass,
-        // and testbenches re-drive constant handshake lines every cycle.
+        // Re-poking an unchanged value must not dirty the engine: a dirty
+        // engine re-walks every driver at the next read or clock edge, and
+        // testbenches re-drive constant handshake lines every cycle.
         if self.values[id.0] == value {
             return;
         }
@@ -609,9 +611,13 @@ impl SimBackend for TreeEngine {
 ///
 /// The facade owns name resolution (pre-resolved through a hash index),
 /// cycle counting, and the debug-print log, and drives one of the two
-/// [`SimBackend`] engines. State is kept eagerly settled — every `poke`
-/// and `step` re-settles — so all reads ([`Sim::peek`], [`Sim::peek_id`],
-/// [`Sim::eval`], [`Sim::state_fingerprint`]) take `&self`.
+/// [`SimBackend`] engines. It settles lazily, once per observation:
+/// [`Sim::poke`], [`Sim::poke_array`] and [`Sim::reset`] only mark the
+/// engine dirty, [`Sim::step`] settles once before the clock edge, and the
+/// reads that need combinational values ([`Sim::peek`], [`Sim::peek_id`],
+/// [`Sim::eval`]) settle on demand. A testbench that pokes k inputs, reads
+/// some outputs and steps pays one settle per cycle, not k + 2. The engine
+/// sits in a [`RefCell`], so every read still takes `&self`.
 ///
 /// # Examples
 ///
@@ -636,7 +642,9 @@ pub struct Sim {
     module: Arc<Module>,
     /// Pre-resolved name → id index (O(1) poke/peek).
     names: HashMap<String, SignalId>,
-    backend: Box<dyn SimBackend>,
+    /// The engine. Reads settle it through `&self`; a borrow never
+    /// outlives the facade call that takes it.
+    backend: RefCell<Box<dyn SimBackend>>,
     cycle: u64,
     /// Messages produced by `dprint` actions, with their cycle numbers.
     pub log: Vec<(u64, String)>,
@@ -669,18 +677,17 @@ impl Sim {
         check_driver_widths(module)?;
         let module = Arc::new(module.clone());
         let names = module.name_index();
-        let mut backend: Box<dyn SimBackend> = match backend {
+        let backend: Box<dyn SimBackend> = match backend {
             Backend::Tree => Box::new(TreeEngine::new(Arc::clone(&module))?),
             Backend::Compiled => {
                 let tape = Tape::compile(Arc::clone(&module))?;
                 Box::new(LaneEngine::<1>::new(Arc::new(tape)))
             }
         };
-        backend.settle();
         Ok(Sim {
             module,
             names,
-            backend,
+            backend: RefCell::new(backend),
             cycle: 0,
             log: Vec::new(),
         })
@@ -688,7 +695,7 @@ impl Sim {
 
     /// Which engine is running this simulation.
     pub fn backend_kind(&self) -> Backend {
-        self.backend.kind()
+        self.backend.borrow().kind()
     }
 
     /// Current cycle number (number of clock edges so far).
@@ -708,7 +715,8 @@ impl Sim {
             .ok_or_else(|| SimError::UnknownSignal(name.to_string()))
     }
 
-    /// Sets an input port for the current cycle (and re-settles).
+    /// Sets an input port for the current cycle. Lazy: the design is
+    /// settled at the next read or clock edge, not here.
     ///
     /// # Errors
     ///
@@ -726,36 +734,37 @@ impl Sim {
                 found: value.width(),
             });
         }
-        self.backend.poke_id(id, value);
-        self.backend.settle();
+        self.backend.get_mut().poke_id(id, value);
         Ok(())
     }
 
-    /// Evaluates all combinational logic with the current inputs and
-    /// register state. A no-op unless state changed since the last settle
-    /// (the facade settles eagerly after every poke and step, so this
-    /// exists for API compatibility and explicit-phase testbenches).
-    pub fn settle(&mut self) {
-        self.backend.settle();
+    /// The engine, settled against the current inputs and register state
+    /// (a no-op unless something changed since the last settle).
+    fn settled(&self) -> RefMut<'_, Box<dyn SimBackend>> {
+        let mut backend = self.backend.borrow_mut();
+        backend.settle();
+        backend
     }
 
-    /// Reads a signal's settled value.
+    /// Reads a signal's settled value, settling first if a poke, reset or
+    /// clock edge left the design unsettled.
     ///
     /// # Errors
     ///
     /// Fails on unknown signal names.
     pub fn peek(&self, name: &str) -> Result<Bits, SimError> {
-        Ok(self.backend.peek_id(self.resolve(name)?))
+        Ok(self.peek_id(self.resolve(name)?))
     }
 
-    /// Reads a signal by id (no name lookup).
+    /// Reads a signal by id (no name lookup); settles like [`Sim::peek`].
     pub fn peek_id(&self, id: SignalId) -> Bits {
-        self.backend.peek_id(id)
+        self.settled().peek_id(id)
     }
 
-    /// Reads one element of a memory (test visibility).
+    /// Reads one element of a memory (test visibility). Memories change
+    /// only at a clock edge or a poke, so no settle is needed.
     pub fn peek_array(&self, array: ArrayId, index: usize) -> Bits {
-        self.backend.peek_array(array, index)
+        self.backend.borrow().peek_array(array, index)
     }
 
     /// Writes one element of a memory directly (test setup). The value is
@@ -767,22 +776,22 @@ impl Sim {
         } else {
             value.resize(width)
         };
-        self.backend.poke_array(array, index, value);
-        self.backend.settle();
+        self.backend.get_mut().poke_array(array, index, value);
     }
 
-    /// Advances one clock edge: fires debug prints, counts toggles,
-    /// commits register next-values and array writes, then re-settles.
+    /// Advances one clock edge: settles, fires debug prints, counts
+    /// toggles, and commits register next-values and array writes. The
+    /// new state is settled at the next read or step.
     ///
     /// # Errors
     ///
     /// Currently infallible for a prepared simulation; the `Result` keeps
     /// stepping fallible for future backends.
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.backend.settle();
-        self.backend.commit(self.cycle, &mut self.log);
+        let backend = self.backend.get_mut();
+        backend.settle();
+        backend.commit(self.cycle, &mut self.log);
         self.cycle += 1;
-        self.backend.settle();
         Ok(())
     }
 
@@ -797,12 +806,12 @@ impl Sim {
     /// Restores the power-on state (register/memory inits), clears the
     /// print log and toggle counters, and rewinds the cycle counter. Much
     /// cheaper than re-preparing a simulation — the compiled backend
-    /// reuses its lowered tape.
+    /// reuses its lowered tape. Like a poke, it leaves the settle to the
+    /// next read or step.
     pub fn reset(&mut self) {
-        self.backend.reset();
+        self.backend.get_mut().reset();
         self.cycle = 0;
         self.log.clear();
-        self.backend.settle();
     }
 
     /// A hash of the architectural state, used by the bounded model
@@ -816,13 +825,18 @@ impl Sim {
     /// shared image once when it lowers the tape, so a fingerprint costs
     /// nothing per ROM element; after [`Sim::poke_array`] writes a ROM,
     /// the digest is taken from the poked contents until [`Sim::reset`].
+    ///
+    /// Registers and memories change only at a clock edge, a poke or a
+    /// reset, so a fingerprint needs no settle.
     pub fn state_fingerprint(&self) -> u64 {
-        self.backend.state_fingerprint()
+        self.backend.borrow().state_fingerprint()
     }
 
-    /// Total observed bit toggles per signal, for the power model.
-    pub fn toggle_counts(&self) -> &[u64] {
-        self.backend.toggle_counts()
+    /// Total observed bit toggles per signal, for the power model, in
+    /// signal-id order (as [`SimBatch::toggle_counts`](crate::SimBatch::toggle_counts)
+    /// returns them per lane).
+    pub fn toggle_counts(&self) -> Vec<u64> {
+        self.backend.borrow().toggle_counts().to_vec()
     }
 
     /// Sum of toggles across all signals divided by cycles: a crude
@@ -831,12 +845,13 @@ impl Sim {
         if self.cycle == 0 {
             return 0.0;
         }
-        self.backend.toggle_counts().iter().sum::<u64>() as f64 / self.cycle as f64
+        self.backend.borrow().toggle_counts().iter().sum::<u64>() as f64 / self.cycle as f64
     }
 
-    /// Evaluates an expression against the current settled state.
+    /// Evaluates an expression against the current state, settling first
+    /// like [`Sim::peek`].
     pub fn eval(&self, e: &Expr) -> Bits {
-        self.backend.eval(e)
+        self.settled().eval(e)
     }
 }
 

@@ -133,15 +133,6 @@ enum BwKind {
     Xor,
 }
 
-#[inline(always)]
-fn bw(x: u64, y: u64, k: BwKind) -> u64 {
-    match k {
-        BwKind::And => x & y,
-        BwKind::Or => x | y,
-        BwKind::Xor => x ^ y,
-    }
-}
-
 /// Reduction selector for [`Op::Red`].
 #[derive(Clone, Copy, Debug)]
 enum RedKind {
@@ -1605,6 +1596,44 @@ fn gather_lanes<const L: usize>(
     }
 }
 
+/// All ones on every lane where `s` has a bit set, zero elsewhere: the
+/// select mask of [`Op::Mux`] and [`Op::MuxChain`].
+#[inline(always)]
+fn truthy_mask<const L: usize>(arena: &[u64], s: Slot) -> [u64; L] {
+    let mut mask = [0u64; L];
+    for k in 0..s.words() {
+        let r = row::<L>(arena, lane_base::<L>(s, k));
+        for l in 0..L {
+            mask[l] |= r[l];
+        }
+    }
+    for m in &mut mask {
+        *m = if *m != 0 { u64::MAX } else { 0 };
+    }
+    mask
+}
+
+/// `dst = g(f(a, b), c)` over every word row of every lane
+/// ([`Op::Logic3`]). `f` and `g` are fixed per call, so each operator
+/// pair gets its own straight row loop.
+#[inline(always)]
+fn logic3_lanes<const L: usize>(
+    arena: &mut [u64],
+    [dst, a, b, c]: [Slot; 4],
+    f: impl Fn(u64, u64) -> u64,
+    g: impl Fn(u64, u64) -> u64,
+) {
+    for k in 0..dst.words() {
+        let a_r = row::<L>(arena, lane_base::<L>(a, k));
+        let b_r = row::<L>(arena, lane_base::<L>(b, k));
+        let c_r = row::<L>(arena, lane_base::<L>(c, k));
+        let d = row_mut::<L>(arena, lane_base::<L>(dst, k));
+        for l in 0..L {
+            d[l] = g(f(a_r[l], b_r[l]), c_r[l]);
+        }
+    }
+}
+
 #[inline(always)]
 fn unsigned_lt_lane<const L: usize>(arena: &[u64], a: Slot, b: Slot, l: usize) -> bool {
     for k in (0..a.words()).rev() {
@@ -1929,16 +1958,7 @@ fn exec_op_lanes<const L: usize>(
             }
         }
         Op::Mux { dst, cond, t, e } => {
-            let mut mask = [0u64; L];
-            for k in 0..cond.words() {
-                let c_r = row::<L>(arena, lane_base::<L>(*cond, k));
-                for l in 0..L {
-                    mask[l] |= c_r[l];
-                }
-            }
-            for m in &mut mask {
-                *m = if *m != 0 { u64::MAX } else { 0 };
-            }
+            let mask = truthy_mask::<L>(arena, *cond);
             for k in 0..dst.words() {
                 let t_r = row::<L>(arena, lane_base::<L>(*t, k));
                 let e_r = row::<L>(arena, lane_base::<L>(*e, k));
@@ -2050,14 +2070,21 @@ fn exec_op_lanes<const L: usize>(
             first,
             second,
         } => {
-            for k in 0..dst.words() {
-                let a_r = row::<L>(arena, lane_base::<L>(*a, k));
-                let b_r = row::<L>(arena, lane_base::<L>(*b, k));
-                let c_r = row::<L>(arena, lane_base::<L>(*c, k));
-                let d = row_mut::<L>(arena, lane_base::<L>(*dst, k));
-                for l in 0..L {
-                    d[l] = bw(bw(a_r[l], b_r[l], *first), c_r[l], *second);
-                }
+            // One dispatch per op, not per lane: each operator pair runs
+            // its own row loop.
+            use std::ops::{BitAnd, BitOr, BitXor};
+            use BwKind::{And, Or, Xor};
+            let slots = [*dst, *a, *b, *c];
+            match (first, second) {
+                (And, And) => logic3_lanes::<L>(arena, slots, u64::bitand, u64::bitand),
+                (And, Or) => logic3_lanes::<L>(arena, slots, u64::bitand, u64::bitor),
+                (And, Xor) => logic3_lanes::<L>(arena, slots, u64::bitand, u64::bitxor),
+                (Or, And) => logic3_lanes::<L>(arena, slots, u64::bitor, u64::bitand),
+                (Or, Or) => logic3_lanes::<L>(arena, slots, u64::bitor, u64::bitor),
+                (Or, Xor) => logic3_lanes::<L>(arena, slots, u64::bitor, u64::bitxor),
+                (Xor, And) => logic3_lanes::<L>(arena, slots, u64::bitxor, u64::bitand),
+                (Xor, Or) => logic3_lanes::<L>(arena, slots, u64::bitxor, u64::bitor),
+                (Xor, Xor) => logic3_lanes::<L>(arena, slots, u64::bitxor, u64::bitxor),
             }
         }
         Op::MuxChain {
@@ -2065,40 +2092,17 @@ fn exec_op_lanes<const L: usize>(
             cases,
             default,
         } => {
-            // Branch-free priority scan: sel[l] = first case whose
-            // condition is set (cases.len() = default), then one gather
-            // per destination word.
-            let mut sel = [usize::MAX; L];
-            let mut unresolved = L;
-            for (ci, (c, _)) in cases.iter().enumerate() {
-                let mut any = [0u64; L];
-                for k in 0..c.words() {
-                    let c_r = row::<L>(arena, lane_base::<L>(*c, k));
-                    for l in 0..L {
-                        any[l] |= c_r[l];
-                    }
-                }
-                for l in 0..L {
-                    if sel[l] == usize::MAX && any[l] != 0 {
-                        sel[l] = ci;
-                        unresolved -= 1;
-                    }
-                }
-                // Once every lane picked a case the rest of the chain is
-                // dead — skip its condition reads entirely.
-                if unresolved == 0 {
-                    break;
-                }
-            }
+            // Branch-free row blend: start from the default row and blend
+            // the cases in from last to first, so on every lane the first
+            // case whose condition is set is blended last and wins.
             for k in 0..dst.words() {
-                let mut out = [0u64; L];
-                for (l, out_l) in out.iter_mut().enumerate() {
-                    let src = if sel[l] == usize::MAX {
-                        *default
-                    } else {
-                        cases[sel[l]].1
-                    };
-                    *out_l = arena[lane_base::<L>(src, k) + l];
+                let mut out = row::<L>(arena, lane_base::<L>(*default, k));
+                for (c, v) in cases.iter().rev() {
+                    let mask = truthy_mask::<L>(arena, *c);
+                    let v_r = row::<L>(arena, lane_base::<L>(*v, k));
+                    for l in 0..L {
+                        out[l] = (v_r[l] & mask[l]) | (out[l] & !mask[l]);
+                    }
                 }
                 *row_mut::<L>(arena, lane_base::<L>(*dst, k)) = out;
             }
@@ -2217,8 +2221,8 @@ impl<const L: usize> LaneEngine<L> {
         // Opened only when there is work — the settle-skip early return
         // stays untraced — and the per-region children gate on one
         // enabled() check for the whole pass. Region children are batch
-        // detail only: `Sim` (`L = 1`) settles on every poke and step, so
-        // its traced requests keep one span per settle. `L` is a
+        // detail only: a traced `Sim` (`L = 1`) keeps one span per settle,
+        // that is one per step or per read after a change. `L` is a
         // constant, so the check folds away.
         let _sp = anvil_trace::span("sim", "settle");
         let traced = L > 1 && anvil_trace::enabled();
@@ -2797,6 +2801,200 @@ mod tests {
                 "output `{out}` diverged"
             );
         }
+    }
+
+    /// Bit widths at which a row loop changes shape: one bit, one full
+    /// word, a second word holding one bit, two full words.
+    const ROW_WIDTHS: [usize; 4] = [1, 64, 65, 128];
+    const ROW_LANES: usize = 32;
+    const ROW_CYCLES: usize = 16;
+
+    /// Priority-mux chains of 2 to 8 cases at every [`ROW_WIDTHS`] width
+    /// (conditions and values alike), and `(a f b) s c` for all nine
+    /// and/or/xor pairs at 1, 64 and 128 bits. Each output is one
+    /// unshared expression tree, so each fuses whole. Also returns each
+    /// condition input with its case index.
+    fn row_ops_module() -> (Module, Vec<(SignalId, usize)>) {
+        let mut m = Module::new("row_ops");
+        let mut case_of = Vec::new();
+        for w in ROW_WIDTHS {
+            let conds: Vec<SignalId> = (0..8).map(|i| m.input(format!("c{w}_{i}"), w)).collect();
+            case_of.extend(conds.iter().copied().zip(0..));
+            let vals: Vec<SignalId> = (0..8).map(|i| m.input(format!("v{w}_{i}"), w)).collect();
+            let default = m.input(format!("d{w}"), w);
+            for n in 2..=8 {
+                let chain = (0..n).rev().fold(Expr::Signal(default), |e, i| {
+                    Expr::mux(Expr::Signal(conds[i]), Expr::Signal(vals[i]), e)
+                });
+                let o = m.output(format!("chain{w}_{n}"), w);
+                m.assign(o, chain);
+            }
+        }
+        let bitwise = [BinaryOp::And, BinaryOp::Or, BinaryOp::Xor];
+        for w in [1, 64, 128] {
+            let [a, b, c] = ["a", "b", "c"].map(|x| m.input(format!("{x}{w}"), w));
+            for f in bitwise {
+                for s in bitwise {
+                    let o = m.output(format!("l{w}_{f:?}_{s:?}"), w);
+                    let ab = Expr::bin(f, Expr::Signal(a), Expr::Signal(b));
+                    m.assign(o, Expr::bin(s, ab, Expr::Signal(c)));
+                }
+            }
+        }
+        (m, case_of)
+    }
+
+    /// Seeded stimulus for [`row_ops_module`], `[cycle][lane]` → one value
+    /// per input. Each lane and cycle draws the case `j` in 0..=8 that wins
+    /// the 8-case chains: conditions before `j` are zero, condition `j` is
+    /// set (half the time only in its top bit, so a set bit in the second
+    /// word alone must count), and later ones are random. A chain of `n`
+    /// cases so takes its first case, a middle one or the default.
+    fn row_ops_stimulus(
+        m: &Module,
+        case_of: &[(SignalId, usize)],
+    ) -> Vec<Vec<Vec<(SignalId, Bits)>>> {
+        let mut rng = 0x0123_4567_89AB_CDEFu64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let inputs: Vec<(SignalId, usize)> = m
+            .iter_signals()
+            .filter(|(_, s)| s.kind == SignalKind::Input)
+            .map(|(id, s)| (id, s.width))
+            .collect();
+        (0..ROW_CYCLES)
+            .map(|_| {
+                (0..ROW_LANES)
+                    .map(|_| {
+                        let winner = (next() % 9) as usize;
+                        inputs
+                            .iter()
+                            .map(|(id, w)| {
+                                let mut v = Bits::from_words(*w, &[next(), next()]);
+                                let case = case_of.iter().find(|(c, _)| c == id);
+                                if let Some(&(_, i)) = case {
+                                    if i < winner {
+                                        v = Bits::zero(*w);
+                                    } else if i == winner && (v.is_zero() || next() % 2 == 0) {
+                                        v = Bits::from_u64(1, *w).shl(*w - 1);
+                                    }
+                                }
+                                (*id, v)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs the stimulus through one lane group of width `L` and checks
+    /// every output of every lane against `expected[cycle][lane]`.
+    fn check_lane_group<const L: usize>(
+        label: &str,
+        mut group: Box<dyn LaneGroup>,
+        m: &Module,
+        stimulus: &[Vec<Vec<(SignalId, Bits)>>],
+        expected: &[Vec<Vec<Bits>>],
+    ) {
+        let outputs: Vec<(SignalId, &str)> = m
+            .iter_signals()
+            .filter(|(_, s)| s.kind == SignalKind::Output)
+            .map(|(id, s)| (id, s.name.as_str()))
+            .collect();
+        for (cycle, lanes) in stimulus.iter().enumerate() {
+            for (lane, pokes) in lanes.iter().take(L).enumerate() {
+                for (id, v) in pokes {
+                    group.poke_lane(*id, v, lane);
+                }
+            }
+            group.settle();
+            for (lane, wants) in expected[cycle].iter().take(L).enumerate() {
+                for ((id, name), want) in outputs.iter().zip(wants) {
+                    assert_eq!(
+                        &group.peek_lane(*id, lane),
+                        want,
+                        "{label} at {L} lanes, cycle {cycle}, lane {lane}: `{name}`"
+                    );
+                }
+            }
+            group.commit(&mut |_, _| {});
+        }
+    }
+
+    /// Runs the portable engine and the group `SimBatch` would build (the
+    /// AVX2 copy where the CPU has AVX2) at width `L`.
+    fn check_width<const L: usize>(
+        tape: &Arc<Tape>,
+        m: &Module,
+        stimulus: &[Vec<Vec<(SignalId, Bits)>>],
+        expected: &[Vec<Vec<Bits>>],
+    ) {
+        let portable = Box::new(LaneEngine::<L>::new(Arc::clone(tape)));
+        check_lane_group::<L>("portable", portable, m, stimulus, expected);
+        let picked = new_lane_group(Arc::clone(tape), L);
+        check_lane_group::<L>("picked", picked, m, stimulus, expected);
+    }
+
+    /// `MuxChain` and `Logic3` run as row loops: the fused ops match the
+    /// tree engine on `Sim` and at every lane width, portable and AVX2.
+    #[test]
+    fn mux_chains_and_logic3_match_tree() {
+        use crate::batch::TapeProgram;
+        use crate::engine::Sim;
+        let (m, case_of) = row_ops_module();
+        let mix = TapeProgram::compile(&m).unwrap().op_mix();
+        assert!(
+            mix.contains(&("mux_chain", 7 * ROW_WIDTHS.len())),
+            "{mix:?}"
+        );
+        assert!(mix.contains(&("logic3", 27)), "{mix:?}");
+        assert!(
+            !mix.iter()
+                .any(|(k, _)| matches!(*k, "mux" | "and" | "or" | "xor")),
+            "{mix:?}"
+        );
+
+        let stimulus = row_ops_stimulus(&m, &case_of);
+        let outputs: Vec<SignalId> = m
+            .iter_signals()
+            .filter(|(_, s)| s.kind == SignalKind::Output)
+            .map(|(id, _)| id)
+            .collect();
+        let mut expected = vec![Vec::new(); ROW_CYCLES];
+        for lane in 0..ROW_LANES {
+            let mut tree = Sim::with_backend(&m, Backend::Tree).unwrap();
+            let mut tape = Sim::with_backend(&m, Backend::Compiled).unwrap();
+            for (cycle, lanes) in stimulus.iter().enumerate() {
+                for s in [&mut tree, &mut tape] {
+                    for (id, v) in &lanes[lane] {
+                        s.poke(&m.signal(*id).name, v.clone()).unwrap();
+                    }
+                }
+                let want: Vec<Bits> = outputs.iter().map(|id| tree.peek_id(*id)).collect();
+                for (id, w) in outputs.iter().zip(&want) {
+                    let name = &m.signal(*id).name;
+                    assert_eq!(
+                        &tape.peek_id(*id),
+                        w,
+                        "Sim, cycle {cycle}, lane {lane}: `{name}`"
+                    );
+                }
+                expected[cycle].push(want);
+                tree.step().unwrap();
+                tape.step().unwrap();
+            }
+        }
+
+        let tape = Arc::new(Tape::compile(Arc::new(m.clone())).unwrap());
+        check_width::<4>(&tape, &m, &stimulus, &expected);
+        check_width::<8>(&tape, &m, &stimulus, &expected);
+        check_width::<16>(&tape, &m, &stimulus, &expected);
+        check_width::<32>(&tape, &m, &stimulus, &expected);
     }
 
     /// `(a ^ b) & c` with an unobservable intermediate fuses into one

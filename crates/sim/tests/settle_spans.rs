@@ -1,7 +1,9 @@
 //! Which simulator spans a traced run records. `Sim`'s compiled backend
 //! and `SimBatch` share one tape executor, but only batch settles open a
-//! `sim.region` child per dirty region: a `Sim` settles on every poke and
-//! step, and its traced requests keep one `sim.settle` span per settle.
+//! `sim.region` child per dirty region: a traced `Sim` keeps one
+//! `sim.settle` span per settle. A `Sim` settles once per observation,
+//! that is once per step and once per read after a change, however many
+//! inputs it was poked.
 //!
 //! A file of its own, so no concurrently running test records into the
 //! capture.
@@ -67,9 +69,11 @@ fn region_spans_come_from_batch_settles_only() {
     let records = cap.finish();
 
     let scalar_names = names_under(&records, scalar_id);
-    assert!(
-        scalar_names.iter().any(|n| n == "sim.settle"),
-        "a traced Sim records its settles: {scalar_names:?}"
+    assert_eq!(
+        scalar_names.iter().filter(|n| *n == "sim.settle").count(),
+        4,
+        "two pokes per cycle, three steps and a read settle once per step \
+         and once for the read: {scalar_names:?}"
     );
     assert!(
         !scalar_names.iter().any(|n| n == "sim.region"),
