@@ -848,23 +848,14 @@ impl Session {
     }
 
     /// Compiles many independent designs in parallel, sharing this session
-    /// read-only across `std::thread::scope` workers.
+    /// read-only across up to `workers` `std::thread::scope` workers.
     ///
     /// Results come back in input order, and each is byte-identical to
     /// what a sequential [`Session::compile`] of the same source produces:
     /// the IR is interned and immutable during lowering, and every
     /// order-sensitive container sorts by resolved names rather than by
     /// interning order.
-    pub fn compile_batch(&self, sources: &[&str]) -> Vec<Result<CompileOutput, CompileError>> {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.compile_batch_with_workers(sources, workers)
-    }
-
-    /// [`Session::compile_batch`] with an explicit worker count (tests and
-    /// benchmarks pin this; `compile_batch` uses one worker per core).
-    pub fn compile_batch_with_workers(
+    pub fn compile_batch(
         &self,
         sources: &[&str],
         workers: usize,
@@ -1141,7 +1132,7 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         // Pre-fix, the panicking unit unwound through its worker and the
         // whole batch aborted on "worker filled every claimed slot";
         // now the panic is scoped to its own slot.
-        let out = Session::new().compile_batch_with_workers(&[good, &boom, good], 2);
+        let out = Session::new().compile_batch(&[good, &boom, good], 2);
         assert!(out[0].is_ok());
         assert!(
             matches!(&out[1], Err(CompileError::Internal(msg)) if msg.contains(PANIC_MARKER)),
@@ -1151,7 +1142,7 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
         assert!(out[2].is_ok());
 
         // The inline (single-worker) path catches identically.
-        let out = Session::new().compile_batch_with_workers(&[&boom], 1);
+        let out = Session::new().compile_batch(&[&boom], 1);
         assert!(matches!(&out[0], Err(CompileError::Internal(_))));
     }
 
@@ -1259,7 +1250,7 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
     fn batch_results_in_input_order_with_errors_preserved() {
         let good = "proc a() { reg r : logic[4]; loop { set r := *r + 1 >> cycle 1 } }";
         let bad = "proc b() { loop { ??? } }";
-        let out = Session::new().compile_batch_with_workers(&[good, bad, good], 2);
+        let out = Session::new().compile_batch(&[good, bad, good], 2);
         assert_eq!(out.len(), 3);
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(CompileError::Parse(_))));
@@ -1282,7 +1273,7 @@ proc p() { reg r : logic[8]; loop { set r := nope(*r) >> cycle 1 } }";
             .iter()
             .map(|s| session.compile(s).unwrap().systemverilog)
             .collect();
-        let batch = session.compile_batch_with_workers(&sources, 3);
+        let batch = session.compile_batch(&sources, 3);
         for (seq, par) in sequential.iter().zip(&batch) {
             assert_eq!(seq, &par.as_ref().unwrap().systemverilog);
         }

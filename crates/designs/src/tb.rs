@@ -82,9 +82,9 @@ pub fn assert_equivalent(
 }
 
 /// One xorshift64 step: the deterministic PRNG shared by the
-/// differential backend tests, the pass-subset behavioural properties,
-/// and the simulator benches, so they all exercise the same stimulus for
-/// a given seed.
+/// differential backend and batch tests, the pass-subset behavioural
+/// properties, and the simulator's tracing guard, so they all exercise
+/// the same stimulus for a given seed.
 pub fn xorshift64(state: &mut u64) -> u64 {
     *state ^= *state << 13;
     *state ^= *state >> 7;

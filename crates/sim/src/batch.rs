@@ -5,17 +5,16 @@
 //! tape **once**, and the word-packed state arena is widened into a
 //! structure-of-arrays holding a const-generic number of independent
 //! lanes per engine — monomorphized at widths 4, 8, 16, and 32, picked at
-//! [`TapeProgram`] build time ([`TapeOptions::stride`], the
-//! `ANVIL_SIM_LANES` environment override, or the [`LANE_STRIDE`]
-//! default), with full-width groups stacked for larger batches and a
-//! smallest-covering-width tail group for the remainder. Each settle
-//! decodes every op once
-//! and runs its inner loop across all lanes over contiguous memory, so the
-//! per-op dispatch cost is amortized and the lane loops auto-vectorize —
-//! aggregate stimulus throughput (cycles·lanes/sec) scales with SIMD width
-//! where a scalar [`Sim`](crate::Sim) per stimulus pays full dispatch per
-//! lane. On x86-64 CPUs with AVX2, detected when each group is built, the
-//! groups run an AVX2 copy of the executor's loops; elsewhere they run the
+//! [`TapeProgram`] build time ([`TapeOptions::stride`], or the
+//! [`LANE_STRIDE`] default), with full-width groups stacked for larger
+//! batches and a smallest-covering-width tail group for the remainder.
+//! Each settle decodes every op once and runs its inner loop across all
+//! lanes over contiguous memory, so the per-op dispatch cost is amortized
+//! and the lane loops auto-vectorize — aggregate stimulus throughput
+//! (cycles·lanes/sec) scales with SIMD width where a scalar
+//! [`Sim`](crate::Sim) per stimulus pays full dispatch per lane. On
+//! x86-64 CPUs with AVX2, detected when each group is built, the groups
+//! run an AVX2 copy of the executor's loops; elsewhere they run the
 //! portable (baseline SSE2 on x86-64) code. Both give identical results.
 //!
 //! Memories with no write port (ROMs, such as the AES core's S-boxes) are
@@ -39,8 +38,8 @@
 //! threads and [`sweep_chunks`] is the `std::thread::scope` chunked
 //! driver: it carves a logical lane range into chunks, and each worker
 //! runs a caller-supplied closure on its chunks with one [`SimBatch`] it
-//! keeps and resets between them. `anvil-verify`'s `bmc_sweep` and the
-//! fuzzing benches are built on it.
+//! keeps and resets between them. `anvil-verify`'s `bmc_sweep` and
+//! perfbench's `sim_sweep` workload are built on it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,19 +48,17 @@ use std::sync::Arc;
 use anvil_rtl::{ArrayId, Bits, Expr, Module, SignalId, SignalKind};
 
 use crate::engine::{check_driver_widths, SimError};
-use crate::tape::{
-    check_lane_width, lane_width_from_env, new_lane_group, tail_width, LaneGroup, Tape, TapeOptions,
-};
+use crate::tape::{check_lane_width, new_lane_group, tail_width, LaneGroup, Tape, TapeOptions};
 
 /// Default number of lanes one laned engine executes in lockstep (the
 /// SIMD-style stride of the multi-lane executor). The engine is
 /// monomorphized for widths 4, 8, 16, and 32; the stride is chosen at
-/// [`TapeProgram`] build time — [`TapeOptions::stride`], then the
-/// `ANVIL_SIM_LANES` environment variable, then this default — and
-/// [`SimBatch`] accepts any lane count, stacking full-stride groups plus
-/// one tail group of the smallest width that covers the remainder. The
-/// default is the widest: a 32-lane sweep chunk is one group, so each op
-/// is decoded once per chunk, and 32 lanes are eight AVX2 registers.
+/// [`TapeProgram`] build time — [`TapeOptions::stride`], else this
+/// default — and [`SimBatch`] accepts any lane count, stacking
+/// full-stride groups plus one tail group of the smallest width that
+/// covers the remainder. The default is the widest: a 32-lane sweep
+/// chunk is one group, so each op is decoded once per chunk, and 32 lanes
+/// are eight AVX2 registers.
 pub const LANE_STRIDE: usize = 32;
 
 /// A module lowered once to its instruction tape, shareable across
@@ -110,15 +107,13 @@ pub struct TapeProgram {
 impl TapeProgram {
     /// Lowers a flattened module into a shareable tape program with the
     /// default optimization options (fusion and dirty-region skipping on,
-    /// stride from `ANVIL_SIM_LANES` or [`LANE_STRIDE`]).
+    /// stride [`LANE_STRIDE`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`Sim::new`](crate::Sim::new):
     /// [`SimError::NotFlat`], [`SimError::CombinationalLoop`],
-    /// [`SimError::DriverWidth`], or [`SimError::MalformedExpr`] — plus
-    /// [`SimError::UnknownLaneWidth`] when `ANVIL_SIM_LANES` holds
-    /// anything but 4, 8, 16, or 32.
+    /// [`SimError::DriverWidth`], or [`SimError::MalformedExpr`].
     pub fn compile(module: &Module) -> Result<TapeProgram, SimError> {
         TapeProgram::compile_with(module, TapeOptions::default())
     }
@@ -135,10 +130,7 @@ impl TapeProgram {
         if !module.instances.is_empty() {
             return Err(SimError::NotFlat(module.name.clone()));
         }
-        let stride = match opts.stride {
-            Some(w) => check_lane_width(w)?,
-            None => lane_width_from_env()?.unwrap_or(LANE_STRIDE),
-        };
+        let stride = check_lane_width(opts.stride.unwrap_or(LANE_STRIDE))?;
         check_driver_widths(module)?;
         let _sp = anvil_trace::span("sim", "tape.lower")
             .detail_with(|| format!("{} stride {stride}", module.name));
@@ -166,8 +158,8 @@ impl TapeProgram {
     }
 
     /// Histogram of op mnemonics in the optimized settle program, sorted
-    /// by mnemonic — the data `bench_sim --op-mix` aggregates so future
-    /// fusion candidates are profile-driven.
+    /// by mnemonic — the profile future fusion candidates are chosen
+    /// from (perfbench's `sim.tape_ops` count is its total).
     pub fn op_mix(&self) -> Vec<(&'static str, usize)> {
         self.tape.op_mix()
     }
@@ -537,55 +529,6 @@ impl SimBatch {
         }
     }
 
-    /// Runs `n` clock cycles with the current per-lane inputs, spreading
-    /// the lane groups over up to `workers` scoped threads (the tape is
-    /// shared; each group's state is independent). Observable behaviour —
-    /// values, logs, toggle counts, fingerprints — is identical to
-    /// [`SimBatch::run`].
-    pub fn run_threaded(&mut self, n: u64, workers: usize) {
-        let n_groups = self.groups.len();
-        let workers = workers.max(1).min(n_groups);
-        if workers <= 1 {
-            self.run(n);
-            return;
-        }
-        let start = self.cycle;
-        let lanes = self.lanes;
-        let stride = self.stride;
-        let logs = &mut self.logs;
-        let chunk = n_groups.div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .groups
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, engines)| {
-                    s.spawn(move || {
-                        let mut local: Vec<(usize, u64, String)> = Vec::new();
-                        for (gi, eng) in engines.iter_mut().enumerate() {
-                            let base = (ci * chunk + gi) * stride;
-                            for c in 0..n {
-                                eng.settle();
-                                eng.commit(&mut |sub, msg| {
-                                    local.push((base + sub, start + c, msg));
-                                });
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (lane, cyc, msg) in h.join().expect("batch worker panicked") {
-                    if lane < lanes {
-                        logs[lane].push((cyc, msg));
-                    }
-                }
-            }
-        });
-        self.cycle += n;
-    }
-
     /// Restores every lane to power-on state, clears the per-lane logs
     /// and toggle counters, and rewinds the cycle counter. The lowered
     /// tape is reused — this is the cheap path sweep drivers replay
@@ -742,8 +685,31 @@ mod tests {
 
     #[test]
     fn lanes_diverge_independently() {
-        // 13 lanes: crosses the group boundary (8-lane stride).
-        let mut b = SimBatch::new(&counter(), 13).unwrap();
+        // The default stride is the widest width; an explicit one must be
+        // a monomorphized width, and the error names the valid ones.
+        assert_eq!(LANE_STRIDE, 32);
+        assert_eq!(
+            TapeProgram::compile(&counter()).unwrap().stride(),
+            LANE_STRIDE
+        );
+        let bad = TapeOptions {
+            stride: Some(5),
+            ..TapeOptions::default()
+        };
+        let err = TapeProgram::compile_with(&counter(), bad).err().unwrap();
+        assert_eq!(err, SimError::UnknownLaneWidth("5".into()));
+        assert!(err
+            .to_string()
+            .contains("`5`; valid lane widths: 4, 8, 16, 32"));
+
+        // 13 lanes at stride 8: crosses the group boundary.
+        let opts = TapeOptions {
+            stride: Some(8),
+            ..TapeOptions::default()
+        };
+        let program = TapeProgram::compile_with(&counter(), opts).unwrap();
+        let mut b = program.batch(13);
+        assert_eq!(b.group_strides(), [8, 8]);
         for lane in 0..13 {
             b.poke(lane, "en", Bits::bit(lane % 3 == 0)).unwrap();
         }
@@ -808,30 +774,6 @@ mod tests {
         assert_eq!(b.cycle(), 0);
         for lane in 0..4 {
             assert_eq!(b.peek(lane, "out").unwrap().to_u64(), 0);
-        }
-    }
-
-    #[test]
-    fn threaded_run_matches_sequential() {
-        let m = counter();
-        let mut a = SimBatch::new(&m, 20).unwrap();
-        let mut b = SimBatch::new(&m, 20).unwrap();
-        for lane in 0..20 {
-            let v = Bits::bit(lane % 2 == 0);
-            a.poke(lane, "en", v.clone()).unwrap();
-            b.poke(lane, "en", v).unwrap();
-        }
-        a.run(16);
-        b.run_threaded(16, 4);
-        assert_eq!(a.fingerprints(), b.fingerprints());
-        for lane in 0..20 {
-            assert_eq!(
-                a.peek(lane, "out").unwrap(),
-                b.peek(lane, "out").unwrap(),
-                "lane {lane}"
-            );
-            assert_eq!(a.toggle_counts(lane), b.toggle_counts(lane));
-            assert_eq!(a.log(lane), b.log(lane));
         }
     }
 

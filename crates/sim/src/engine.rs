@@ -71,8 +71,7 @@ pub enum SimError {
     /// value (never silently ignored: a typo would otherwise run every
     /// test on the wrong engine).
     UnknownBackend(String),
-    /// A lane-engine stride (from `ANVIL_SIM_LANES` or
-    /// [`TapeOptions::stride`](crate::TapeOptions)) is not one of the
+    /// A [`TapeOptions::stride`](crate::TapeOptions) is not one of the
     /// monomorphized widths. Like an unknown backend, a typo'd width is
     /// surfaced instead of silently running the default stride.
     UnknownLaneWidth(String),
@@ -111,8 +110,7 @@ impl fmt::Display for SimError {
             ),
             SimError::UnknownLaneWidth(v) => write!(
                 f,
-                "unrecognized lane width `{v}`; valid ANVIL_SIM_LANES values: \
-                 4, 8, 16, 32"
+                "unrecognized lane width `{v}`; valid lane widths: 4, 8, 16, 32"
             ),
         }
     }

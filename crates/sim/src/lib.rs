@@ -27,9 +27,8 @@
 //!   word offsets in a flat `u64` arena, executed by a tight non-recursive
 //!   loop with no per-cycle allocation. It is the multi-lane executor
 //!   behind [`SimBatch`] run at one lane, so a settle skips every region
-//!   whose inputs did not change. Several times faster per cycle (see the
-//!   `sim_suite_*` benches and the README speedup table), which is what
-//!   makes brute-forcing many stimulus schedules practical.
+//!   whose inputs did not change. perfbench's `sim_sweep` workload times
+//!   it in its scalar testbenches (`sim.scalar_ns_per_cycle`).
 //!
 //! The two engines produce bit-identical values, debug prints, toggle
 //! counts, and [`Sim::state_fingerprint`]s; a differential property test
@@ -43,7 +42,7 @@
 //! [`SimBatch`] executes many independent stimulus lanes over **one**
 //! lowered tape: the state arena becomes a structure-of-arrays whose lane
 //! stride is monomorphized at `{4, 8, 16, 32}` and chosen when the
-//! [`TapeProgram`] is built (`ANVIL_SIM_LANES` overrides the
+//! [`TapeProgram`] is built ([`TapeOptions::stride`] overrides the
 //! [`LANE_STRIDE`] default of 32), so each op decodes once and its inner
 //! loop covers a compile-time-known row over contiguous memory. On x86-64
 //! CPUs with AVX2, detected when each lane group is built, those loops

@@ -409,9 +409,9 @@ pub struct TapeOptions {
     /// executor skip settling regions whose inputs did not change — in
     /// `SimBatch` lane groups and in `Sim`'s compiled backend alike.
     pub dirty_regions: bool,
-    /// Lane-engine stride override. `None` consults `ANVIL_SIM_LANES`
-    /// and falls back to the default stride; `Some(w)` must be one of
-    /// the monomorphized widths {4, 8, 16, 32}.
+    /// Lane-engine stride override. `None` is the default stride,
+    /// [`LANE_STRIDE`](crate::LANE_STRIDE); `Some(w)` must be one of the
+    /// monomorphized widths {4, 8, 16, 32}.
     pub stride: Option<usize>,
 }
 
@@ -434,25 +434,6 @@ pub(crate) fn check_lane_width(w: usize) -> Result<usize, SimError> {
         Ok(w)
     } else {
         Err(SimError::UnknownLaneWidth(w.to_string()))
-    }
-}
-
-/// Stride requested through `ANVIL_SIM_LANES`, if any. Mirrors
-/// [`Backend::from_env`]: an unset variable means "no preference", and
-/// anything unparseable or outside {4, 8, 16, 32} is a structured error
-/// rather than a silently-applied default.
-pub(crate) fn lane_width_from_env() -> Result<Option<usize>, SimError> {
-    use std::env::VarError;
-    match std::env::var("ANVIL_SIM_LANES") {
-        Err(VarError::NotPresent) => Ok(None),
-        Err(VarError::NotUnicode(raw)) => Err(SimError::UnknownLaneWidth(
-            raw.to_string_lossy().into_owned(),
-        )),
-        Ok(v) if v.is_empty() => Ok(None),
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) => check_lane_width(n).map(Some),
-            Err(_) => Err(SimError::UnknownLaneWidth(v)),
-        },
     }
 }
 
@@ -873,7 +854,7 @@ impl Tape {
     }
 
     /// Histogram of op mnemonics over the settle program (data for
-    /// choosing future fusion candidates; `bench_sim --op-mix`).
+    /// choosing future fusion candidates).
     pub(crate) fn op_mix(&self) -> Vec<(&'static str, usize)> {
         let mut counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
         for op in &self.ops {

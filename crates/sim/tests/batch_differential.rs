@@ -11,9 +11,10 @@ use anvil_rtl::{Bits, SignalKind};
 use anvil_sim::{Backend, Sim, TapeOptions, TapeProgram};
 
 const CYCLES: u64 = 32;
-/// Not a multiple of any monomorphized width: every configuration
-/// exercises a tail group (and stride 4 also stacks a full group).
-const LANES: usize = 6;
+/// More than the widest monomorphized width and a multiple of none:
+/// every configuration runs at least one full group (one 32-lane group
+/// at stride 32) and a tail group.
+const LANES: usize = 38;
 
 /// Decorrelated nonzero xorshift seed for one (design, lane) stream.
 fn stream_seed(design: usize, lane: usize) -> u64 {

@@ -35,7 +35,7 @@ fn main() {
 
     println!("== batch (4 workers) ==");
     let t = std::time::Instant::now();
-    let batch = session.compile_batch_with_workers(&refs, 4);
+    let batch = session.compile_batch(&refs, 4);
     let batch_wall = t.elapsed();
     println!("  wall: {batch_wall:?}");
 

@@ -5,8 +5,9 @@
 //! crates for details:
 //!
 //! * [`anvil_core`] — the compiler pipeline: [`Session`], the pass
-//!   manager, the parallel [`Session::compile_batch`], and [`Control`],
-//!   the stop flag and deadline one request's compile and prove share,
+//!   manager, the parallel [`Session::compile_batch`] (the caller picks
+//!   the worker count), and [`Control`], the stop flag and deadline one
+//!   request's compile and prove share,
 //! * [`anvil_intern`] — the global [`Symbol`] string interner,
 //! * [`anvil_syntax`] / [`anvil_ir`] / [`anvil_typeck`] /
 //!   [`anvil_codegen`] — the compiler stages,

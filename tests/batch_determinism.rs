@@ -38,7 +38,7 @@ fn batch_output_is_byte_identical_to_sequential() {
         .collect();
 
     // Force real worker threads even on single-core CI machines.
-    let batch = session.compile_batch_with_workers(&refs, 4);
+    let batch = session.compile_batch(&refs, 4);
     assert_eq!(batch.len(), sequential.len());
     for (i, (seq, par)) in sequential.iter().zip(&batch).enumerate() {
         let par = par
@@ -60,7 +60,7 @@ fn batch_is_stable_across_repeated_runs() {
     let session = shared_session();
     let run = || -> Vec<String> {
         session
-            .compile_batch_with_workers(&refs, 4)
+            .compile_batch(&refs, 4)
             .into_iter()
             .map(|r| r.expect("design compiles").systemverilog)
             .collect()
@@ -72,7 +72,7 @@ fn batch_is_stable_across_repeated_runs() {
 fn batch_records_pass_stats_per_design() {
     let sources = design_sources();
     let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let out = shared_session().compile_batch_with_workers(&refs, 3);
+    let out = shared_session().compile_batch(&refs, 3);
     for r in &out {
         let stats = r.as_ref().unwrap().stats;
         assert!(stats.events_after > 0);

@@ -343,7 +343,7 @@ fn batch_compilation_shares_the_cache() {
         .map(|s| session.compile(s).unwrap().systemverilog)
         .collect();
     let baseline = session.cache_stats();
-    let batch = session.compile_batch_with_workers(&refs, 4);
+    let batch = session.compile_batch(&refs, 4);
     let delta = session.cache_stats() - baseline;
     assert_eq!(delta.misses(), 0, "warm batch must be all hits: {delta}");
     for (seq, par) in sequential.iter().zip(&batch) {

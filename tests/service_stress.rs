@@ -93,7 +93,7 @@ fn shared_session_survives_concurrent_edits_panics_and_poison() {
             let good = sources_ref[0].1.as_str();
             let boom = format!("proc boom() {{ }} // {}", anvil::anvil_core::PANIC_MARKER);
             let batch = [good, boom.as_str(), good];
-            let results = session_ref.compile_batch_with_workers(&batch, 3);
+            let results = session_ref.compile_batch(&batch, 3);
             assert!(results[0].is_ok(), "good unit poisoned by neighbour");
             assert!(
                 matches!(results[1], Err(CompileError::Internal(_))),
