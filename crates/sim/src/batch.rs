@@ -3,12 +3,11 @@
 //! [`SimBatch`] drives the multi-lane tape executor
 //! (`crate::tape::LaneEngine`): the design is lowered to its instruction
 //! tape **once**, and the word-packed state arena is widened into a
-//! structure-of-arrays holding a const-generic number of independent
-//! lanes per engine — monomorphized at widths 4, 8, 16, and 32, picked at
-//! [`TapeProgram`] build time ([`TapeOptions::stride`], or the
-//! [`LANE_STRIDE`] default), with full-width groups stacked for larger
-//! batches and a smallest-covering-width tail group for the remainder.
-//! Each settle decodes every op once and runs its inner loop across all
+//! structure-of-arrays holding [`LANE_STRIDE`] (32) independent lanes per
+//! engine group, with groups stacked for larger batches; a lane count
+//! that is not a multiple of 32 leaves spare lanes in the last group,
+//! which run but are never observed. Each settle decodes every op once
+//! and runs its inner loop across all
 //! lanes over contiguous memory, so the per-op dispatch cost is amortized
 //! and the lane loops auto-vectorize — aggregate stimulus throughput
 //! (cycles·lanes/sec) scales with SIMD width where a scalar
@@ -38,8 +37,8 @@
 //! threads and [`sweep_chunks`] is the `std::thread::scope` chunked
 //! driver: it carves a logical lane range into chunks, and each worker
 //! runs a caller-supplied closure on its chunks with one [`SimBatch`] it
-//! keeps and resets between them. `anvil-verify`'s `bmc_sweep` and
-//! perfbench's `sim_sweep` workload are built on it.
+//! keeps and resets between them. perfbench's `sim_sweep` workload is
+//! built on it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,17 +47,14 @@ use std::sync::Arc;
 use anvil_rtl::{ArrayId, Bits, Expr, Module, SignalId, SignalKind};
 
 use crate::engine::{check_driver_widths, SimError};
-use crate::tape::{check_lane_width, new_lane_group, tail_width, LaneGroup, Tape, TapeOptions};
+use crate::tape::{new_lane_group, LaneGroup, Tape, TapeOptions};
 
-/// Default number of lanes one laned engine executes in lockstep (the
-/// SIMD-style stride of the multi-lane executor). The engine is
-/// monomorphized for widths 4, 8, 16, and 32; the stride is chosen at
-/// [`TapeProgram`] build time — [`TapeOptions::stride`], else this
-/// default — and [`SimBatch`] accepts any lane count, stacking
-/// full-stride groups plus one tail group of the smallest width that
-/// covers the remainder. The default is the widest: a 32-lane sweep
-/// chunk is one group, so each op is decoded once per chunk, and 32 lanes
-/// are eight AVX2 registers.
+/// Number of lanes one laned engine group executes in lockstep (the
+/// SIMD-style stride of the multi-lane executor). [`SimBatch`] accepts
+/// any lane count and stacks `lanes.div_ceil(LANE_STRIDE)` groups; the
+/// last group's spare lanes run but are never observed. A 32-lane sweep
+/// chunk is one group, so each op is decoded once per chunk, and 32
+/// one-word lanes are eight AVX2 registers.
 pub const LANE_STRIDE: usize = 32;
 
 /// A module lowered once to its instruction tape, shareable across
@@ -101,13 +97,11 @@ pub struct TapeProgram {
     /// touching the `Signal` structs and their name strings per poke).
     widths: Arc<Vec<u32>>,
     tape: Arc<Tape>,
-    stride: usize,
 }
 
 impl TapeProgram {
     /// Lowers a flattened module into a shareable tape program with the
-    /// default optimization options (fusion and dirty-region skipping on,
-    /// stride [`LANE_STRIDE`]).
+    /// default optimization options (fusion and dirty-region skipping on).
     ///
     /// # Errors
     ///
@@ -119,21 +113,18 @@ impl TapeProgram {
     }
 
     /// [`TapeProgram::compile`] with explicit [`TapeOptions`] — the
-    /// differential test matrix drives every (stride × fusion ×
-    /// dirty-region) combination through this entry point.
+    /// differential test matrix drives every (fusion × dirty-region)
+    /// combination through this entry point.
     ///
     /// # Errors
     ///
-    /// As [`TapeProgram::compile`]; an explicit [`TapeOptions::stride`]
-    /// outside {4, 8, 16, 32} is [`SimError::UnknownLaneWidth`].
+    /// As [`TapeProgram::compile`].
     pub fn compile_with(module: &Module, opts: TapeOptions) -> Result<TapeProgram, SimError> {
         if !module.instances.is_empty() {
             return Err(SimError::NotFlat(module.name.clone()));
         }
-        let stride = check_lane_width(opts.stride.unwrap_or(LANE_STRIDE))?;
         check_driver_widths(module)?;
-        let _sp = anvil_trace::span("sim", "tape.lower")
-            .detail_with(|| format!("{} stride {stride}", module.name));
+        let _sp = anvil_trace::span("sim", "tape.lower").detail_with(|| module.name.clone());
         let module = Arc::new(module.clone());
         let names = Arc::new(module.name_index());
         let widths = Arc::new(module.signals.iter().map(|s| s.width as u32).collect());
@@ -143,18 +134,12 @@ impl TapeProgram {
             names,
             widths,
             tape,
-            stride,
         })
     }
 
     /// The lowered module.
     pub fn module(&self) -> &Module {
         &self.module
-    }
-
-    /// The lane stride full groups of this program's batches use.
-    pub fn stride(&self) -> usize {
-        self.stride
     }
 
     /// Histogram of op mnemonics in the optimized settle program, sorted
@@ -170,30 +155,22 @@ impl TapeProgram {
     }
 
     /// Creates a batch simulation with `lanes` independent stimulus lanes
-    /// over this program's (already lowered) tape: `lanes / stride` full
-    /// groups plus, for any remainder, one tail group of the smallest
-    /// monomorphized width that covers it (no wasted full-stride arena).
+    /// over this program's (already lowered) tape, in
+    /// `lanes.div_ceil(LANE_STRIDE)` groups of [`LANE_STRIDE`] lanes.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
     pub fn batch(&self, lanes: usize) -> SimBatch {
         assert!(lanes > 0, "a batch needs at least one lane");
-        let full = lanes / self.stride;
-        let rem = lanes % self.stride;
-        let mut groups: Vec<Box<dyn LaneGroup>> = Vec::with_capacity(full + 1);
-        for _ in 0..full {
-            groups.push(new_lane_group(Arc::clone(&self.tape), self.stride));
-        }
-        if rem > 0 {
-            groups.push(new_lane_group(Arc::clone(&self.tape), tail_width(rem)));
-        }
+        let groups = (0..lanes.div_ceil(LANE_STRIDE))
+            .map(|_| new_lane_group(Arc::clone(&self.tape)))
+            .collect();
         SimBatch {
             module: Arc::clone(&self.module),
             names: Arc::clone(&self.names),
             widths: Arc::clone(&self.widths),
             groups,
-            stride: self.stride,
             lanes,
             cycle: 0,
             logs: vec![Vec::new(); lanes],
@@ -213,15 +190,10 @@ pub struct SimBatch {
     names: Arc<HashMap<String, SignalId>>,
     /// Per-signal widths, indexed by `SignalId` (poke-path width checks).
     widths: Arc<Vec<u32>>,
-    /// Lane engines: full groups of `stride` lanes, then (for a
-    /// non-multiple lane count) one tail group of the smallest
-    /// monomorphized width covering the remainder. Lane `i` is sublane
-    /// `i % stride` of group `i / stride` (valid for the tail too, since
-    /// its base is a stride multiple). Trailing sublanes of the tail
+    /// Lane engines of [`LANE_STRIDE`] lanes each: lane `i` is sublane
+    /// `i % LANE_STRIDE` of group `i / LANE_STRIDE`. Sublanes of the last
     /// group beyond `lanes` execute but are never observed.
     groups: Vec<Box<dyn LaneGroup>>,
-    /// Full-group lane stride of this batch (the program's stride).
-    stride: usize,
     lanes: usize,
     cycle: u64,
     /// Per-lane debug-print logs, `(cycle, message)`.
@@ -248,27 +220,6 @@ impl SimBatch {
     /// Number of stimulus lanes.
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// Lane stride of the full groups (the compiled program's stride).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Lane width of each underlying engine group, in group order: full
-    /// groups at the program stride, then — for a non-multiple lane
-    /// count — one tail group at the smallest monomorphized width that
-    /// covers the remainder.
-    pub fn group_strides(&self) -> Vec<usize> {
-        self.groups.iter().map(|g| g.stride()).collect()
-    }
-
-    /// Total laned-arena words across all groups — the batch's state
-    /// footprint. With a non-multiple lane count the tail group uses the
-    /// smallest monomorphized width that covers it, so this shrinks
-    /// compared to padding the tail to a full stride.
-    pub fn arena_words(&self) -> usize {
-        self.groups.iter().map(|g| g.arena_words()).sum()
     }
 
     /// Total laned memory words across all groups. Writable memories are
@@ -314,7 +265,7 @@ impl SimBatch {
                 found: value.width(),
             });
         }
-        let sub = lane % self.stride;
+        let sub = lane % LANE_STRIDE;
         self.group(lane).poke_lane(id, value, sub);
         Ok(())
     }
@@ -349,8 +300,7 @@ impl SimBatch {
     /// ```
     pub fn poke_u64s(&mut self, id: SignalId, vals: &[u64]) {
         assert_eq!(vals.len(), self.lanes, "one value per lane");
-        let stride = self.stride;
-        for (g, chunk) in vals.chunks(stride).enumerate() {
+        for (g, chunk) in vals.chunks(LANE_STRIDE).enumerate() {
             self.groups[g].poke_rows_u64(id, chunk);
         }
     }
@@ -380,7 +330,7 @@ impl SimBatch {
     #[inline]
     fn group(&mut self, lane: usize) -> &mut dyn LaneGroup {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        &mut *self.groups[lane / self.stride]
+        &mut *self.groups[lane / LANE_STRIDE]
     }
 
     /// Sets an input port on one lane for the current cycle. Lazy: the
@@ -406,7 +356,7 @@ impl SimBatch {
                 found: value.width(),
             });
         }
-        let sub = lane % self.stride;
+        let sub = lane % LANE_STRIDE;
         self.group(lane).poke_lane(id, &value, sub);
         Ok(())
     }
@@ -439,7 +389,7 @@ impl SimBatch {
 
     /// Reads a signal by id on one lane (no name lookup).
     pub fn peek_id(&mut self, lane: usize, id: SignalId) -> Bits {
-        let sub = lane % self.stride;
+        let sub = lane % LANE_STRIDE;
         let g = self.group(lane);
         g.settle();
         g.peek_lane(id, sub)
@@ -447,7 +397,7 @@ impl SimBatch {
 
     /// Reads one element of a memory on one lane.
     pub fn peek_array(&mut self, lane: usize, array: ArrayId, index: usize) -> Bits {
-        let sub = lane % self.stride;
+        let sub = lane % LANE_STRIDE;
         let g = self.group(lane);
         g.settle();
         g.peek_array_lane(array, index, sub)
@@ -464,13 +414,13 @@ impl SimBatch {
         } else {
             value.resize(width)
         };
-        let sub = lane % self.stride;
+        let sub = lane % LANE_STRIDE;
         self.group(lane).poke_array_lane(array, index, &value, sub);
     }
 
     /// Evaluates an arbitrary expression against one lane's settled state.
     pub fn eval(&mut self, lane: usize, e: &Expr) -> Bits {
-        let sub = lane % self.stride;
+        let sub = lane % LANE_STRIDE;
         let g = self.group(lane);
         g.settle();
         g.eval_lane(e, sub)
@@ -485,7 +435,7 @@ impl SimBatch {
     /// a ROM that [`SimBatch::poke_array`] wrote is digested from the
     /// lane's own copy until [`SimBatch::reset`].
     pub fn state_fingerprint(&mut self, lane: usize) -> u64 {
-        let sub = lane % self.stride;
+        let sub = lane % LANE_STRIDE;
         self.group(lane).state_fingerprint_lane(sub)
     }
 
@@ -500,7 +450,7 @@ impl SimBatch {
     /// order (matches [`Sim::toggle_counts`](crate::Sim::toggle_counts)).
     pub fn toggle_counts(&self, lane: usize) -> Vec<u64> {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        self.groups[lane / self.stride].toggle_counts_lane(lane % self.stride)
+        self.groups[lane / LANE_STRIDE].toggle_counts_lane(lane % LANE_STRIDE)
     }
 
     /// Advances every lane one clock edge: settles, fires per-lane debug
@@ -508,10 +458,9 @@ impl SimBatch {
     pub fn step(&mut self) {
         let cycle = self.cycle;
         let lanes = self.lanes;
-        let stride = self.stride;
         let logs = &mut self.logs;
         for (g, eng) in self.groups.iter_mut().enumerate() {
-            let base = g * stride;
+            let base = g * LANE_STRIDE;
             eng.settle();
             eng.commit(&mut |sub, msg| {
                 if base + sub < lanes {
@@ -549,14 +498,14 @@ impl SimBatch {
 /// every chunk across up to `workers` threads (the calling thread is one
 /// of them), sharing one lowered tape.
 ///
-/// `f` receives the chunk's first logical lane index and a batch of
+/// Workers claim chunks from one atomic counter, so one descheduled
+/// thread delays a sweep less than a fixed split would. `f` receives the
+/// chunk's first logical lane index and a batch of
 /// `min(chunk, total - first)` lanes in its power-on state: each worker
 /// keeps one batch and [`SimBatch::reset`]s it between chunks, building a
 /// new one only when the lane count changes (the ragged last chunk).
 /// Results are returned **in chunk order** regardless of which worker ran
-/// which chunk, so callers that need sequential semantics (e.g.
-/// `bmc_sweep`'s first-counterexample guarantee) can fold over the
-/// results deterministically.
+/// which chunk, so callers can fold over them deterministically.
 ///
 /// # Errors
 ///
@@ -577,86 +526,45 @@ where
     F: Fn(usize, &mut SimBatch) -> Result<R, SimError> + Sync,
 {
     assert!(chunk > 0, "chunk size must be positive");
-    run_workers(
-        total.div_ceil(chunk),
-        workers,
-        || None,
-        |kept: &mut Option<SimBatch>, i| {
-            let first = i * chunk;
-            let lanes = chunk.min(total - first);
-            let batch = match kept {
-                Some(batch) if batch.lanes() == lanes => {
-                    batch.reset();
-                    batch
-                }
-                _ => kept.insert(program.batch(lanes)),
-            };
-            f(first, batch)
-        },
-    )
-    .into_iter()
-    .collect()
-}
-
-/// Runs `f(i)` for every `i in 0..n` across up to `workers` scoped
-/// threads (an atomic work-queue — no work partitioning assumptions; the
-/// calling thread is one of the workers), returning the results **in
-/// index order** regardless of which worker ran which index. The generic
-/// scaffold under `anvil-verify`'s schedule sweep; with `workers <= 1`
-/// (or `n <= 1`) every index runs on the calling thread and no thread
-/// starts.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn run_indexed<R, F>(n: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    run_workers(n, workers, || (), |_: &mut (), i| f(i))
-}
-
-/// The scaffold under [`run_indexed`] and [`sweep_chunks`]: up to
-/// `workers` workers — the calling thread and `workers - 1` scoped
-/// threads — claim the indices `0..n` from one atomic counter. Each worker
-/// makes one state with `init` and passes it to `f` for every index it
-/// claims. Results come back in index order.
-fn run_workers<S, R, I, F>(n: usize, workers: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
+    let n = total.div_ceil(chunk);
     let next = AtomicUsize::new(0);
     let work = || {
-        let mut state = init();
+        let mut kept: Option<SimBatch> = None;
         let mut got = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            got.push((i, f(&mut state, i)));
+            let first = i * chunk;
+            let lanes = chunk.min(total - first);
+            let batch = match &mut kept {
+                Some(batch) if batch.lanes() == lanes => {
+                    batch.reset();
+                    batch
+                }
+                _ => kept.insert(program.batch(lanes)),
+            };
+            got.push((i, f(first, batch)));
         }
         got
     };
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut slots: Vec<Option<Result<R, SimError>>> = (0..n).map(|_| None).collect();
     std::thread::scope(|s| {
         let helpers: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(work)).collect();
-        let mut store = |got: Vec<(usize, R)>| {
+        let mut store = |got: Vec<(usize, Result<R, SimError>)>| {
             for (i, r) in got {
                 slots[i] = Some(r);
             }
         };
         store(work());
         for h in helpers {
-            store(h.join().expect("indexed worker panicked"));
+            store(h.join().expect("sweep worker panicked"));
         }
     });
     slots
         .into_iter()
-        .map(|r| r.expect("every index was claimed by a worker"))
+        .map(|r| r.expect("every chunk was claimed by a worker"))
         .collect()
 }
 
@@ -685,36 +593,15 @@ mod tests {
 
     #[test]
     fn lanes_diverge_independently() {
-        // The default stride is the widest width; an explicit one must be
-        // a monomorphized width, and the error names the valid ones.
-        assert_eq!(LANE_STRIDE, 32);
-        assert_eq!(
-            TapeProgram::compile(&counter()).unwrap().stride(),
-            LANE_STRIDE
-        );
-        let bad = TapeOptions {
-            stride: Some(5),
-            ..TapeOptions::default()
-        };
-        let err = TapeProgram::compile_with(&counter(), bad).err().unwrap();
-        assert_eq!(err, SimError::UnknownLaneWidth("5".into()));
-        assert!(err
-            .to_string()
-            .contains("`5`; valid lane widths: 4, 8, 16, 32"));
-
-        // 13 lanes at stride 8: crosses the group boundary.
-        let opts = TapeOptions {
-            stride: Some(8),
-            ..TapeOptions::default()
-        };
-        let program = TapeProgram::compile_with(&counter(), opts).unwrap();
-        let mut b = program.batch(13);
-        assert_eq!(b.group_strides(), [8, 8]);
-        for lane in 0..13 {
+        // 40 lanes: one full group and 8 lanes of a second, so the lanes
+        // cross a group boundary.
+        let mut b = TapeProgram::compile(&counter()).unwrap().batch(40);
+        assert_eq!(b.groups.len(), 2);
+        for lane in 0..40 {
             b.poke(lane, "en", Bits::bit(lane % 3 == 0)).unwrap();
         }
         b.run(6);
-        for lane in 0..13 {
+        for lane in 0..40 {
             let expect = if lane % 3 == 0 { 6 } else { 0 };
             assert_eq!(b.peek(lane, "out").unwrap().to_u64(), expect, "lane {lane}");
         }

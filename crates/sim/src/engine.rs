@@ -71,10 +71,6 @@ pub enum SimError {
     /// value (never silently ignored: a typo would otherwise run every
     /// test on the wrong engine).
     UnknownBackend(String),
-    /// A [`TapeOptions::stride`](crate::TapeOptions) is not one of the
-    /// monomorphized widths. Like an unknown backend, a typo'd width is
-    /// surfaced instead of silently running the default stride.
-    UnknownLaneWidth(String),
 }
 
 impl fmt::Display for SimError {
@@ -107,10 +103,6 @@ impl fmt::Display for SimError {
                 f,
                 "unrecognized ANVIL_SIM_BACKEND value `{v}`; valid values: \
                  tree, interp, compiled, tape"
-            ),
-            SimError::UnknownLaneWidth(v) => write!(
-                f,
-                "unrecognized lane width `{v}`; valid lane widths: 4, 8, 16, 32"
             ),
         }
     }
@@ -1007,27 +999,26 @@ mod tests {
         }
 
         // `mem` has no write port, so it is a ROM: batch lanes share the
-        // tape's image until a poke copies it for one group. Twenty lanes
-        // are a 16-lane group plus a 4-lane tail; poke one tail lane.
-        let opts = crate::TapeOptions {
-            stride: Some(16),
-            ..crate::TapeOptions::default()
-        };
-        let program = crate::TapeProgram::compile_with(&m, opts).unwrap();
-        let mut b = program.batch(20);
-        assert_eq!(b.group_strides(), [16, 4]);
+        // tape's image until a poke copies it for one group. Forty lanes
+        // are a full 32-lane group plus 8 lanes of a second; poke one
+        // lane of the second.
+        let mut b = crate::SimBatch::new(&m, 40).unwrap();
         assert_eq!(b.memory_words(), 0, "no lane holds a ROM copy");
         let read = Expr::ArrayRead {
             array: arr,
             index: Box::new(Expr::Signal(raddr)),
         };
-        for lane in 0..20 {
+        for lane in 0..40 {
             b.poke(lane, "raddr", addr.clone()).unwrap();
         }
         let unpoked = b.fingerprints();
-        let poked = 17;
+        let poked = 37;
         b.poke_array(poked, arr, 2, new.clone());
-        assert_eq!(b.memory_words(), 4 * 4, "one copy, in the 4-lane tail");
+        assert_eq!(
+            b.memory_words(),
+            4 * crate::LANE_STRIDE,
+            "one copy, in the second group"
+        );
         for (lane, before) in unpoked.iter().enumerate() {
             let want = if lane == poked { 0xAB } else { 0x33 };
             assert_eq!(b.peek(lane, "q").unwrap().to_u64(), want, "lane {lane}");

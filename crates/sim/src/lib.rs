@@ -40,11 +40,11 @@
 //! # Multi-lane batch simulation
 //!
 //! [`SimBatch`] executes many independent stimulus lanes over **one**
-//! lowered tape: the state arena becomes a structure-of-arrays whose lane
-//! stride is monomorphized at `{4, 8, 16, 32}` and chosen when the
-//! [`TapeProgram`] is built ([`TapeOptions::stride`] overrides the
-//! [`LANE_STRIDE`] default of 32), so each op decodes once and its inner
-//! loop covers a compile-time-known row over contiguous memory. On x86-64
+//! lowered tape: the state arena becomes a structure-of-arrays in groups
+//! of [`LANE_STRIDE`] (32) lanes, so each op decodes once and its inner
+//! loop covers a compile-time-known row over contiguous memory. A lane
+//! count that is not a multiple of 32 leaves spare lanes in the last
+//! group; they run but are never observed. On x86-64
 //! CPUs with AVX2, detected when each lane group is built, those loops
 //! run as an AVX2 copy of the same code (the crate's only `unsafe` is the
 //! calls into it, in the `tape::avx2` module); elsewhere, and in `Sim`'s
@@ -54,9 +54,8 @@
 //! all bit-identical to the tree engine.
 //! [`TapeProgram`] shares the one-time lowering across threads, and
 //! [`sweep_chunks`] spreads lane-chunks over `std::thread::scope` workers
-//! — the substrate for `anvil-verify`'s `bmc_sweep` and bulk differential
-//! fuzzing. Per-lane observables are bit-identical to [`Sim`]s on either
-//! backend.
+//! (perfbench's `sim_sweep` workload runs on it). Per-lane observables
+//! are bit-identical to [`Sim`]s on either backend.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -68,7 +67,7 @@ mod engine;
 mod tape;
 mod vcd;
 
-pub use batch::{run_indexed, sweep_chunks, SimBatch, TapeProgram, LANE_STRIDE};
+pub use batch::{sweep_chunks, SimBatch, TapeProgram, LANE_STRIDE};
 pub use bfm::{AckPolicy, Agent, MsgPorts, ReceiverBfm, SenderBfm, Testbench};
 pub use engine::{Backend, Sim, SimBackend, SimError};
 pub use tape::TapeOptions;

@@ -10,8 +10,9 @@
 //! non-recursive pass over the op list — no name lookups, no `HashMap`
 //! probes, no per-node heap allocation — which is what makes brute-forcing
 //! many stimulus schedules (BMC, differential fuzzing, scenario sweeps)
-//! practical. It is the only tape executor: `SimBatch` runs it at a lane
-//! stride of 4 to 32, and `Sim`'s compiled backend runs it at one lane.
+//! practical. It is the only tape executor: `SimBatch` runs it at
+//! [`LANE_STRIDE`](crate::LANE_STRIDE) (32) lanes per group, and `Sim`'s
+//! compiled backend runs it at one lane.
 //!
 //! Lowering re-derives every expression width while allocating slots, so
 //! it enforces the same driver width discipline as the facade's shared
@@ -64,6 +65,7 @@ use std::sync::Arc;
 
 use anvil_rtl::{ArrayId, BinaryOp, Bits, Expr, Module, SignalId, SignalKind, UnaryOp};
 
+use crate::batch::LANE_STRIDE;
 use crate::engine::{
     eval_expr, rom_digest, rom_flags, Backend, SimBackend, SimError, StateHasher, ValueSource,
 };
@@ -396,7 +398,7 @@ struct TapeArray {
 }
 
 /// Compile-time knobs for the tape optimization layer. The defaults
-/// (everything on, auto stride) are what
+/// (everything on) are what
 /// [`TapeProgram::compile`](crate::TapeProgram::compile) and `Sim` use;
 /// the differential test matrix exercises every combination against the
 /// tree-walking reference engine.
@@ -409,10 +411,6 @@ pub struct TapeOptions {
     /// executor skip settling regions whose inputs did not change — in
     /// `SimBatch` lane groups and in `Sim`'s compiled backend alike.
     pub dirty_regions: bool,
-    /// Lane-engine stride override. `None` is the default stride,
-    /// [`LANE_STRIDE`](crate::LANE_STRIDE); `Some(w)` must be one of the
-    /// monomorphized widths {4, 8, 16, 32}.
-    pub stride: Option<usize>,
 }
 
 impl Default for TapeOptions {
@@ -420,20 +418,7 @@ impl Default for TapeOptions {
         TapeOptions {
             fuse: true,
             dirty_regions: true,
-            stride: None,
         }
-    }
-}
-
-/// The monomorphized lane-engine widths.
-pub(crate) const LANE_WIDTHS: [usize; 4] = [4, 8, 16, 32];
-
-/// Validates a lane stride against the monomorphized widths.
-pub(crate) fn check_lane_width(w: usize) -> Result<usize, SimError> {
-    if LANE_WIDTHS.contains(&w) {
-        Ok(w)
-    } else {
-        Err(SimError::UnknownLaneWidth(w.to_string()))
     }
 }
 
@@ -1320,11 +1305,10 @@ fn partition_regions(tape: &mut Tape, enabled: bool, coalesce: bool) {
 // contiguous memory — the dispatch cost is amortized `L`-fold and the
 // lane loops auto-vectorize.
 //
-// `L` is a const generic, monomorphized for every width in
-// [`LANE_WIDTHS`]; wider strides amortize the decode further. The
-// [`LaneGroup`] trait object erases the width so `SimBatch` can mix
-// strides — full-width groups plus a narrower tail. `L = 1` is `Sim`'s
-// compiled backend: at one lane the laned layout is the flat scalar one.
+// `L` is a const generic, built at two widths: `L = LANE_STRIDE` (32)
+// for every `SimBatch` group, a ragged tail included, and `L = 1` for
+// `Sim`'s compiled backend, where the laned layout is the flat scalar
+// one. 32 lanes are eight AVX2 registers per one-word row.
 //
 // Instruction set: the release build targets baseline x86-64, so the
 // portable engine's lane loops compile to 128-bit SSE2 (two `u64` lanes
@@ -2101,8 +2085,9 @@ fn exec_op_lanes<const L: usize>(
 
 /// The tape executor: one laned arena holding [`L`] independent copies
 /// of the design's state, all advanced by a single pass over the op list
-/// per settle. `SimBatch` groups run at `L` ∈ [`LANE_WIDTHS`]; `Sim`'s
-/// compiled backend is `LaneEngine<1>` (see its [`SimBackend`] impl).
+/// per settle. `SimBatch` groups run at `L` =
+/// [`LANE_STRIDE`](crate::LANE_STRIDE); `Sim`'s compiled backend is
+/// `LaneEngine<1>` (see its [`SimBackend`] impl).
 /// Every lane is differentially property-tested against the tree-walking
 /// reference engine over the whole evaluation suite.
 pub(crate) struct LaneEngine<const L: usize> {
@@ -2508,15 +2493,10 @@ impl<const L: usize> LaneEngine<L> {
     }
 }
 
-/// Width-erasing interface over [`LaneEngine`]: one monomorphized
-/// executor per width in [`LANE_WIDTHS`], boxed so `SimBatch` can stack
-/// heterogeneous strides (full-width groups plus a smaller tail group).
+/// One `SimBatch` group of [`LANE_STRIDE`](crate::LANE_STRIDE) lanes:
+/// the portable [`LaneEngine`] or its AVX2 copy, picked when the group
+/// is built ([`new_lane_group`]).
 pub(crate) trait LaneGroup: Send + Sync {
-    /// Number of lanes this group executes in lockstep.
-    fn stride(&self) -> usize;
-    /// Words of laned arena storage this group owns (tail-group sizing
-    /// tests assert the footprint shrinks with the stride).
-    fn arena_words(&self) -> usize;
     /// Words of laned memory storage this group owns (ROMs share the
     /// tape's image until poked).
     fn memory_words(&self) -> usize;
@@ -2535,14 +2515,6 @@ pub(crate) trait LaneGroup: Send + Sync {
 }
 
 impl<const L: usize> LaneGroup for LaneEngine<L> {
-    fn stride(&self) -> usize {
-        L
-    }
-
-    fn arena_words(&self) -> usize {
-        self.arena.len()
-    }
-
     fn memory_words(&self) -> usize {
         LaneEngine::memory_words(self)
     }
@@ -2592,36 +2564,14 @@ impl<const L: usize> LaneGroup for LaneEngine<L> {
     }
 }
 
-/// Instantiates the monomorphized lane engine for a validated width.
-pub(crate) fn new_lane_group(tape: Arc<Tape>, width: usize) -> Box<dyn LaneGroup> {
-    match width {
-        4 => lane_group::<4>(tape),
-        8 => lane_group::<8>(tape),
-        16 => lane_group::<16>(tape),
-        32 => lane_group::<32>(tape),
-        other => unreachable!("unvalidated lane width {other}"),
-    }
-}
-
-/// The AVX2 copy of the engine where the CPU has AVX2 (checked here, once
-/// per group), the portable one everywhere else.
-fn lane_group<const L: usize>(tape: Arc<Tape>) -> Box<dyn LaneGroup> {
+/// A new `SimBatch` group: the AVX2 copy of the engine where the CPU has
+/// AVX2 (checked here, once per group), the portable one everywhere else.
+pub(crate) fn new_lane_group(tape: Arc<Tape>) -> Box<dyn LaneGroup> {
     #[cfg(target_arch = "x86_64")]
-    if let Some(group) = avx2::Avx2::<L>::new(&tape) {
+    if let Some(group) = avx2::Avx2::new(&tape) {
         return Box::new(group);
     }
-    Box::new(LaneEngine::<L>::new(tape))
-}
-
-/// Smallest monomorphized width that covers `lanes` (tail groups), or
-/// the widest when even that is too small.
-pub(crate) fn tail_width(lanes: usize) -> usize {
-    for w in LANE_WIDTHS {
-        if w >= lanes {
-            return w;
-        }
-    }
-    LANE_WIDTHS[LANE_WIDTHS.len() - 1]
+    Box::new(LaneEngine::<LANE_STRIDE>::new(tape))
 }
 
 /// `Backend::Compiled`: `Sim` drives the executor at one lane. At
@@ -2713,13 +2663,12 @@ impl<const L: usize> ValueSource for LaneView<'_, L> {
     }
 }
 
-// The tape and its engines cross thread boundaries (batch simulation,
-// BMC sweep workers).
+// The tape and its engines cross thread boundaries (sweep workers).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Tape>();
     assert_send_sync::<LaneEngine<1>>();
-    assert_send_sync::<LaneEngine<8>>();
+    assert_send_sync::<LaneEngine<LANE_STRIDE>>();
 };
 
 #[cfg(test)]
@@ -2787,7 +2736,7 @@ mod tests {
     /// Bit widths at which a row loop changes shape: one bit, one full
     /// word, a second word holding one bit, two full words.
     const ROW_WIDTHS: [usize; 4] = [1, 64, 65, 128];
-    const ROW_LANES: usize = 32;
+    const ROW_LANES: usize = LANE_STRIDE;
     const ROW_CYCLES: usize = 16;
 
     /// Priority-mux chains of 2 to 8 cases at every [`ROW_WIDTHS`] width
@@ -2873,9 +2822,9 @@ mod tests {
             .collect()
     }
 
-    /// Runs the stimulus through one lane group of width `L` and checks
-    /// every output of every lane against `expected[cycle][lane]`.
-    fn check_lane_group<const L: usize>(
+    /// Runs the stimulus through one lane group and checks every output
+    /// of every lane against `expected[cycle][lane]`.
+    fn check_lane_group(
         label: &str,
         mut group: Box<dyn LaneGroup>,
         m: &Module,
@@ -2888,18 +2837,18 @@ mod tests {
             .map(|(id, s)| (id, s.name.as_str()))
             .collect();
         for (cycle, lanes) in stimulus.iter().enumerate() {
-            for (lane, pokes) in lanes.iter().take(L).enumerate() {
+            for (lane, pokes) in lanes.iter().enumerate() {
                 for (id, v) in pokes {
                     group.poke_lane(*id, v, lane);
                 }
             }
             group.settle();
-            for (lane, wants) in expected[cycle].iter().take(L).enumerate() {
+            for (lane, wants) in expected[cycle].iter().enumerate() {
                 for ((id, name), want) in outputs.iter().zip(wants) {
                     assert_eq!(
                         &group.peek_lane(*id, lane),
                         want,
-                        "{label} at {L} lanes, cycle {cycle}, lane {lane}: `{name}`"
+                        "{label}, cycle {cycle}, lane {lane}: `{name}`"
                     );
                 }
             }
@@ -2907,22 +2856,8 @@ mod tests {
         }
     }
 
-    /// Runs the portable engine and the group `SimBatch` would build (the
-    /// AVX2 copy where the CPU has AVX2) at width `L`.
-    fn check_width<const L: usize>(
-        tape: &Arc<Tape>,
-        m: &Module,
-        stimulus: &[Vec<Vec<(SignalId, Bits)>>],
-        expected: &[Vec<Vec<Bits>>],
-    ) {
-        let portable = Box::new(LaneEngine::<L>::new(Arc::clone(tape)));
-        check_lane_group::<L>("portable", portable, m, stimulus, expected);
-        let picked = new_lane_group(Arc::clone(tape), L);
-        check_lane_group::<L>("picked", picked, m, stimulus, expected);
-    }
-
     /// `MuxChain` and `Logic3` run as row loops: the fused ops match the
-    /// tree engine on `Sim` and at every lane width, portable and AVX2.
+    /// tree engine on `Sim` and on a batch group, portable and AVX2.
     #[test]
     fn mux_chains_and_logic3_match_tree() {
         use crate::batch::TapeProgram;
@@ -2971,11 +2906,12 @@ mod tests {
             }
         }
 
+        // The portable engine, then the group `SimBatch` builds (the AVX2
+        // copy where the CPU has AVX2).
         let tape = Arc::new(Tape::compile(Arc::new(m.clone())).unwrap());
-        check_width::<4>(&tape, &m, &stimulus, &expected);
-        check_width::<8>(&tape, &m, &stimulus, &expected);
-        check_width::<16>(&tape, &m, &stimulus, &expected);
-        check_width::<32>(&tape, &m, &stimulus, &expected);
+        let portable = Box::new(LaneEngine::<LANE_STRIDE>::new(Arc::clone(&tape)));
+        check_lane_group("portable", portable, &m, &stimulus, &expected);
+        check_lane_group("picked", new_lane_group(tape), &m, &stimulus, &expected);
     }
 
     /// `(a ^ b) & c` with an unobservable intermediate fuses into one

@@ -1,8 +1,9 @@
 //! The lane executor compiled for AVX2, picked at run time.
 //!
 //! The release build targets baseline x86-64, where the lane loops of
-//! [`LaneEngine`] compile to 128-bit SSE2 code. [`Avx2`] wraps an engine
-//! and runs its hot entry points — `settle`, `commit`, `poke_rows_u64` and
+//! [`LaneEngine`] compile to 128-bit SSE2 code. [`Avx2`] wraps a
+//! [`LANE_STRIDE`]-lane engine, the width of every `SimBatch` group, and
+//! runs its hot entry points — `settle`, `commit`, `poke_rows_u64` and
 //! `state_fingerprint_lane` — through `#[target_feature(enable = "avx2")]`
 //! shims over the same generic bodies. Those bodies are
 //! `#[inline(always)]` down to `exec_op_lanes` and its row helpers, so
@@ -17,14 +18,16 @@ use std::sync::Arc;
 
 use anvil_rtl::{ArrayId, Bits, Expr, SignalId};
 
-use super::{LaneEngine, LaneGroup, Tape};
+use super::{LaneGroup, Tape, LANE_STRIDE};
+
+type LaneEngine = super::LaneEngine<LANE_STRIDE>;
 
 /// A lane engine whose settle, commit, row-poke and fingerprint loops run
 /// as AVX2 code. The field is private to this module, so every `Avx2` was
 /// built by [`Avx2::new`] on a CPU with AVX2.
-pub(super) struct Avx2<const L: usize>(LaneEngine<L>);
+pub(super) struct Avx2(LaneEngine);
 
-impl<const L: usize> Avx2<L> {
+impl Avx2 {
     /// An engine over `tape`, or `None` when this CPU lacks AVX2.
     pub(super) fn new(tape: &Arc<Tape>) -> Option<Self> {
         std::is_x86_feature_detected!("avx2").then(|| Avx2(LaneEngine::new(Arc::clone(tape))))
@@ -32,34 +35,26 @@ impl<const L: usize> Avx2<L> {
 }
 
 #[target_feature(enable = "avx2")]
-fn settle<const L: usize>(engine: &mut LaneEngine<L>) {
+fn settle(engine: &mut LaneEngine) {
     engine.settle();
 }
 
 #[target_feature(enable = "avx2")]
-fn commit<const L: usize>(engine: &mut LaneEngine<L>, sink: &mut dyn FnMut(usize, String)) {
+fn commit(engine: &mut LaneEngine, sink: &mut dyn FnMut(usize, String)) {
     engine.commit(sink);
 }
 
 #[target_feature(enable = "avx2")]
-fn poke_rows_u64<const L: usize>(engine: &mut LaneEngine<L>, id: SignalId, vals: &[u64]) {
+fn poke_rows_u64(engine: &mut LaneEngine, id: SignalId, vals: &[u64]) {
     engine.poke_rows_u64(id, vals);
 }
 
 #[target_feature(enable = "avx2")]
-fn state_fingerprint_lane<const L: usize>(engine: &mut LaneEngine<L>, lane: usize) -> u64 {
+fn state_fingerprint_lane(engine: &mut LaneEngine, lane: usize) -> u64 {
     engine.state_fingerprint_lane(lane)
 }
 
-impl<const L: usize> LaneGroup for Avx2<L> {
-    fn stride(&self) -> usize {
-        L
-    }
-
-    fn arena_words(&self) -> usize {
-        LaneGroup::arena_words(&self.0)
-    }
-
+impl LaneGroup for Avx2 {
     fn memory_words(&self) -> usize {
         self.0.memory_words()
     }
@@ -160,15 +155,15 @@ mod tests {
     /// stimulus and compares every observable on every cycle: each
     /// signal of each lane after the settle, the fingerprints, the toggle
     /// counts and the prints the commit delivers.
-    fn side_by_side<const L: usize>(module: &Module, seed: u64) {
+    fn side_by_side(module: &Module, seed: u64) {
         let name = &module.name;
         let tape = Arc::new(
             Tape::compile_with(Arc::new(module.clone()), TapeOptions::default())
                 .expect("design lowers"),
         );
         let mut engines: [Box<dyn LaneGroup>; 2] = [
-            Box::new(LaneEngine::<L>::new(Arc::clone(&tape))),
-            Box::new(Avx2::<L>::new(&tape).expect("the caller checked for AVX2")),
+            Box::new(LaneEngine::new(Arc::clone(&tape))),
+            Box::new(Avx2::new(&tape).expect("the caller checked for AVX2")),
         ];
         let inputs: Vec<(SignalId, usize)> = module
             .iter_signals()
@@ -178,12 +173,12 @@ mod tests {
         let mut rng = seed;
         for cycle in 0..CYCLES {
             for &(id, width) in &inputs {
-                let vals: Vec<u64> = (0..L).map(|_| xorshift(&mut rng)).collect();
+                let vals: Vec<u64> = (0..LANE_STRIDE).map(|_| xorshift(&mut rng)).collect();
                 for e in &mut engines {
                     e.poke_rows_u64(id, &vals);
                 }
                 if width > 64 && cycle % 2 == 1 {
-                    for lane in 0..L {
+                    for lane in 0..LANE_STRIDE {
                         let words: Vec<u64> = (0..width.div_ceil(64))
                             .map(|_| xorshift(&mut rng))
                             .collect();
@@ -199,35 +194,32 @@ mod tests {
             }
             let [portable, avx2] = &mut engines;
             for (id, s) in module.iter_signals() {
-                for lane in 0..L {
+                for lane in 0..LANE_STRIDE {
                     assert_eq!(
                         portable.peek_lane(id, lane),
                         avx2.peek_lane(id, lane),
-                        "{name} at {L} lanes, cycle {cycle}: `{}` on lane {lane}",
+                        "{name}, cycle {cycle}: `{}` on lane {lane}",
                         s.name
                     );
                 }
             }
-            for lane in 0..L {
+            for lane in 0..LANE_STRIDE {
                 assert_eq!(
                     portable.state_fingerprint_lane(lane),
                     avx2.state_fingerprint_lane(lane),
-                    "{name} at {L} lanes, cycle {cycle}: fingerprint of lane {lane}"
+                    "{name}, cycle {cycle}: fingerprint of lane {lane}"
                 );
                 assert_eq!(
                     portable.toggle_counts_lane(lane),
                     avx2.toggle_counts_lane(lane),
-                    "{name} at {L} lanes, cycle {cycle}: toggles of lane {lane}"
+                    "{name}, cycle {cycle}: toggles of lane {lane}"
                 );
             }
             let mut logs = [Vec::new(), Vec::new()];
             for (e, log) in engines.iter_mut().zip(&mut logs) {
                 e.commit(&mut |lane, msg| log.push((lane, msg)));
             }
-            assert_eq!(
-                logs[0], logs[1],
-                "{name} at {L} lanes, cycle {cycle}: prints"
-            );
+            assert_eq!(logs[0], logs[1], "{name}, cycle {cycle}: prints");
         }
     }
 
@@ -244,10 +236,7 @@ mod tests {
         modules.push(printer());
         for (i, m) in modules.iter().enumerate() {
             let seed = 0x5EED_0000_0000_0001 ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            side_by_side::<4>(m, seed);
-            side_by_side::<8>(m, seed);
-            side_by_side::<16>(m, seed);
-            side_by_side::<32>(m, seed);
+            side_by_side(m, seed);
         }
     }
 }

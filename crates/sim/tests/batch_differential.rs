@@ -1,20 +1,21 @@
 //! Differential matrix over the tape optimization layer: the paper's
-//! ten-design evaluation suite runs under **every** (lane width ×
-//! fusion on/off × dirty-region skipping on/off) configuration, against
-//! per-lane tree-engine [`Sim`]s consuming bit-identical stimulus.
-//! Outputs, state fingerprints, debug prints, and toggle counts must
-//! match bit-for-bit — the optimizations are pure speedups, never
-//! observable, and the executor agrees with the reference semantics.
+//! ten-design evaluation suite runs under **every** (fusion on/off ×
+//! dirty-region skipping on/off) configuration, and through the chunked
+//! multi-worker sweep driver, against per-lane tree-engine [`Sim`]s
+//! consuming bit-identical stimulus. Outputs, state fingerprints, debug
+//! prints, and toggle counts must match bit-for-bit — the optimizations
+//! are pure speedups, never observable, and the executor agrees with the
+//! reference semantics.
 
 use anvil_designs::tb::{input_ports, xorshift64};
 use anvil_rtl::{Bits, SignalKind};
-use anvil_sim::{Backend, Sim, TapeOptions, TapeProgram};
+use anvil_sim::{sweep_chunks, Backend, Sim, SimBatch, TapeOptions, TapeProgram};
 
 const CYCLES: u64 = 32;
-/// More than the widest monomorphized width and a multiple of none:
-/// every configuration runs at least one full group (one 32-lane group
-/// at stride 32) and a tail group.
+/// One full 32-lane group and a tail of 6 lanes in a second group.
 const LANES: usize = 38;
+/// Sweep chunk size: 38 lanes are two full chunks and a ragged one.
+const CHUNK: usize = 16;
 
 /// Decorrelated nonzero xorshift seed for one (design, lane) stream.
 fn stream_seed(design: usize, lane: usize) -> u64 {
@@ -37,18 +38,53 @@ struct Observed {
     toggles: Vec<u64>,
 }
 
+/// Drives batch lane `l` with the stimulus of logical lane `first + l`
+/// of design `d` for [`CYCLES`] cycles, and observes every lane.
+fn run_lanes(
+    batch: &mut SimBatch,
+    d: usize,
+    first: usize,
+    inputs: &[(String, usize)],
+    outputs: &[String],
+) -> Vec<Observed> {
+    let lanes = batch.lanes();
+    let ids: Vec<_> = inputs
+        .iter()
+        .map(|(name, _)| batch.input_id(name).expect("input id"))
+        .collect();
+    let mut rngs: Vec<u64> = (first..first + lanes).map(|l| stream_seed(d, l)).collect();
+    let mut vals = vec![0u64; lanes];
+    for _ in 0..CYCLES {
+        for id in &ids {
+            for (v, rng) in vals.iter_mut().zip(&mut rngs) {
+                *v = xorshift64(rng);
+            }
+            batch.poke_u64s(*id, &vals);
+        }
+        batch.step();
+    }
+    (0..lanes)
+        .map(|l| Observed {
+            outputs: outputs
+                .iter()
+                .map(|o| (o.clone(), batch.peek(l, o).expect("peeking output")))
+                .collect(),
+            fingerprint: batch.state_fingerprint(l),
+            log: batch.log(l).to_vec(),
+            toggles: batch.toggle_counts(l),
+        })
+        .collect()
+}
+
 #[test]
 fn every_optimization_config_matches_scalar_sims() {
     let mut configs = Vec::new();
-    for stride in [4usize, 8, 16, 32] {
-        for fuse in [false, true] {
-            for dirty_regions in [false, true] {
-                configs.push(TapeOptions {
-                    fuse,
-                    dirty_regions,
-                    stride: Some(stride),
-                });
-            }
+    for fuse in [false, true] {
+        for dirty_regions in [false, true] {
+            configs.push(TapeOptions {
+                fuse,
+                dirty_regions,
+            });
         }
     }
 
@@ -86,97 +122,38 @@ fn every_optimization_config_matches_scalar_sims() {
                 }
             })
             .collect();
+        let check = |got: Vec<Observed>, run: &str| {
+            assert_eq!(got.len(), LANES, "design `{}` under {run}", design.name);
+            for (l, (got, expect)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    got, expect,
+                    "design `{}` lane {l} diverged under {run}",
+                    design.name
+                );
+            }
+        };
 
         for opts in &configs {
             let program =
                 TapeProgram::compile_with(&m, *opts).expect("suite lowers under every config");
-            let mut batch = program.batch(LANES);
-            let ids: Vec<_> = inputs
-                .iter()
-                .map(|(name, _)| batch.input_id(name).expect("input id"))
-                .collect();
-            let mut rngs: Vec<u64> = (0..LANES).map(|l| stream_seed(d, l)).collect();
-            let mut vals = vec![0u64; LANES];
-            for _ in 0..CYCLES {
-                for id in &ids {
-                    for (l, rng) in rngs.iter_mut().enumerate() {
-                        vals[l] = xorshift64(rng);
-                    }
-                    batch.poke_u64s(*id, &vals);
-                }
-                batch.step();
-            }
-            for (l, expect) in reference.iter().enumerate() {
-                let got = Observed {
-                    outputs: outputs
-                        .iter()
-                        .map(|o| (o.clone(), batch.peek(l, o).expect("peeking output")))
-                        .collect(),
-                    fingerprint: batch.state_fingerprint(l),
-                    log: batch.log(l).to_vec(),
-                    toggles: batch.toggle_counts(l),
-                };
-                assert_eq!(
-                    &got, expect,
-                    "design `{}` lane {l} diverged under {opts:?}",
-                    design.name
-                );
-            }
+            let got = run_lanes(&mut program.batch(LANES), d, 0, &inputs, &outputs);
+            check(got, &format!("{opts:?}"));
+        }
+
+        // The same lanes through the sweep driver: each worker keeps one
+        // batch and resets it between chunks, and the ragged last chunk
+        // gets a batch of its own.
+        let program = TapeProgram::compile(&m).expect("design lowers");
+        for workers in [1, 3] {
+            let chunks = sweep_chunks(&program, LANES, CHUNK, workers, |first, batch| {
+                Ok(run_lanes(batch, d, first, &inputs, &outputs))
+            })
+            .expect("sweep runs");
+            let got = chunks.into_iter().flatten().collect();
+            check(
+                got,
+                &format!("sweep_chunks in {CHUNK}-lane chunks on {workers} workers"),
+            );
         }
     }
-}
-
-/// A non-multiple lane count gets a tail group of the smallest
-/// monomorphized width that covers the remainder — the arena footprint
-/// must shrink versus padding the tail to a full stride.
-#[test]
-fn tail_groups_use_the_smallest_covering_width() {
-    let design = &anvil_designs::registry()[0];
-    let m = (design.anvil)();
-    let opts = TapeOptions {
-        stride: Some(16),
-        ..TapeOptions::default()
-    };
-    let program = TapeProgram::compile_with(&m, opts).expect("design lowers");
-
-    // 17 lanes = one full 16-wide group + one lane of tail → a 4-wide
-    // tail group, not a second full 16-wide group.
-    let seventeen = program.batch(17);
-    assert_eq!(seventeen.group_strides(), vec![16, 4]);
-    let full = program.batch(16);
-    let padded = 2 * full.arena_words();
-    assert!(
-        seventeen.arena_words() < padded,
-        "tail footprint {} should shrink below padded {}",
-        seventeen.arena_words(),
-        padded
-    );
-
-    // 22 lanes → remainder 6 → an 8-wide tail; 29 lanes → remainder 13
-    // → a 16-wide tail (smallest covering width each time).
-    assert_eq!(program.batch(22).group_strides(), vec![16, 8]);
-    assert_eq!(program.batch(29).group_strides(), vec![16, 16]);
-
-    // Tail lanes behave identically to full-group lanes.
-    let mut batch = program.batch(17);
-    let inputs = input_ports(&m);
-    let mut rngs: Vec<u64> = (0..17).map(|l| stream_seed(0, l % 6)).collect();
-    let mut vals = vec![0u64; 17];
-    let ids: Vec<_> = inputs
-        .iter()
-        .map(|(name, _)| batch.input_id(name).expect("input id"))
-        .collect();
-    for _ in 0..8 {
-        for id in &ids {
-            for (l, rng) in rngs.iter_mut().enumerate() {
-                vals[l] = xorshift64(rng);
-            }
-            batch.poke_u64s(*id, &vals);
-        }
-        batch.step();
-    }
-    // Lane 16 (tail) consumed the same stream as lane 4 of group 0
-    // (16 % 6 == 4 in the seed map above): identical observables.
-    assert_eq!(batch.state_fingerprint(16), batch.state_fingerprint(4));
-    assert_eq!(batch.toggle_counts(16), batch.toggle_counts(4));
 }

@@ -15,8 +15,10 @@
 
 use std::collections::HashSet;
 
-use anvil_rtl::{Bits, Expr, Module, SignalKind};
-use anvil_sim::{sweep_chunks, Backend, Sim, SimBatch, SimError, TapeProgram};
+use anvil_rtl::{Bits, Expr, Module};
+use anvil_sim::{Backend, Sim, SimError};
+
+use crate::prove::trace_inputs;
 
 /// Outcome of a bounded model-checking run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,7 +59,11 @@ pub struct BmcStats {
 /// Inputs wider than 1 bit are sampled at two corner values (0 and
 /// all-ones) to keep the branching factor finite — matching how SMT-based
 /// BMC behaves when it cannot enumerate: coverage is partial, which is
-/// exactly the weakness Appendix A highlights.
+/// exactly the weakness Appendix A highlights. An input wider than 64
+/// bits gets only its low 64 bits set at the all-ones corner: a trace
+/// holds one `u64` per input per cycle, the limit
+/// [`ProveError::WideCounterexample`](crate::ProveError::WideCounterexample)
+/// names for the symbolic engines.
 ///
 /// # Errors
 ///
@@ -153,182 +159,16 @@ pub fn bmc_with_backend(
     ))
 }
 
-/// The input enumeration both checkers share: `(name, width)` per input
-/// port, and the candidate values per input — exhaustive for 1-bit
-/// inputs, the 0 / all-ones corners otherwise.
+/// The input enumeration: `(name, width)` per input port
+/// ([`trace_inputs`]), and the candidate values per input — 0 and
+/// all-ones, which for a 1-bit input is every value.
 fn input_corners(module: &Module) -> (Vec<(String, usize)>, Vec<Vec<u64>>) {
-    let inputs: Vec<(String, usize)> = module
-        .iter_signals()
-        .filter(|(_, s)| s.kind == SignalKind::Input)
-        .map(|(_, s)| (s.name.clone(), s.width))
-        .collect();
-    let choices: Vec<Vec<u64>> = inputs
+    let inputs = trace_inputs(module);
+    let choices = inputs
         .iter()
-        .map(|(_, w)| {
-            if *w == 1 {
-                vec![0, 1]
-            } else {
-                vec![0, (1u64 << (*w).min(63)) - 1]
-            }
-        })
+        .map(|(_, w)| vec![0, u64::MAX >> (64 - (*w).min(64))])
         .collect();
     (inputs, choices)
-}
-
-/// Multi-lane parallel [`bmc`]: explores `lanes` candidate stimulus
-/// schedules per tape pass on the SIMD-style batch executor, with
-/// lane-chunks spread across up to `workers` scoped threads.
-///
-/// The frontier search is *identical* to sequential [`bmc`] — candidates
-/// are enumerated in the same order, each wave's results are folded back
-/// sequentially for violation reporting, the state budget, and
-/// fingerprint pruning — so the outcome (including the counterexample
-/// trace and the visited-state counts) is exactly what [`bmc`] returns on
-/// the compiled backend; only the wall-clock changes. The design is
-/// lowered once ([`TapeProgram`]) and shared by every worker.
-///
-/// # Errors
-///
-/// Propagates simulator preparation errors.
-pub fn bmc_sweep(
-    module: &Module,
-    assertion: &Expr,
-    depth: usize,
-    max_states: usize,
-    lanes: usize,
-    workers: usize,
-) -> Result<(BmcResult, BmcStats), SimError> {
-    let lanes = lanes.max(1);
-    let program = TapeProgram::compile(module)?;
-    let (inputs, choices) = input_corners(module);
-    let combos = cartesian(&choices);
-
-    let mut stats = BmcStats::default();
-    let mut frontier: Vec<Vec<Vec<u64>>> = vec![vec![]];
-    let mut seen: HashSet<u64> = HashSet::new();
-
-    for d in 0..depth {
-        // The wave: every frontier prefix extended by every input combo,
-        // in the exact order sequential `bmc` enumerates them, held as
-        // `(prefix, combo)` index pairs — a candidate's inputs at cycle
-        // `c` are `frontier[pi][c]` for `c < d` and `combos[ci]` at the
-        // final cycle, so no trace is materialized until it survives into
-        // the next frontier (or is the counterexample). Truncated to the
-        // remaining state budget — candidates past it would never be
-        // visited sequentially either.
-        let budget = max_states.saturating_sub(stats.states_visited);
-        let mut wave: Vec<(usize, usize)> =
-            Vec::with_capacity((frontier.len() * combos.len()).min(budget.max(1)));
-        'build: for pi in 0..frontier.len() {
-            for ci in 0..combos.len() {
-                wave.push((pi, ci));
-                if wave.len() >= budget {
-                    break 'build;
-                }
-            }
-        }
-
-        // Replay every candidate of the wave: `lanes` schedules per batch,
-        // chunks across workers. Each lane reports the earliest violating
-        // cycle (if any) and its end-of-trace state fingerprint.
-        let wave_ref = &wave;
-        let frontier_ref = &frontier;
-        let inputs_ref = &inputs;
-        let combos_ref = &combos;
-        let chunk_results = sweep_chunks(
-            &program,
-            wave.len(),
-            lanes,
-            workers.max(1),
-            |first, batch: &mut SimBatch| {
-                let n = batch.lanes();
-                // Input ids resolve once per chunk; each cycle then costs
-                // one row poke per input ([`SimBatch::poke_u64s`]) instead
-                // of a name lookup per (lane, input).
-                let ids: Vec<_> = inputs_ref
-                    .iter()
-                    .map(|(name, _)| batch.input_id(name))
-                    .collect::<Result<_, SimError>>()?;
-                let mut violated = vec![false; n];
-                let mut vals = vec![0u64; n];
-                // `c` indexes a different `frontier_ref[pi]` per lane, so
-                // iterator-chaining it away is not possible.
-                #[allow(clippy::needless_range_loop)]
-                for c in 0..=d {
-                    // Poke every lane first, then evaluate: the lazy
-                    // batch settles once per cycle for all lanes.
-                    let steps: Vec<&Vec<u64>> = (first..first + n)
-                        .map(|w| {
-                            let (pi, ci) = wave_ref[w];
-                            if c < d {
-                                &frontier_ref[pi][c]
-                            } else {
-                                &combos_ref[ci]
-                            }
-                        })
-                        .collect();
-                    for (k, id) in ids.iter().enumerate() {
-                        for (l, step) in steps.iter().enumerate() {
-                            vals[l] = step[k];
-                        }
-                        batch.poke_u64s(*id, &vals);
-                    }
-                    for (l, v) in violated.iter_mut().enumerate() {
-                        if !*v && batch.eval(l, assertion).is_zero() {
-                            *v = true;
-                        }
-                    }
-                    batch.step();
-                }
-                let fps = batch.fingerprints();
-                Ok((violated, fps))
-            },
-        )?;
-        let mut verdicts = chunk_results
-            .into_iter()
-            .flat_map(|(v, f)| v.into_iter().zip(f));
-
-        // Sequential fold, mirroring `bmc`'s per-candidate bookkeeping.
-        let materialize = |pi: usize, ci: usize| {
-            let mut trace = frontier[pi].clone();
-            trace.push(combos[ci].clone());
-            trace
-        };
-        let mut next = Vec::new();
-        for &(pi, ci) in &wave {
-            let (violated, fp) = verdicts.next().expect("one verdict per candidate");
-            stats.states_visited += 1;
-            if violated {
-                stats.depth_reached = d + 1;
-                let trace = materialize(pi, ci);
-                return Ok((
-                    BmcResult::Violation {
-                        depth: trace.len(),
-                        trace,
-                    },
-                    stats,
-                ));
-            }
-            if stats.states_visited >= max_states {
-                stats.depth_reached = d;
-                return Ok((BmcResult::ExhaustedStates { depth: d }, stats));
-            }
-            if seen.insert(fp) {
-                next.push(materialize(pi, ci));
-            }
-        }
-        stats.depth_reached = d + 1;
-        if next.is_empty() {
-            break; // full state space covered
-        }
-        frontier = next;
-    }
-    Ok((
-        BmcResult::ExhaustedDepth {
-            states: stats.states_visited,
-        },
-        stats,
-    ))
 }
 
 fn cartesian(choices: &[Vec<u64>]) -> Vec<Vec<u64>> {
@@ -419,49 +259,31 @@ mod tests {
         assert_eq!(tree_stats.depth_reached, tape_stats.depth_reached);
     }
 
-    /// `bmc_sweep` must reproduce sequential `bmc` exactly — result,
-    /// counterexample trace, and bookkeeping — for every lane/worker
-    /// split, on every outcome class (violation, depth exhaustion, state
-    /// budget exhaustion).
-    fn assert_sweep_matches(m: &Module, a: &Expr, depth: usize, max_states: usize) {
-        let (seq, seq_stats) =
-            bmc_with_backend(m, a, depth, max_states, Backend::Compiled).unwrap();
-        for lanes in [1, 3, 8, 16] {
-            for workers in [1, 4] {
-                let (swept, sweep_stats) =
-                    bmc_sweep(m, a, depth, max_states, lanes, workers).unwrap();
-                assert_eq!(
-                    seq, swept,
-                    "sweep diverged from sequential bmc at lanes={lanes} workers={workers}"
-                );
-                assert_eq!(seq_stats.states_visited, sweep_stats.states_visited);
-                assert_eq!(seq_stats.depth_reached, sweep_stats.depth_reached);
+    #[test]
+    fn all_ones_corner_sets_the_top_bit_of_a_64_bit_input() {
+        // The violation needs bit 63 of `x` set, so the all-ones corner
+        // must reach it.
+        let mut m = Module::new("top_bit");
+        let x = m.input("x", 64);
+        let ok = m.wire_from("ok", Expr::Signal(x).slice(63, 1).eq(Expr::lit(0, 1)));
+        let o = m.output("o", 1);
+        m.assign(o, Expr::Signal(ok));
+        let a = Expr::Signal(m.find("ok").unwrap());
+        let (result, _) = bmc(&m, &a, 1, 1000).unwrap();
+        assert_eq!(
+            result,
+            BmcResult::Violation {
+                depth: 1,
+                trace: vec![vec![u64::MAX]],
             }
-        }
+        );
     }
 
     #[test]
-    fn sweep_finds_the_same_shallow_violation() {
-        let (m, a) = shallow_bug();
-        assert_sweep_matches(&m, &a, 10, 100_000);
-    }
-
-    #[test]
-    fn sweep_misses_the_same_deep_violation_within_budget() {
-        let (m, a) = deep_bug(0x100000);
-        assert_sweep_matches(&m, &a, 12, 2_000);
-    }
-
-    #[test]
-    fn sweep_finds_the_same_deep_bug_with_enough_depth() {
-        let (m, a) = deep_bug(40);
-        assert_sweep_matches(&m, &a, 64, 1_000_000);
-    }
-
-    #[test]
-    fn sweep_covers_exhausted_state_space() {
-        // 4-bit counter wraps: the full reachable state space is covered
-        // before the depth bound, exercising the early-exit path.
+    fn stops_once_the_state_space_is_covered() {
+        // A 2-bit counter wraps after four cycles: the fifth state is one
+        // already seen, so the frontier empties long before the depth
+        // bound.
         let mut m = Module::new("wrap");
         let q = m.reg("q", 2);
         m.set_next(q, Expr::Signal(q).add(Expr::lit(1, 2)));
@@ -469,6 +291,8 @@ mod tests {
         let o = m.output("o", 1);
         m.assign(o, Expr::Signal(ok));
         let a = Expr::Signal(m.find("ok").unwrap());
-        assert_sweep_matches(&m, &a, 40, 100_000);
+        let (result, stats) = bmc(&m, &a, 40, 100_000).unwrap();
+        assert_eq!(result, BmcResult::ExhaustedDepth { states: 5 });
+        assert_eq!(stats.depth_reached, 5);
     }
 }

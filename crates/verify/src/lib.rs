@@ -1,7 +1,7 @@
 //! Verification substrates for the Anvil reproduction.
 //!
-//! Three independent pieces, each standing in for infrastructure the
-//! paper's evaluation leaned on (see DESIGN.md §1):
+//! Independent pieces, each standing in for infrastructure the paper's
+//! evaluation leaned on (see DESIGN.md §1):
 //!
 //! * [`oracle`] — the dynamic timing-safety oracle implementing the
 //!   execution-log safety conditions of Appendix C (Def. C.15). Used to
@@ -19,8 +19,8 @@
 //!   explicit-state checker they reason about all inputs at once and can
 //!   return *proved for all time*, with SAT counterexamples reconstructed
 //!   into the explicit checker's replayable trace format and confirmed on
-//!   the simulator. [`prove_portfolio`] runs the symbolic engine and
-//!   PDR as a clause-sharing two-engine portfolio and emits proof
+//!   the simulator. [`prove_portfolio`] races the symbolic engine and
+//!   PDR, each running its standalone search, and emits proof
 //!   certificates for caching ([`revalidate_certificate`]); the
 //!   explicit-state checker stays out of it, as the Appendix A
 //!   reproduction and the reference the symbolic engines are
@@ -33,16 +33,14 @@ pub mod oracle;
 pub mod prove;
 pub mod rules;
 
-pub use bmc::{bmc, bmc_sweep, bmc_with_backend, BmcResult, BmcStats};
-pub use oracle::{
-    check_run, fuzz_thread, fuzz_thread_batch, sample_run, ConcreteRun, DynViolation,
-};
+pub use bmc::{bmc, bmc_with_backend, BmcResult, BmcStats};
+pub use oracle::{check_run, fuzz_thread, sample_run, ConcreteRun, DynViolation};
 pub use prove::{
     prove, prove_bounded, prove_pdr, prove_portfolio, prove_with_circuit, render_trace,
     replay_trace, revalidate_certificate, trace_inputs, PortfolioOutcome, ProveError, ProveResult,
     ProveStats, Prover,
 };
-pub use rules::{fig2_contract_violations, fig2_engine, sweep_schedules, Rule, RuleEngine, State};
+pub use rules::{fig2_contract_violations, fig2_engine, Rule, RuleEngine, State};
 
 // Re-exported so proof-cache clients (anvild, benches) can build
 // circuits and handle certificates without a direct `anvil-smt` edge.

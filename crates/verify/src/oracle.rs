@@ -207,70 +207,6 @@ pub fn fuzz_thread(
     None
 }
 
-/// Splitmix64 finalizer: decorrelates the per-run seeds of
-/// [`fuzz_thread_batch`] so neighbouring run indices draw independent
-/// latency/branch streams.
-fn split_seed(base: u64, run: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(run.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The batched check entry point: samples `runs` executions with
-/// independently seeded per-run RNGs, chunked across up to `workers`
-/// scoped threads, and returns the violating run with the **lowest run
-/// index** (so the result is deterministic in `seed` regardless of the
-/// worker count — unlike [`fuzz_thread`], whose single mutable RNG
-/// serializes the search).
-///
-/// Each worker scans a contiguous run range and stops early once it finds
-/// a violation in its own range; the minimum across workers wins. The
-/// returned index says how many safe runs precede the counterexample.
-pub fn fuzz_thread_batch(
-    ir: &ThreadIr,
-    runs: usize,
-    max_latency: u64,
-    seed: u64,
-    workers: usize,
-) -> Option<(usize, ConcreteRun, Vec<DynViolation>)> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let check_range = |lo: usize, hi: usize| -> Option<(usize, ConcreteRun, Vec<DynViolation>)> {
-        for run_idx in lo..hi {
-            let mut rng = StdRng::seed_from_u64(split_seed(seed, run_idx as u64));
-            let run = sample_run(ir, &mut rng, max_latency);
-            let violations = check_run(ir, &run);
-            if !violations.is_empty() {
-                return Some((run_idx, run, violations));
-            }
-        }
-        None
-    };
-
-    let workers = workers.max(1).min(runs.max(1));
-    if workers <= 1 {
-        return check_range(0, runs);
-    }
-    let chunk = runs.div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = (lo + chunk).min(runs);
-                s.spawn(move || check_range(lo, hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("oracle worker panicked"))
-            .min_by_key(|(idx, _, _)| *idx)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,58 +271,6 @@ mod tests {
             .iter()
             .any(|ir| fuzz_thread(ir, 200, 5, &mut rng).is_some());
         assert!(found, "dynamic oracle should catch the Fig. 5 hazard");
-    }
-
-    #[test]
-    fn batched_oracle_matches_sequential_verdicts() {
-        let safe = ir_for(
-            "chan cache_ch {
-                right req : (logic[8]@res),
-                left res : (logic[8]@req)
-            }
-            proc top_safe(c : left cache_ch) {
-                reg addr : logic[8];
-                loop {
-                    send c.req (*addr) >>
-                    let d = recv c.res >>
-                    set addr := *addr + 1 >>
-                    cycle 1
-                }
-            }",
-        );
-        for ir in &safe {
-            assert!(fuzz_thread_batch(ir, 200, 5, 7, 4).is_none());
-        }
-
-        let unsafe_ = ir_for(
-            "chan memory_ch {
-                right address : (logic[8]@#2),
-                left data : (logic[8]@#1)
-            }
-            proc top_unsafe(mem : left memory_ch) {
-                reg addr : logic[8];
-                loop {
-                    send mem.address (*addr) >>
-                    set addr := *addr + 1 >>
-                    let d = recv mem.data >>
-                    cycle 1
-                }
-            }",
-        );
-        // Deterministic in the seed: every worker count reports the same
-        // lowest-index counterexample.
-        let baseline: Vec<Option<usize>> = unsafe_
-            .iter()
-            .map(|ir| fuzz_thread_batch(ir, 300, 5, 11, 1).map(|(i, _, _)| i))
-            .collect();
-        assert!(baseline.iter().any(Option::is_some), "hazard not caught");
-        for workers in [2, 4, 8] {
-            let got: Vec<Option<usize>> = unsafe_
-                .iter()
-                .map(|ir| fuzz_thread_batch(ir, 300, 5, 11, workers).map(|(i, _, _)| i))
-                .collect();
-            assert_eq!(baseline, got, "workers={workers} changed the verdict");
-        }
     }
 
     #[test]

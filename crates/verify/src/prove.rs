@@ -198,7 +198,7 @@ pub fn prove(
     max_k: usize,
 ) -> Result<(ProveResult, ProveStats), ProveError> {
     let circuit = AigCircuit::from_module(module)?;
-    prove_with_circuit(&circuit, assertion, max_k, None)
+    prove_with_circuit(&circuit, assertion, max_k)
 }
 
 /// Symbolic bounded model checking only (no induction): search for a
@@ -222,8 +222,8 @@ pub fn prove_bounded(
     Engine::new(prep, None, Deadline::none()).run(depth, false)
 }
 
-/// [`prove`] over a pre-built (possibly session-cached) [`AigCircuit`],
-/// with an optional cooperative stop flag for portfolio runs.
+/// [`prove`] over a pre-built (possibly session-cached) [`AigCircuit`].
+/// [`prove_portfolio`] is the entry point a [`Control`] can stop.
 ///
 /// # Errors
 ///
@@ -232,10 +232,9 @@ pub fn prove_with_circuit(
     circuit: &AigCircuit,
     assertion: &Expr,
     max_k: usize,
-    stop: Option<Arc<AtomicBool>>,
 ) -> Result<(ProveResult, ProveStats), ProveError> {
     let prep = Arc::new(Prepared::new(circuit, assertion)?);
-    Engine::new(prep, stop, Deadline::none()).run(max_k + 1, true)
+    Engine::new(prep, None, Deadline::none()).run(max_k + 1, true)
 }
 
 /// Proves or refutes `assertion` with the IC3/PDR engine alone, exploring

@@ -17,18 +17,15 @@ use std::collections::{BTreeMap, BTreeSet};
 pub type State = BTreeMap<String, u64>;
 
 /// One guarded atomic rule.
-///
-/// Guard and body closures are `Send + Sync` so whole engines can be
-/// built and run on [`sweep_schedules`] worker threads.
 pub struct Rule {
     /// Rule name (used in schedules and reports).
     pub name: String,
     /// Registers the rule writes (conflict detection).
     pub writes: BTreeSet<String>,
     /// Fires only when the guard holds.
-    pub guard: Box<dyn Fn(&State) -> bool + Send + Sync>,
+    pub guard: Box<dyn Fn(&State) -> bool>,
     /// Atomic state update.
-    pub body: Box<dyn Fn(&mut State) + Send + Sync>,
+    pub body: Box<dyn Fn(&mut State)>,
 }
 
 impl Rule {
@@ -36,8 +33,8 @@ impl Rule {
     pub fn new(
         name: impl Into<String>,
         writes: &[&str],
-        guard: impl Fn(&State) -> bool + Send + Sync + 'static,
-        body: impl Fn(&mut State) + Send + Sync + 'static,
+        guard: impl Fn(&State) -> bool + 'static,
+        body: impl Fn(&mut State) + 'static,
     ) -> Rule {
         Rule {
             name: name.into(),
@@ -115,29 +112,6 @@ impl RuleEngine {
     pub fn rule_count(&self) -> usize {
         self.rules.len()
     }
-}
-
-/// The batched check entry point for the rule model: runs one fresh
-/// engine (from `build`) per candidate priority schedule for `cycles`
-/// cycles, spreading schedules across up to `workers` scoped threads, and
-/// returns the finished engines **in schedule order** — so enumerating
-/// every schedule of a design (the Fig. 2 experiment: which
-/// conflict-free-per-cycle schedules are timing-unsafe across cycles?) is
-/// one call instead of a hand-rolled loop, and scales with cores.
-pub fn sweep_schedules<B>(
-    build: B,
-    priorities: &[Vec<usize>],
-    cycles: usize,
-    workers: usize,
-) -> Vec<RuleEngine>
-where
-    B: Fn() -> RuleEngine + Sync,
-{
-    anvil_sim::run_indexed(priorities.len(), workers, |i| {
-        let mut e = build();
-        e.run(&priorities[i], cycles);
-        e
-    })
 }
 
 /// Builds the Fig. 2 scenario: `Top` reads a value from a cache (which
@@ -313,31 +287,6 @@ mod tests {
         assert!(violated);
         // The enqueued value comes from a *changed* address, not 0.
         assert_ne!(enq.first().copied(), Some(0));
-    }
-
-    #[test]
-    fn schedule_sweep_matches_individual_runs() {
-        // All 6 priority permutations of the first three Fig. 2 rules
-        // (tick always last), swept in parallel vs run one by one.
-        let perms: Vec<Vec<usize>> = vec![
-            vec![0, 1, 2, 3],
-            vec![0, 2, 1, 3],
-            vec![1, 0, 2, 3],
-            vec![1, 2, 0, 3],
-            vec![2, 0, 1, 3],
-            vec![2, 1, 0, 3],
-        ];
-        let swept = sweep_schedules(|| fig2_engine(2), &perms, 6, 3);
-        assert_eq!(swept.len(), perms.len());
-        for (p, engine) in perms.iter().zip(&swept) {
-            let mut seq = fig2_engine(2);
-            seq.run(p, 6);
-            assert_eq!(seq.state, engine.state, "schedule {p:?} diverged");
-            assert_eq!(seq.history, engine.history);
-        }
-        // The sweep reproduces the Fig. 2 finding: every schedule that
-        // fires `change_address` while a request is in flight violates.
-        assert!(swept.iter().any(|e| fig2_contract_violations(e).0));
     }
 
     #[test]

@@ -356,7 +356,7 @@ fn prove_mode(args: &Args, source: &str) -> i32 {
             exit(2);
         };
         let assertion = Expr::Signal(sig);
-        match prove_with_circuit(&circuit, &assertion, args.max_k, None) {
+        match prove_with_circuit(&circuit, &assertion, args.max_k) {
             Ok((result, stats)) => {
                 let dt = t.elapsed();
                 match &result {
