@@ -3,9 +3,11 @@
 //! The workspace is offline (no serde), and the anvild wire protocol
 //! only needs newline-delimited compact JSON, so this is a small
 //! recursive-descent implementation of RFC 8259: all escape forms
-//! (including `\uXXXX` with surrogate pairs), numbers as `f64` with
-//! integral values serialized without a fractional part, and objects
-//! kept in a `BTreeMap` so serialization is deterministic.
+//! (including `\uXXXX` with surrogate pairs), numbers as finite `f64`
+//! with integral values serialized without a fractional part (a number
+//! beyond `f64`'s range is a parse error, since it could not be written
+//! back), and objects kept in a `BTreeMap` so serialization is
+//! deterministic.
 //!
 //! Strings are scanned in linear time: each run of bytes up to the
 //! next `"`, `\` or control byte is copied with one slice push (every
@@ -32,7 +34,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number. Integral values round-trip exactly up to 2^53.
+    /// Any number; parsed numbers are finite. Integral values
+    /// round-trip exactly up to 2^53.
     Num(f64),
     /// A string.
     Str(String),
@@ -112,7 +115,8 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] with a byte offset on malformed input,
-    /// including arrays and objects nested more than 512 levels deep.
+    /// including arrays and objects nested more than 512 levels deep and
+    /// numbers beyond `f64`'s range (such as `1e999`).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             text,
@@ -346,9 +350,15 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            // Infinity would serialize as `null`.
+            Ok(_) => Err(JsonError {
+                message: "number out of range".to_string(),
+                offset: start,
+            }),
+            Err(_) => Err(self.err("malformed number")),
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -495,6 +505,11 @@ mod tests {
         }
         let err = Json::parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
+        let err = Json::parse("[1, -1e999]").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("number out of range", 4)
+        );
         let err = Json::parse("\"ab\u{1f}\"").unwrap_err();
         assert_eq!(
             (err.message.as_str(), err.offset),

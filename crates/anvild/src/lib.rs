@@ -70,6 +70,7 @@
 //! robustness" sections for the wire-level walkthrough.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod gate;
 mod json;

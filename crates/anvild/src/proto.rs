@@ -136,13 +136,19 @@ impl Incoming {
     }
 }
 
+/// The largest numeric request id that survives the `f64` round trip
+/// exactly: 2^53 itself is also what `2^53 + 1` parses to.
+const MAX_NUMERIC_ID: f64 = 9_007_199_254_740_991.0;
+
 /// Parses one line into an [`Incoming`] frame.
 ///
 /// # Errors
 ///
 /// [`PARSE_ERROR`] on malformed JSON, [`INVALID_REQUEST`] on a frame
 /// that is not a JSON-RPC 2.0 request/notification object (wrong
-/// `jsonrpc` version, missing or non-string `method`, non-scalar `id`).
+/// `jsonrpc` version, missing or non-string `method`, non-scalar `id`)
+/// or whose numeric `id` lies beyond ±(2^53 − 1): the response could not
+/// echo such an id exactly, since it is read as an `f64`.
 pub fn parse_incoming(line: &str) -> Result<Incoming, RpcError> {
     let frame = Json::parse(line).map_err(|e| RpcError::new(PARSE_ERROR, e.to_string()))?;
     if let Some(version) = frame.get("jsonrpc") {
@@ -160,6 +166,12 @@ pub fn parse_incoming(line: &str) -> Result<Incoming, RpcError> {
         .to_string();
     let id = match frame.get("id") {
         None | Some(Json::Null) => None,
+        Some(Json::Num(n)) if n.abs() > MAX_NUMERIC_ID => {
+            return Err(RpcError::new(
+                INVALID_REQUEST,
+                "a numeric `id` must lie within ±(2^53 - 1)",
+            ))
+        }
         Some(id @ (Json::Str(_) | Json::Num(_))) => Some(id.clone()),
         Some(_) => {
             return Err(RpcError::new(
@@ -234,6 +246,19 @@ mod tests {
         );
         assert_eq!(
             parse_incoming(r#"{"method":"m","id":[1]}"#)
+                .unwrap_err()
+                .code,
+            INVALID_REQUEST
+        );
+        // Infinity would echo as `"id":null`, and 2^53 + 1 as 2^53.
+        assert_eq!(
+            parse_incoming(r#"{"jsonrpc":"2.0","id":1e999,"method":"ping"}"#)
+                .unwrap_err()
+                .code,
+            PARSE_ERROR
+        );
+        assert_eq!(
+            parse_incoming(r#"{"jsonrpc":"2.0","id":9007199254740993,"method":"ping"}"#)
                 .unwrap_err()
                 .code,
             INVALID_REQUEST

@@ -1467,7 +1467,6 @@ fn prove_response(
         fields.push(("latches", Json::int(s.latches as i64)));
         fields.push(("conflicts", Json::int(s.conflicts as i64)));
         fields.push(("clauses", Json::int(s.clauses as i64)));
-        fields.push(("wallMs", Json::int((s.wall_micros / 1000) as i64)));
     }
     match result {
         ProveResult::Proved { k } => {

@@ -61,9 +61,8 @@ struct Row {
     decisions: u64,
     propagations: u64,
     /// The portfolio row's winning engine (`symbolic`, `pdr` or
-    /// `none`) and each engine's self-reported wall time inside the
-    /// portfolio (`symbolic`, `pdr`), milliseconds.
-    portfolio: Option<(&'static str, f64, f64)>,
+    /// `none`).
+    winner: Option<&'static str>,
 }
 
 fn verdict_of(r: &ProveResult) -> String {
@@ -79,6 +78,10 @@ fn verdict_of(r: &ProveResult) -> String {
 struct CachePair {
     cold: f64,
     warm: f64,
+}
+
+fn blast(prop: &SafetyProperty) -> AigCircuit {
+    AigCircuit::from_module(&prop.module).expect("suite design blasts")
 }
 
 fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
@@ -100,13 +103,14 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: 0,
         decisions: 0,
         propagations: 0,
-        portfolio: None,
+        winner: None,
     });
 
-    // Symbolic bounded model checking.
+    // Symbolic bounded model checking. Each row's timer includes the
+    // blasting of its circuit.
     let t = Instant::now();
     let (sym, stats) =
-        prove_bounded(&prop.module, &prop.assertion, DEPTH).expect("symbolic BMC runs");
+        prove_bounded(&blast(prop), &prop.assertion, DEPTH).expect("symbolic BMC runs");
     rows.push(Row {
         design: prop.design.to_string(),
         property: prop.property.to_string(),
@@ -117,12 +121,12 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: stats.conflicts,
         decisions: stats.decisions,
         propagations: stats.propagations,
-        portfolio: None,
+        winner: None,
     });
 
     // Full prove: interleaved BMC + k-induction.
     let t = Instant::now();
-    let (full, stats) = prove(&prop.module, &prop.assertion, MAX_K).expect("k-induction runs");
+    let (full, stats) = prove(&blast(prop), &prop.assertion, MAX_K).expect("k-induction runs");
     rows.push(Row {
         design: prop.design.to_string(),
         property: prop.property.to_string(),
@@ -133,12 +137,12 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: stats.conflicts,
         decisions: stats.decisions,
         propagations: stats.propagations,
-        portfolio: None,
+        winner: None,
     });
 
     // IC3/PDR.
     let t = Instant::now();
-    let (pdr, stats) = prove_pdr(&prop.module, &prop.assertion, MAX_K * 2).expect("PDR runs");
+    let (pdr, stats) = prove_pdr(&blast(prop), &prop.assertion, MAX_K * 2).expect("PDR runs");
     rows.push(Row {
         design: prop.design.to_string(),
         property: prop.property.to_string(),
@@ -149,14 +153,14 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: stats.conflicts,
         decisions: stats.decisions,
         propagations: stats.propagations,
-        portfolio: None,
+        winner: None,
     });
 
     // The proof-cache pair: a cold portfolio run (blasting included)
     // leaves a certificate; revalidating that certificate is the warm
     // `anvild` re-prove path.
     let t = Instant::now();
-    let mut circuit = AigCircuit::from_module(&prop.module).expect("suite design blasts");
+    let mut circuit = blast(prop);
     let out = prove_portfolio(&circuit, &prop.assertion, MAX_K, &Control::none())
         .expect("portfolio runs");
     let cold = t.elapsed().as_secs_f64() * 1e3;
@@ -175,11 +179,7 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: stats.conflicts,
         decisions: stats.decisions,
         propagations: stats.propagations,
-        portfolio: Some((
-            winner,
-            out.symbolic_stats.wall_micros as f64 / 1e3,
-            out.pdr_stats.wall_micros as f64 / 1e3,
-        )),
+        winner: Some(winner),
     });
     let cert = out.certificate?;
     circuit
@@ -200,7 +200,7 @@ fn run_design(prop: &SafetyProperty, rows: &mut Vec<Row>) -> Option<CachePair> {
         conflicts: 0,
         decisions: 0,
         propagations: 0,
-        portfolio: None,
+        winner: None,
     });
     Some(CachePair {
         cold,
@@ -268,17 +268,15 @@ fn main() {
     let _ = writeln!(json, "  \"results\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        let portfolio = match r.portfolio {
-            Some((winner, sym, pdr)) => format!(
-                ", \"winner\": \"{winner}\", \"symbolicWallMs\": {sym:.3}, \"pdrWallMs\": {pdr:.3}"
-            ),
-            None => String::new(),
-        };
+        let winner = r
+            .winner
+            .map(|w| format!(", \"winner\": \"{w}\""))
+            .unwrap_or_default();
         let _ = writeln!(
             json,
             "    {{\"design\": \"{}\", \"property\": \"{}\", \"engine\": \"{}\", \
              \"verdict\": \"{}\", \"millis\": {:.3}, \"clauses\": {}, \
-             \"conflicts\": {}, \"decisions\": {}, \"propagations\": {}{portfolio}}}{comma}",
+             \"conflicts\": {}, \"decisions\": {}, \"propagations\": {}{winner}}}{comma}",
             r.design,
             r.property,
             r.engine,

@@ -101,7 +101,11 @@ fn main() {
 fn compile_area(src: &str, top: &str, opt: bool) -> f64 {
     let mut session = anvil_core::Session::new();
     session.set_options(anvil_core::Options {
-        optimize: opt,
+        opt_config: if opt {
+            OptConfig::default()
+        } else {
+            OptConfig::none()
+        },
         ..anvil_core::Options::default()
     });
     if src.contains("extern fn sbox") {

@@ -18,6 +18,8 @@
 //! against the committed one. Timing is measured in one place, the
 //! standalone `perfbench` package (`perfbench/README.md`).
 
+#![forbid(unsafe_code)]
+
 pub mod tracing_guard {
     //! The disabled-tracing overhead guard shared by `bench_prove` and the
     //! simulator's guard test (`tests/sim_tracing_guard.rs`).

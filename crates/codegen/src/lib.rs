@@ -14,6 +14,7 @@
 //! `anvil-typeck`, so the generated hardware carries zero overhead for it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -25,28 +26,17 @@ use anvil_ir::{
 use anvil_rtl::{Bits, Expr, Module, ModuleLibrary, SignalId};
 use anvil_syntax::{BinOp, Dir, Program, SyncMode, UnOp};
 
-/// Code generation options.
-#[derive(Clone, Copy, Debug)]
+/// Code generation options. The default runs every Fig. 8 pass and omits
+/// the handshake wires static and dependent sync modes do not need.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CodegenOptions {
-    /// Run the Fig. 8 event-graph optimizations before lowering.
-    pub optimize: bool,
-    /// Which event-graph passes run when `optimize` is set (the Fig. 8
+    /// Which Fig. 8 event-graph passes run before lowering (the Fig. 8
     /// ablation and the pass-subset behavioural property tests compile
-    /// with individual passes toggled).
+    /// with individual passes toggled; [`OptConfig::none`] runs none).
     pub opt_config: OptConfig,
     /// Ablation: generate handshake wires even for static/dependent sync
     /// modes (quantifies the §6.2 port-omission optimisation).
     pub force_dynamic_handshake: bool,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions {
-            optimize: true,
-            opt_config: OptConfig::default(),
-            force_dynamic_handshake: false,
-        }
-    }
 }
 
 /// Errors raised while lowering to RTL.
@@ -247,14 +237,12 @@ pub fn build_optimized_ir(
     proc_name: &str,
     opts: CodegenOptions,
 ) -> Result<(Vec<ThreadIr>, usize, usize), CodegenError> {
-    let mut irs = build_ir(program, proc_name)?;
+    let irs = build_ir(program, proc_name)?;
     let before = irs.iter().map(|ir| ir.graph.len()).sum::<usize>();
-    if opts.optimize {
-        irs = irs
-            .into_iter()
-            .map(|ir| optimize(ir, opts.opt_config).0)
-            .collect();
-    }
+    let irs: Vec<ThreadIr> = irs
+        .into_iter()
+        .map(|ir| optimize(ir, opts.opt_config).0)
+        .collect();
     let after = irs.iter().map(|ir| ir.graph.len()).sum::<usize>();
     Ok((irs, before, after))
 }

@@ -58,6 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cache;
 #[doc(hidden)]

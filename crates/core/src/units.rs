@@ -93,7 +93,6 @@ pub(crate) struct UnitKeys {
 /// here — a field missing from the key would serve stale artifacts.
 pub(crate) fn options_fingerprint(opts: &CodegenOptions) -> u64 {
     let CodegenOptions {
-        optimize,
         opt_config,
         force_dynamic_handshake,
     } = *opts;
@@ -105,7 +104,6 @@ pub(crate) fn options_fingerprint(opts: &CodegenOptions) -> u64 {
         sweep_dead,
     } = opt_config;
     let mut h = StableHasher::new();
-    h.write_bool(optimize);
     h.write_bool(force_dynamic_handshake);
     h.write_bool(merge_identical);
     h.write_bool(remove_unbalanced);

@@ -14,6 +14,7 @@
 //! regenerate Table 1.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aes;
 pub mod alu;

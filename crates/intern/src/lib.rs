@@ -35,6 +35,7 @@
 //! [`MsgRef`]: https://docs.rs/anvil-ir
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::fmt;

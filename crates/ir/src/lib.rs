@@ -14,6 +14,7 @@
 //! * [`optimize`] — the event-count reduction passes of §6.1 / Fig. 8.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod build;
 mod graph;

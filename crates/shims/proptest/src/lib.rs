@@ -14,6 +14,7 @@
 //! number so the deterministic stream can be replayed under a debugger.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod test_runner {
     //! Test execution support: RNG, config, and failure type.

@@ -10,6 +10,7 @@
 //! stimulus generation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -47,7 +47,8 @@
 //! group; they run but are never observed. On x86-64
 //! CPUs with AVX2, detected when each lane group is built, those loops
 //! run as an AVX2 copy of the same code (the crate's only `unsafe` is the
-//! calls into it, in the `tape::avx2` module); elsewhere, and in `Sim`'s
+//! calls into it, in the `tape::avx2` module, the one module the crate's
+//! `deny(unsafe_code)` allows); elsewhere, and in `Sim`'s
 //! one-lane engine, they run the portable build. A
 //! superinstruction fusion pass and dirty-region settle-skipping
 //! ([`TapeOptions`]) cut the op count and the per-cycle work further —
@@ -58,6 +59,7 @@
 //! are bit-identical to [`Sim`]s on either backend.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 

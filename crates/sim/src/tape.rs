@@ -29,8 +29,6 @@
 //!
 //! | superinstruction | replaces | pattern |
 //! |---|---|---|
-//! | `slice`/`resize` folds | 2 ops | `slice∘slice`, `slice∘resize`, `resize∘slice`, `resize∘resize` |
-//! | `add3` | 2 ops | `(a + b) + c` add ladders |
 //! | `logic3` | 2 ops | `(a ⊕ b) ⊕ c` for `⊕ ∈ {&, \|, ^}`, all widths equal |
 //! | `mux_chain` | n ops | nested 2-way mux trees (priority selects) |
 //! | `gather` | n+1 ops | `concat` of single-use `slice`/`resize` parts — one bit-field shuffle |
@@ -58,7 +56,9 @@
 //!   settle loop skips it entirely — the basis of settle-skipping for
 //!   designs with quiet subgraphs.
 
+// The workspace's only `unsafe`: the calls into the AVX2 copy.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod avx2;
 
 use std::sync::Arc;
@@ -209,15 +209,6 @@ enum Op {
     Gather { dst: Slot, parts: Box<[GatherPart]> },
     /// Asynchronous memory read; out-of-range indices yield zero.
     ArrayRead { dst: Slot, array: u32, index: Slot },
-    /// Superinstruction: `dst = a + b + c` (wrapping; all widths equal).
-    /// Fused from an add-with-carry ladder — one decode, one carry chain,
-    /// and the intermediate sum's slot is never materialized.
-    Add3 {
-        dst: Slot,
-        a: Slot,
-        b: Slot,
-        c: Slot,
-    },
     /// Superinstruction: `dst = (a <first> b) <second> c` for bitwise
     /// operators (all five widths equal). Fused from bitwise reduction
     /// trees — XOR ladders in ciphers and CRCs, AND/OR enable chains —
@@ -273,7 +264,6 @@ impl Op {
             Op::Resize { .. } => "resize",
             Op::Gather { .. } => "gather",
             Op::ArrayRead { .. } => "array_read",
-            Op::Add3 { .. } => "add3",
             Op::Logic3 { .. } => "logic3",
             Op::MuxChain { .. } => "mux_chain",
             Op::CopyRange { .. } => "copy_range",
@@ -308,9 +298,7 @@ impl Op {
                 out.extend(parts.iter().map(|p| p.src));
             }
             Op::ArrayRead { dst, index, .. } => out.extend([*dst, *index]),
-            Op::Add3 { dst, a, b, c } | Op::Logic3 { dst, a, b, c, .. } => {
-                out.extend([*dst, *a, *b, *c])
-            }
+            Op::Logic3 { dst, a, b, c, .. } => out.extend([*dst, *a, *b, *c]),
             Op::MuxChain {
                 dst,
                 cases,
@@ -345,7 +333,6 @@ impl Op {
             | Op::Resize { dst, .. }
             | Op::Gather { dst, .. }
             | Op::ArrayRead { dst, .. }
-            | Op::Add3 { dst, .. }
             | Op::Logic3 { dst, .. }
             | Op::MuxChain { dst, .. } => Some(dst.off),
             Op::CopyRange { .. } => None,
@@ -404,8 +391,9 @@ struct TapeArray {
 /// tree-walking reference engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TapeOptions {
-    /// Run the superinstruction fusion pass (slice/resize folds,
-    /// add-ladder fusion, mux-chain fusion, copy coalescing).
+    /// Run the superinstruction fusion pass (`logic3` bitwise chains,
+    /// `gather` shuffles, `mux_chain` priority selects, `copy_range`
+    /// coalescing).
     pub fuse: bool,
     /// Partition the tape into input-cone regions and let the tape
     /// executor skip settling regions whose inputs did not change — in
@@ -908,6 +896,33 @@ fn as_bw(op: &Op) -> Option<(Slot, Slot, Slot, BwKind)> {
     }
 }
 
+/// Bitwise chain: (a <op> b) <op> c with the intermediate `temp`
+/// unobservable, any mix of and/or/xor. Requires all five widths equal:
+/// bitwise ops are word-local, so with equal widths the intermediate
+/// mask is a no-op and the fused result is bit-identical.
+fn fuse_logic3(op: &Op, next: &Op, temp: impl Fn(u32) -> bool) -> Option<Op> {
+    let (t, a, b, first) = as_bw(op)?;
+    let (dst, x, y, second) = as_bw(next)?;
+    if !temp(t.off) || (x.off == t.off) == (y.off == t.off) {
+        return None;
+    }
+    let c = if x.off == t.off { y } else { x };
+    if [t.width, a.width, b.width, c.width]
+        .iter()
+        .any(|w| *w != dst.width)
+    {
+        return None;
+    }
+    Some(Op::Logic3 {
+        dst,
+        a,
+        b,
+        c,
+        first,
+        second,
+    })
+}
+
 fn fuse_pass(ops: Vec<Op>, protected: &std::collections::HashSet<u32>) -> Vec<Op> {
     use std::collections::HashMap;
     let mut defs: HashMap<u32, u32> = HashMap::new();
@@ -931,112 +946,13 @@ fn fuse_pass(ops: Vec<Op>, protected: &std::collections::HashSet<u32>) -> Vec<Op
     let mut out = Vec::with_capacity(ops.len());
     let mut i = 0;
     while i < ops.len() {
-        if i + 1 < ops.len() {
-            let fused = match (&ops[i], &ops[i + 1]) {
-                // slice → resize: keep only the kept bits of the slice.
-                (Op::Slice { dst: t, src, lo }, Op::Resize { dst, src: s2 })
-                    if s2.off == t.off && temp(t.off) && dst.width <= t.width =>
-                {
-                    Some(Op::Slice {
-                        dst: *dst,
-                        src: *src,
-                        lo: *lo,
-                    })
-                }
-                // slice of slice: offsets add while the inner window covers
-                // the outer read.
-                (
-                    Op::Slice {
-                        dst: t,
-                        src,
-                        lo: lo1,
-                    },
-                    Op::Slice {
-                        dst,
-                        src: s2,
-                        lo: lo2,
-                    },
-                ) if s2.off == t.off && temp(t.off) && lo2 + dst.width <= t.width => {
-                    Some(Op::Slice {
-                        dst: *dst,
-                        src: *src,
-                        lo: lo1 + lo2,
-                    })
-                }
-                // resize of resize: the middle hop is redundant when it
-                // either keeps all final bits or all source bits.
-                (Op::Resize { dst: t, src }, Op::Resize { dst, src: s2 })
-                    if s2.off == t.off
-                        && temp(t.off)
-                        && (dst.width <= t.width || t.width >= src.width) =>
-                {
-                    Some(Op::Resize {
-                        dst: *dst,
-                        src: *src,
-                    })
-                }
-                // resize → slice: read straight from the source when the
-                // slice window lies inside the resize (or the resize was a
-                // pure zero-extension).
-                (Op::Resize { dst: t, src }, Op::Slice { dst, src: s2, lo })
-                    if s2.off == t.off
-                        && temp(t.off)
-                        && (lo + dst.width <= t.width || t.width >= src.width) =>
-                {
-                    Some(Op::Slice {
-                        dst: *dst,
-                        src: *src,
-                        lo: *lo,
-                    })
-                }
-                // add ladder: (a + b) + c with the intermediate sum
-                // unobservable. Exact because all widths are equal, so the
-                // intermediate mod-2^w reduction commutes with the outer add.
-                (Op::Add { dst: t, a, b }, Op::Add { dst, a: x, b: y })
-                    if temp(t.off) && (x.off == t.off) != (y.off == t.off) =>
-                {
-                    let c = if x.off == t.off { *y } else { *x };
-                    Some(Op::Add3 {
-                        dst: *dst,
-                        a: *a,
-                        b: *b,
-                        c,
-                    })
-                }
-                _ => None,
-            };
-            // Bitwise chain: (a <op> b) <op> c with the intermediate
-            // unobservable, any mix of and/or/xor. Requires all five
-            // widths equal: bitwise ops are word-local, so with equal
-            // widths the intermediate mask is a no-op and the fused
-            // result is bit-identical.
-            let fused = fused.or_else(|| {
-                let (t, a, b, first) = as_bw(&ops[i])?;
-                let (dst, x, y, second) = as_bw(&ops[i + 1])?;
-                if !temp(t.off) || (x.off == t.off) == (y.off == t.off) {
-                    return None;
-                }
-                let c = if x.off == t.off { y } else { x };
-                if [t.width, a.width, b.width, c.width]
-                    .iter()
-                    .any(|w| *w != dst.width)
-                {
-                    return None;
-                }
-                Some(Op::Logic3 {
-                    dst,
-                    a,
-                    b,
-                    c,
-                    first,
-                    second,
-                })
-            });
-            if let Some(op) = fused {
-                out.push(op);
-                i += 2;
-                continue;
-            }
+        if let Some(op) = ops
+            .get(i + 1)
+            .and_then(|next| fuse_logic3(&ops[i], next, temp))
+        {
+            out.push(op);
+            i += 2;
+            continue;
         }
         // concat of slice/resize temps → one bit-field gather. Each
         // foldable part's defining op is removed from the already-emitted
@@ -2006,26 +1922,6 @@ fn exec_op_lanes<const L: usize>(
                 // A ROM no poke has copied: every lane reads the shared image.
                 None => read_lanes::<L>(arena, *dst, *index, meta, |w, _| meta.init[w]),
             }
-        }
-        Op::Add3 { dst, a, b, c } => {
-            let mut carry = [0u64; L];
-            for k in 0..dst.words() {
-                let (ab, bb, cb, db) = (
-                    lane_base::<L>(*a, k),
-                    lane_base::<L>(*b, k),
-                    lane_base::<L>(*c, k),
-                    lane_base::<L>(*dst, k),
-                );
-                for l in 0..L {
-                    let cur = arena[ab + l] as u128
-                        + arena[bb + l] as u128
-                        + arena[cb + l] as u128
-                        + carry[l] as u128;
-                    arena[db + l] = cur as u64;
-                    carry[l] = (cur >> 64) as u64;
-                }
-            }
-            mask_top_lanes::<L>(arena, *dst);
         }
         Op::Logic3 {
             dst,

@@ -1,23 +1,23 @@
-//! Monotonic wall-clock deadlines, polled cooperatively alongside stop
-//! flags.
+//! Monotonic wall-clock deadlines and the [`Control`] every cooperative
+//! loop polls.
 //!
 //! The solver, PDR, and the verify engines all bound *work* (conflicts,
 //! obligations, unrolling depth) but none of that caps *time*: a
 //! pathological cone can burn minutes inside its budgets. [`Deadline`]
 //! is the wall-clock counterpart — a `Copy` wrapper over an optional
-//! [`Instant`] that long-running loops poll exactly where they already
-//! poll their `Arc<AtomicBool>` stop flags. Expiry is advisory: the
-//! loop observes it and unwinds with whatever partial result it has
-//! (`Interrupted`, `Unknown{depth}`, a `DeadlineExceeded` error),
-//! never by killing a thread.
+//! [`Instant`]. Expiry is advisory: the loop observes it and unwinds
+//! with whatever partial result it has (`Interrupted`, `Unknown{depth}`,
+//! a `DeadlineExceeded` error), never by killing a thread.
 //!
 //! Built on [`Instant`], so it is monotonic: a wall-clock step (NTP,
 //! suspend/resume) never fires or starves a deadline.
 //!
 //! [`Control`] bundles a deadline with an optional stop flag: it is what
 //! one request hands to every stage it runs (compile, check, prove), so
-//! all of them answer to the same limits and report an interruption
-//! the same way ([`Control::interrupted`]).
+//! all of them answer to the same limits. Every poll, in the SAT solver,
+//! in PDR and in the prover's engines, reads a `Control` through
+//! [`Control::interrupted`], so a raised flag and an expired deadline
+//! stop the work at the same points and report the same way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,11 +48,6 @@ impl Deadline {
         Deadline::after(Duration::from_millis(ms))
     }
 
-    /// True when a finite deadline is set.
-    pub fn is_some(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// True when no deadline is set (never expires).
     pub fn is_none(&self) -> bool {
         self.0.is_none()
@@ -74,20 +69,6 @@ impl Deadline {
         match self.0 {
             Some(at) => Instant::now().checked_duration_since(at) > Some(grace),
             None => false,
-        }
-    }
-
-    /// Time left, saturating at zero. `None` when no deadline is set.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.0
-            .map(|at| at.saturating_duration_since(Instant::now()))
-    }
-
-    /// The earlier of two deadlines (`none` is "latest possible").
-    pub fn min(self, other: Deadline) -> Deadline {
-        match (self.0, other.0) {
-            (Some(a), Some(b)) => Deadline(Some(a.min(b))),
-            (a, b) => Deadline(a.or(b)),
         }
     }
 }
@@ -146,7 +127,6 @@ mod tests {
         let d = Deadline::none();
         assert!(!d.expired());
         assert!(!d.expired_by(Duration::ZERO));
-        assert!(d.remaining().is_none());
         assert!(d.is_none());
         assert_eq!(Deadline::default(), Deadline::none());
     }
@@ -154,9 +134,8 @@ mod tests {
     #[test]
     fn zero_is_already_expired() {
         let d = Deadline::in_ms(0);
-        assert!(d.is_some());
+        assert!(!d.is_none());
         assert!(d.expired());
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
@@ -164,7 +143,6 @@ mod tests {
         let d = Deadline::after(Duration::from_secs(3600));
         assert!(!d.expired());
         assert!(!d.expired_by(Duration::ZERO));
-        assert!(d.remaining().unwrap() > Duration::from_secs(3000));
     }
 
     #[test]
@@ -174,16 +152,5 @@ mod tests {
         assert!(d.expired());
         assert!(d.expired_by(Duration::ZERO));
         assert!(!d.expired_by(Duration::from_secs(3600)));
-    }
-
-    #[test]
-    fn min_prefers_the_earlier_finite_deadline() {
-        let soon = Deadline::in_ms(1);
-        let late = Deadline::after(Duration::from_secs(3600));
-        assert_eq!(soon.min(late), soon);
-        assert_eq!(late.min(soon), soon);
-        assert_eq!(soon.min(Deadline::none()), soon);
-        assert_eq!(Deadline::none().min(soon), soon);
-        assert_eq!(Deadline::none().min(Deadline::none()), Deadline::none());
     }
 }

@@ -24,6 +24,7 @@
 //! concretely on [`anvil_sim`](https://docs.rs/anvil-sim)'s engines.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod aig;
 mod cert;

@@ -44,6 +44,11 @@
 //!   ([`SolverStats::ticks`]), which grow with the frame clauses each
 //!   propagation visits, not in propagations, which do not.
 //!
+//! Apart from those budgets, a run stops early only through the
+//! [`Control`] in [`PdrOptions::control`], which it polls through
+//! [`Control::interrupted`] between its steps and inside its solver;
+//! either way it answers [`PdrOutcome::Unknown`].
+//!
 //! On the `prove_mix` benchmark's FIFO occupancy monitor (17 latches
 //! after optimization) this took standalone PDR from 7,675 SAT calls and
 //! a 226-clause invariant to 1,744 calls and 65 clauses, both at 11
@@ -64,13 +69,13 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::aig::{Aig, Lit, Node};
 use crate::cert::LatchLit;
 use crate::cnf::{CnfEncoder, Unroller};
 use crate::solver::{SLit, SolveResult, Solver, SolverStats, Var};
+use crate::Control;
 
 /// Budgets and cancellation for one [`Pdr`] run.
 pub struct PdrOptions {
@@ -86,11 +91,11 @@ pub struct PdrOptions {
     /// visits; this bounds it where the obligation cap alone would admit
     /// hours.
     pub max_ticks: u64,
-    /// Cooperative stop flag (portfolio losers are cancelled through it).
-    pub stop: Option<Arc<AtomicBool>>,
-    /// Wall-clock deadline, polled wherever the stop flag is (and inside
-    /// the solver); expiry returns [`PdrOutcome::Unknown`].
-    pub deadline: crate::Deadline,
+    /// The stop flag and deadline the run answers to (portfolio losers
+    /// are stopped through its flag), polled before every frame round and
+    /// proof obligation, after each level of clause propagation, and
+    /// inside the solver; an interruption returns [`PdrOutcome::Unknown`].
+    pub control: Control,
 }
 
 impl Default for PdrOptions {
@@ -99,8 +104,7 @@ impl Default for PdrOptions {
             max_frames: 64,
             max_obligations: 200_000,
             max_ticks: 300_000_000,
-            stop: None,
-            deadline: crate::Deadline::none(),
+            control: Control::none(),
         }
     }
 }
@@ -148,7 +152,8 @@ pub enum PdrOutcome {
         /// Per-cycle input-bit assignments.
         inputs: Vec<Vec<bool>>,
     },
-    /// Gave up (frame cap, obligation cap, tick cap or stop flag).
+    /// Gave up (frame cap, obligation cap, tick cap, or interrupted by
+    /// the [`Control`]).
     Unknown,
 }
 
@@ -190,7 +195,7 @@ enum Consec {
     /// A predecessor exists: the solver's model holds its state and the
     /// input word driving it into the cube.
     Cti,
-    /// Solver interrupted (stop flag).
+    /// Solver interrupted (by the [`Control`]).
     Interrupted,
 }
 
@@ -429,10 +434,7 @@ impl Pdr {
         unroller.push_frame();
         unroller.push_frame();
         let mut solver = Solver::new();
-        if let Some(stop) = &options.stop {
-            solver.set_stop(Arc::clone(stop));
-        }
-        solver.set_deadline(options.deadline);
+        solver.set_control(options.control.clone());
         let mut enc = CnfEncoder::new();
         let mut latch_slits = |frame: usize| -> Vec<SLit> {
             (0..seq.n_latches() as u32)
@@ -494,17 +496,10 @@ impl Pdr {
         s
     }
 
-    fn stopped(&self) -> bool {
-        self.options
-            .stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
-            || self.options.deadline.expired()
-    }
-
-    /// Cancelled externally or out of tick budget.
+    /// Interrupted by the [`Control`] or out of tick budget.
     fn interrupted(&self) -> bool {
-        self.stopped() || self.solver.stats().ticks > self.options.max_ticks
+        self.options.control.interrupted().is_some()
+            || self.solver.stats().ticks > self.options.max_ticks
     }
 
     /// The frame-0 latch values of the last model.
@@ -1173,6 +1168,32 @@ mod tests {
             },
         );
         assert!(matches!(pdr.run(), PdrOutcome::Unknown));
+    }
+
+    #[test]
+    fn raised_stop_and_expired_deadline_answer_unknown() {
+        // The deep-bug counter again: with default options PDR falsifies
+        // it, so `Unknown` here comes from the control alone.
+        let stop = Control {
+            stop: Some(Arc::new(std::sync::atomic::AtomicBool::new(true))),
+            ..Control::none()
+        };
+        let expired = Control {
+            deadline: crate::Deadline::in_ms(0),
+            ..Control::none()
+        };
+        for control in [stop, expired] {
+            let (g, ok) = counter_to_12();
+            let mut pdr = Pdr::new(
+                Arc::new(g),
+                ok,
+                PdrOptions {
+                    control,
+                    ..PdrOptions::default()
+                },
+            );
+            assert!(matches!(pdr.run(), PdrOutcome::Unknown));
+        }
     }
 
     #[test]

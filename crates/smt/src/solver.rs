@@ -19,6 +19,12 @@
 //! for a new watch, a work measure that, unlike propagations, grows
 //! with the clauses each propagation has to visit.
 //!
+//! A search stops early only through the [`Control`] installed with
+//! [`Solver::set_control`] (polled every 512 conflicts and at every
+//! restart) or through the per-call conflict budget of
+//! [`Solver::set_conflict_budget`]; either makes [`Solver::solve`]
+//! return [`SolveResult::Interrupted`].
+//!
 //! # Clause storage
 //!
 //! As in MiniSat's clause allocator, every clause lives in one flat
@@ -56,8 +62,7 @@
 //! Like the rest of the workspace it is dependency-free (`crates/shims`
 //! covers the dev-only externals); nothing here talks to crates.io.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use crate::Control;
 
 /// A solver variable.
 pub type Var = u32;
@@ -106,7 +111,8 @@ pub enum SolveResult {
     Sat,
     /// No model exists under the given assumptions.
     Unsat,
-    /// The external stop flag was raised mid-search.
+    /// The [`Control`] interrupted the search (a raised stop flag or an
+    /// expired deadline), or the call ran out of its conflict budget.
     Interrupted,
 }
 
@@ -198,8 +204,7 @@ pub struct Solver {
     n_learnt: usize,
     max_learnt: usize,
     stats: SolverStats,
-    stop: Option<Arc<AtomicBool>>,
-    deadline: crate::Deadline,
+    control: Control,
     conflict_budget: Option<u64>,
 }
 
@@ -235,24 +240,18 @@ impl Solver {
             n_learnt: 0,
             max_learnt: 4096,
             stats: SolverStats::default(),
-            stop: None,
-            deadline: crate::Deadline::none(),
+            control: Control::none(),
             conflict_budget: None,
         }
     }
 
-    /// Installs a cooperative stop flag, polled periodically during search.
-    pub fn set_stop(&mut self, stop: Arc<AtomicBool>) {
-        self.stop = Some(stop);
-    }
-
-    /// Installs a wall-clock deadline, polled at the same cadence as the
-    /// stop flag (every 512 conflicts and at every restart); an expired
-    /// deadline makes [`Solver::solve`] return
-    /// [`SolveResult::Interrupted`]. [`crate::Deadline::none`] (the
-    /// default) disables the check.
-    pub fn set_deadline(&mut self, deadline: crate::Deadline) {
-        self.deadline = deadline;
+    /// Installs the [`Control`] the search answers to: it is polled every
+    /// 512 conflicts and at every restart, and a raised stop flag or an
+    /// expired deadline makes [`Solver::solve`] return
+    /// [`SolveResult::Interrupted`]. [`Control::none`] (the default)
+    /// never interrupts.
+    pub fn set_control(&mut self, control: Control) {
+        self.control = control;
     }
 
     /// Caps the conflicts any single [`Solver::solve`] call may analyse;
@@ -773,17 +772,10 @@ impl Solver {
                 }
                 self.var_inc /= 0.95;
                 self.cla_inc /= 0.999;
-                if self.stats.conflicts.is_multiple_of(512) {
-                    if let Some(stop) = &self.stop {
-                        if stop.load(Ordering::Relaxed) {
-                            self.cancel_until(0);
-                            return SolveResult::Interrupted;
-                        }
-                    }
-                    if self.deadline.expired() {
-                        self.cancel_until(0);
-                        return SolveResult::Interrupted;
-                    }
+                if self.stats.conflicts.is_multiple_of(512) && self.control.interrupted().is_some()
+                {
+                    self.cancel_until(0);
+                    return SolveResult::Interrupted;
                 }
                 conflicts_call += 1;
                 if let Some(budget) = self.conflict_budget {
@@ -801,7 +793,7 @@ impl Solver {
                     budget = 128 * luby(restart);
                     conflicts_here = 0;
                     self.cancel_until(0);
-                    if self.deadline.expired() {
+                    if self.control.interrupted().is_some() {
                         return SolveResult::Interrupted;
                     }
                     continue;
@@ -885,6 +877,9 @@ fn luby(mut x: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
     use super::*;
     use crate::testgen::xorshift;
 
@@ -1114,12 +1109,9 @@ mod tests {
         assert!(sats > 30 && sats < 270, "{sats} satisfiable of 300");
     }
 
-    #[test]
-    fn stop_flag_interrupts() {
-        let mut s = Solver::new();
-        let stop = Arc::new(AtomicBool::new(true));
-        s.set_stop(Arc::clone(&stop));
-        // A hard instance that would not return instantly: PHP(8).
+    /// PHP(8): eight pigeons in seven holes, a hard instance that needs
+    /// far more than one restart interval of conflicts to refute.
+    fn pigeonhole(s: &mut Solver) {
         let n = 7usize;
         let p: Vec<Vec<Var>> = (0..n + 1)
             .map(|_| (0..n).map(|_| s.new_var()).collect())
@@ -1136,12 +1128,38 @@ mod tests {
                 }
             }
         }
-        // With the flag raised from the start the solve returns
-        // Interrupted as soon as the first poll fires (or solves first if
-        // it is quicker than a poll interval — both are acceptable; what
-        // the test pins is that it terminates and never panics).
-        let r = s.solve(&[]);
-        assert!(matches!(r, SolveResult::Interrupted | SolveResult::Unsat));
+    }
+
+    #[test]
+    fn stop_flag_interrupts() {
+        let mut s = Solver::new();
+        s.set_control(Control {
+            stop: Some(Arc::new(AtomicBool::new(true))),
+            ..Control::none()
+        });
+        pigeonhole(&mut s);
+        // A flag raised from the start stops the search at its first
+        // restart (after 128 conflicts), before the first 512-conflict
+        // poll.
+        assert_eq!(s.solve(&[]), SolveResult::Interrupted);
+        assert!(s.stats().conflicts < 512, "{:?}", s.stats());
+    }
+
+    #[test]
+    fn expired_deadline_interrupts() {
+        let mut s = Solver::new();
+        s.set_control(Control {
+            deadline: crate::Deadline::in_ms(0),
+            ..Control::none()
+        });
+        pigeonhole(&mut s);
+        assert_eq!(s.solve(&[]), SolveResult::Interrupted);
+        assert!(s.stats().conflicts < 512, "{:?}", s.stats());
+        // Without a control the same instance is refuted.
+        let mut s = Solver::new();
+        pigeonhole(&mut s);
+        assert_eq!(s.solve(&[]), SolveResult::Unsat);
+        assert!(s.stats().conflicts >= 512, "{:?}", s.stats());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   simulator's toggle counters) plus GE-proportional leakage.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};

@@ -19,6 +19,7 @@
 //! simulations.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 

@@ -19,14 +19,17 @@
 //!   explicit-state checker they reason about all inputs at once and can
 //!   return *proved for all time*, with SAT counterexamples reconstructed
 //!   into the explicit checker's replayable trace format and confirmed on
-//!   the simulator. [`prove_portfolio`] races the symbolic engine and
-//!   PDR, each running its standalone search, and emits proof
-//!   certificates for caching ([`revalidate_certificate`]); the
+//!   the simulator. Every prove entry point takes a blasted
+//!   [`AigCircuit`], so a caller holding a cached one never blasts it
+//!   again. [`prove_portfolio`] races the symbolic engine and PDR, each
+//!   running its standalone search under one [`Control`], and emits
+//!   proof certificates for caching ([`revalidate_certificate`]); the
 //!   explicit-state checker stays out of it, as the Appendix A
 //!   reproduction and the reference the symbolic engines are
 //!   differentially tested against.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bmc;
 pub mod oracle;
@@ -36,9 +39,9 @@ pub mod rules;
 pub use bmc::{bmc, bmc_with_backend, BmcResult, BmcStats};
 pub use oracle::{check_run, fuzz_thread, sample_run, ConcreteRun, DynViolation};
 pub use prove::{
-    prove, prove_bounded, prove_pdr, prove_portfolio, prove_with_circuit, render_trace,
-    replay_trace, revalidate_certificate, trace_inputs, PortfolioOutcome, ProveError, ProveResult,
-    ProveStats, Prover,
+    prove, prove_bounded, prove_pdr, prove_portfolio, render_trace, replay_trace,
+    revalidate_certificate, trace_inputs, PortfolioOutcome, ProveError, ProveResult, ProveStats,
+    Prover,
 };
 pub use rules::{fig2_contract_violations, fig2_engine, Rule, RuleEngine, State};
 

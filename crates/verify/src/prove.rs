@@ -3,11 +3,13 @@
 //!
 //! Where [`crate::bmc()`] enumerates concrete simulator states — and
 //! therefore can never return "holds for all time" — this module reasons
-//! about *all* inputs at once: the flattened [`Module`] is bit-blasted
-//! into an [`AigCircuit`], run through the AIG optimize pipeline
-//! (DAG-aware rewriting, SAT-sweeping/fraiging, cone-of-influence and
-//! constant sweeping — see [`anvil_smt::optimize`]), and the shrunken
-//! latch transition relation is handed to the proof engines.
+//! about *all* inputs at once: every entry point takes the flattened
+//! [`Module`] bit-blasted into an [`AigCircuit`] (by
+//! [`AigCircuit::from_module`], or cached by the caller), runs it through
+//! the AIG optimize pipeline (DAG-aware rewriting, SAT-sweeping/fraiging,
+//! cone-of-influence and constant sweeping — see
+//! [`anvil_smt::optimize`]), and hands the shrunken latch transition
+//! relation to the proof engines.
 //!
 //! [`prove`] interleaves two incremental solver sessions per depth `k`:
 //!
@@ -35,11 +37,15 @@
 //! is the comparison the paper's Appendix A draws.
 //!
 //! [`prove_portfolio`] races symbolic BMC + k-induction against PDR on
-//! one blasted circuit. The engines share only a stop flag, so each runs
-//! exactly its standalone search until the first conclusive verdict
-//! stops the other, and the winner's evidence is packaged as a
-//! [`ProofCert`] that [`revalidate_certificate`] can check later in a
-//! single incremental SAT session (the proof-cache warm path). The
+//! one blasted circuit under the caller's [`Control`]. Every engine
+//! loop and the SAT solver poll it through [`Control::interrupted`],
+//! the only way to stop an engine from outside. The engines share
+//! only its stop flag, so each runs exactly its standalone search until
+//! the first conclusive verdict stops the other, and the winner's
+//! evidence is packaged as a [`ProofCert`] that
+//! [`revalidate_certificate`] can check later in a single incremental
+//! SAT session (the proof-cache warm path). Each engine is timed by its
+//! `prove.symbolic` / `prove.pdr` span alone. The
 //! explicit-state [`crate::bmc()`]
 //! is not part of the portfolio: within PDR's frame budget PDR finds
 //! every violation at its minimal depth over all inputs, not only the
@@ -47,15 +53,14 @@
 //! Appendix A reproduction and as the reference
 //! `tests/prove_differential.rs` checks the portfolio against.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use anvil_rtl::{Bits, BlastError, Expr, Module, SignalId, SignalKind};
 use anvil_sim::{Backend, Sim, SimError};
 use anvil_smt::{
-    optimize, rewrite, Aig, AigCircuit, CertKind, CnfEncoder, Control, Deadline, LatchLit, Lit,
-    Node, Pdr, PdrOptions, PdrOutcome, PdrStats, ProofCert, Rewritten, SolveResult, Solver,
-    Unroller,
+    optimize, rewrite, Aig, AigCircuit, CertKind, CnfEncoder, Control, LatchLit, Lit, Node, Pdr,
+    PdrOptions, PdrOutcome, PdrStats, ProofCert, Rewritten, SolveResult, Solver, Unroller,
 };
 
 /// Outcome of a symbolic verification run.
@@ -116,9 +121,6 @@ pub struct ProveStats {
     pub propagations: u64,
     /// Clauses learned.
     pub learned: u64,
-    /// Wall-clock microseconds this engine ran (per-engine timing for
-    /// deadline tuning; the portfolio reports each side's own number).
-    pub wall_micros: u64,
 }
 
 /// Failures while preparing or running a symbolic proof.
@@ -186,19 +188,21 @@ pub fn trace_inputs(module: &Module) -> Vec<(String, usize)> {
 }
 
 /// Proves or refutes `assertion` (truthy = holds, the same convention as
-/// [`crate::bmc()`]) on a flattened module by interleaved symbolic BMC and
-/// k-induction up to window `max_k`.
+/// [`crate::bmc()`]) on a blasted flattened module (a session-cached
+/// circuit is blasted no further) by interleaved symbolic BMC and
+/// k-induction up to window `max_k`. [`prove_portfolio`] is the entry
+/// point a [`Control`] can stop.
 ///
 /// # Errors
 ///
 /// See [`ProveError`].
 pub fn prove(
-    module: &Module,
+    circuit: &AigCircuit,
     assertion: &Expr,
     max_k: usize,
 ) -> Result<(ProveResult, ProveStats), ProveError> {
-    let circuit = AigCircuit::from_module(module)?;
-    prove_with_circuit(&circuit, assertion, max_k)
+    let prep = Arc::new(Prepared::new(circuit, assertion)?);
+    Engine::new(prep, Control::none()).run(max_k + 1, true)
 }
 
 /// Symbolic bounded model checking only (no induction): search for a
@@ -213,28 +217,12 @@ pub fn prove(
 ///
 /// See [`ProveError`].
 pub fn prove_bounded(
-    module: &Module,
+    circuit: &AigCircuit,
     assertion: &Expr,
     depth: usize,
 ) -> Result<(ProveResult, ProveStats), ProveError> {
-    let circuit = AigCircuit::from_module(module)?;
-    let prep = Arc::new(Prepared::new(&circuit, assertion)?);
-    Engine::new(prep, None, Deadline::none()).run(depth, false)
-}
-
-/// [`prove`] over a pre-built (possibly session-cached) [`AigCircuit`].
-/// [`prove_portfolio`] is the entry point a [`Control`] can stop.
-///
-/// # Errors
-///
-/// See [`ProveError`].
-pub fn prove_with_circuit(
-    circuit: &AigCircuit,
-    assertion: &Expr,
-    max_k: usize,
-) -> Result<(ProveResult, ProveStats), ProveError> {
     let prep = Arc::new(Prepared::new(circuit, assertion)?);
-    Engine::new(prep, None, Deadline::none()).run(max_k + 1, true)
+    Engine::new(prep, Control::none()).run(depth, false)
 }
 
 /// Proves or refutes `assertion` with the IC3/PDR engine alone, exploring
@@ -246,13 +234,12 @@ pub fn prove_with_circuit(
 ///
 /// See [`ProveError`].
 pub fn prove_pdr(
-    module: &Module,
+    circuit: &AigCircuit,
     assertion: &Expr,
     max_frames: usize,
 ) -> Result<(ProveResult, ProveStats), ProveError> {
-    let circuit = AigCircuit::from_module(module)?;
-    let prep = Prepared::new(&circuit, assertion)?;
-    run_pdr_inner(&prep, max_frames, None, Deadline::none()).map(|run| (run.result, run.stats))
+    let prep = Prepared::new(circuit, assertion)?;
+    run_pdr_inner(&prep, max_frames, Control::none()).map(|run| (run.result, run.stats))
 }
 
 /// A circuit readied for proving: the assertion blasted into a clone of
@@ -326,9 +313,11 @@ impl Prepared {
             .collect()
     }
 
-    /// Converts PDR's per-cycle input-bit assignments (indexed by
-    /// sequential input number) into the port-level `u64` trace format.
-    fn trace_from_input_bits(&self, inputs: &[Vec<bool>]) -> Result<Vec<Vec<u64>>, ProveError> {
+    /// Turns per-cycle input-bit assignments (indexed by sequential
+    /// input number) into a counterexample: the port-level `u64` trace,
+    /// replayed on the compiled simulator, which must violate the
+    /// assertion in exactly its last cycle.
+    fn falsified(&self, inputs: &[Vec<bool>]) -> Result<ProveResult, ProveError> {
         let module = self.circuit.module();
         let mut trace = Vec::with_capacity(inputs.len());
         for cycle in inputs {
@@ -356,7 +345,11 @@ impl Prepared {
             }
             trace.push(step);
         }
-        Ok(trace)
+        let depth = trace.len();
+        match replay_trace(module, &self.assertion, &trace, Backend::Compiled)? {
+            Some(cycle) if cycle + 1 == depth => Ok(ProveResult::Falsified { depth, trace }),
+            _ => Err(ProveError::UnconfirmedCounterexample { depth }),
+        }
     }
 }
 
@@ -366,9 +359,7 @@ struct Engine {
     ok: Lit,
     base: Session,
     step: Session,
-    stop: Option<Arc<AtomicBool>>,
-    deadline: Deadline,
-    started: std::time::Instant,
+    control: Control,
 }
 
 /// One unroller + encoder + solver triple.
@@ -379,17 +370,9 @@ struct Session {
 }
 
 impl Session {
-    fn new(
-        seq: Arc<Aig>,
-        free_init: bool,
-        stop: Option<Arc<AtomicBool>>,
-        deadline: Deadline,
-    ) -> Session {
+    fn new(seq: Arc<Aig>, free_init: bool, control: Control) -> Session {
         let mut solver = Solver::new();
-        if let Some(stop) = stop {
-            solver.set_stop(stop);
-        }
-        solver.set_deadline(deadline);
+        solver.set_control(control);
         Session {
             unroller: Unroller::new(seq, free_init),
             encoder: CnfEncoder::new(),
@@ -426,25 +409,16 @@ impl Session {
 }
 
 impl Engine {
-    fn new(prep: Arc<Prepared>, stop: Option<Arc<AtomicBool>>, deadline: Deadline) -> Engine {
-        let base = Session::new(Arc::clone(&prep.seq), false, stop.clone(), deadline);
-        let step = Session::new(Arc::clone(&prep.seq), true, stop.clone(), deadline);
+    fn new(prep: Arc<Prepared>, control: Control) -> Engine {
+        let base = Session::new(Arc::clone(&prep.seq), false, control.clone());
+        let step = Session::new(Arc::clone(&prep.seq), true, control.clone());
         Engine {
             ok: prep.ok,
             prep,
             base,
             step,
-            stop,
-            deadline,
-            started: std::time::Instant::now(),
+            control,
         }
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
-            || self.deadline.expired()
     }
 
     fn stats(&self) -> ProveStats {
@@ -461,7 +435,6 @@ impl Engine {
             decisions: b.decisions + s.decisions,
             propagations: b.propagations + s.propagations,
             learned: b.learned + s.learned,
-            wall_micros: self.started.elapsed().as_micros() as u64,
         }
     }
 
@@ -486,7 +459,7 @@ impl Engine {
             self.step.unroller.push_frame();
         }
         for k in 0..frames {
-            if self.stopped() {
+            if self.control.interrupted().is_some() {
                 return Ok((ProveResult::Unknown { depth: k }, self.stats()));
             }
 
@@ -494,15 +467,8 @@ impl Engine {
             self.base.unroller.push_frame();
             match self.base.solve_lit(k, bad) {
                 SolveResult::Sat => {
-                    let trace = self.extract_trace(k + 1)?;
-                    self.confirm(&trace, k)?;
-                    return Ok((
-                        ProveResult::Falsified {
-                            depth: k + 1,
-                            trace,
-                        },
-                        self.stats(),
-                    ));
+                    let falsified = self.prep.falsified(&self.model_inputs(k + 1))?;
+                    return Ok((falsified, self.stats()));
                 }
                 SolveResult::Interrupted => {
                     return Ok((ProveResult::Unknown { depth: k }, self.stats()))
@@ -533,51 +499,20 @@ impl Engine {
         Ok((ProveResult::Unknown { depth: frames }, self.stats()))
     }
 
-    /// Reads the base-case model back into the explicit-state trace
-    /// format: one `Vec<u64>` of input-port values per cycle.
-    fn extract_trace(&self, frames: usize) -> Result<Vec<Vec<u64>>, ProveError> {
-        let module = self.prep.circuit.module();
-        let mut trace = Vec::with_capacity(frames);
-        for f in 0..frames {
-            let mut step = Vec::new();
-            for (sig, bits) in &self.prep.input_ports {
-                let name = &module.signal(SignalId(*sig)).name;
-                let mut v = 0u64;
-                for (i, bit) in bits.iter().enumerate() {
-                    let comb = self.base.unroller.lit_at(f, *bit);
-                    let set = self.base.encoder.model_value(&self.base.solver, comb);
-                    if set {
-                        if i >= 64 {
-                            return Err(ProveError::WideCounterexample {
-                                input: name.clone(),
-                            });
-                        }
-                        v |= 1 << i;
-                    }
-                }
-                step.push(v);
-            }
-            trace.push(step);
-        }
-        Ok(trace)
-    }
-
-    /// Replays the trace on the compiled simulator backend and checks the
-    /// violation fires at exactly the claimed cycle.
-    fn confirm(&self, trace: &[Vec<u64>], expect_cycle: usize) -> Result<(), ProveError> {
-        let violated = replay_trace(
-            self.prep.circuit.module(),
-            &self.prep.assertion,
-            trace,
-            Backend::Compiled,
-        );
-        match violated {
-            Ok(Some(cycle)) if cycle == expect_cycle => Ok(()),
-            Ok(_) => Err(ProveError::UnconfirmedCounterexample {
-                depth: expect_cycle + 1,
-            }),
-            Err(e) => Err(ProveError::Sim(e)),
-        }
+    /// The base-case model's input bits over the first `frames` cycles,
+    /// indexed by sequential input number as PDR reports them.
+    fn model_inputs(&self, frames: usize) -> Vec<Vec<bool>> {
+        let (seq, base) = (&self.prep.seq, &self.base);
+        (0..frames)
+            .map(|f| {
+                (0..seq.n_inputs() as u32)
+                    .map(|n| {
+                        let comb = base.unroller.lit_at(f, seq.input_lit(n));
+                        base.encoder.model_value(&base.solver, comb)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -599,10 +534,8 @@ struct PdrRun {
 fn run_pdr_inner(
     prep: &Prepared,
     max_frames: usize,
-    stop: Option<Arc<AtomicBool>>,
-    deadline: Deadline,
+    control: Control,
 ) -> Result<PdrRun, ProveError> {
-    let started = std::time::Instant::now();
     let base_stats = ProveStats {
         aig_nodes: prep.circuit.aig().len(),
         aig_nodes_after: prep.seq.len(),
@@ -622,8 +555,7 @@ fn run_pdr_inner(
         prep.ok,
         PdrOptions {
             max_frames,
-            stop,
-            deadline,
+            control,
             ..PdrOptions::default()
         },
     );
@@ -637,7 +569,6 @@ fn run_pdr_inner(
         decisions: ps.solver.decisions,
         propagations: ps.solver.propagations,
         learned: ps.solver.learned,
-        wall_micros: started.elapsed().as_micros() as u64,
         ..base_stats
     };
     let run = |result, invariant| PdrRun {
@@ -651,21 +582,7 @@ fn run_pdr_inner(
             let orig = prep.to_original_latches(&invariant);
             Ok(run(ProveResult::Proved { k: ps.frames }, Some(orig)))
         }
-        PdrOutcome::Falsified { inputs } => {
-            let trace = prep.trace_from_input_bits(&inputs)?;
-            let depth = trace.len();
-            match replay_trace(
-                prep.circuit.module(),
-                &prep.assertion,
-                &trace,
-                Backend::Compiled,
-            ) {
-                Ok(Some(c)) if c + 1 == depth => {}
-                Ok(_) => return Err(ProveError::UnconfirmedCounterexample { depth }),
-                Err(e) => return Err(ProveError::Sim(e)),
-            }
-            Ok(run(ProveResult::Falsified { depth, trace }, None))
-        }
+        PdrOutcome::Falsified { inputs } => Ok(run(prep.falsified(&inputs)?, None)),
         // `frames = n` means every level below n answered its bad-state
         // query Unsat, i.e. no violation within n cycles of reset.
         PdrOutcome::Unknown => Ok(run(ProveResult::Unknown { depth: ps.frames }, None)),
@@ -741,7 +658,7 @@ pub fn revalidate_certificate(
 
             // Base: no reachable violation within frames 0..k — a single
             // query on the disjunction of the per-frame bad literals.
-            let mut base = Session::new(Arc::clone(&seq), false, None, Deadline::none());
+            let mut base = Session::new(Arc::clone(&seq), false, Control::none());
             let mut bad = Vec::new();
             for frame in 0..k {
                 while base.unroller.frames() <= frame {
@@ -769,7 +686,7 @@ pub fn revalidate_certificate(
 
             // Step: ok over k consecutive frames (arbitrary start state)
             // forces ok in the next — one more query.
-            let mut step = Session::new(seq, true, None, Deadline::none());
+            let mut step = Session::new(seq, true, Control::none());
             for frame in 0..k {
                 while step.unroller.frames() <= frame {
                     step.unroller.push_frame();
@@ -932,21 +849,21 @@ fn finish_engine(
     sp: &mut anvil_trace::SpanGuard,
     outcome: Result<(&ProveResult, &ProveStats), &ProveError>,
     pdr: Option<&PdrStats>,
-    stop: &AtomicBool,
-    deadline: Deadline,
+    control: &Control,
 ) {
+    if outcome.map_or(true, |(result, _)| conclusive(result)) {
+        if let Some(stop) = &control.stop {
+            stop.store(true, Ordering::Relaxed);
+        }
+    }
     let (result, stats) = match outcome {
         Ok(done) => done,
         Err(e) => {
-            stop.store(true, Ordering::Relaxed);
             sp.set_detail_with(|| format!("error: {e}"));
             return;
         }
     };
-    if conclusive(result) {
-        stop.store(true, Ordering::Relaxed);
-    }
-    let stopped = stop.load(Ordering::Relaxed) || deadline.expired();
+    let stopped = control.interrupted().is_some();
     sp.set_detail_with(|| {
         let verdict = match result {
             ProveResult::Proved { k } => format!("proved k={k}"),
@@ -990,16 +907,15 @@ fn finish_engine(
 /// decision and propagation counts; the PDR span adds its SAT calls,
 /// proof obligations and solver ticks.
 ///
-/// `control.stop` is an *external* cancellation flag (e.g. a service
-/// request's): raising it makes both engines wind down to `Unknown`. The
-/// portfolio also raises it internally when an engine concludes, so after
-/// a conclusive result the flag being set does not mean cancellation.
-///
-/// `control.deadline` is a wall-clock bound polled in every engine loop
-/// (and inside the SAT solver): past it, each side winds down to
-/// `Unknown` with whatever violation-free prefix it established, so the
-/// caller gets partial progress instead of a hang. [`Control::none`]
-/// disables both.
+/// Both engines answer to `control`, polled through
+/// [`Control::interrupted`] in every engine loop and inside the SAT
+/// solver: a raised stop flag (e.g. a service request's cancel) or an
+/// expired deadline makes each side wind down to `Unknown` with whatever
+/// violation-free prefix it established, so the caller gets partial
+/// progress instead of a hang. [`Control::none`] disables both. The
+/// portfolio also raises the caller's stop flag when an engine
+/// concludes, so after a conclusive result the flag being set does not
+/// mean cancellation.
 ///
 /// # Errors
 ///
@@ -1010,11 +926,12 @@ pub fn prove_portfolio(
     max_k: usize,
     control: &Control,
 ) -> Result<PortfolioOutcome, ProveError> {
-    let stop = control
-        .stop
-        .clone()
-        .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-    let deadline = control.deadline;
+    // The engines always share a flag, so the first to conclude can stop
+    // the other.
+    let control = Control {
+        stop: Some(control.stop.clone().unwrap_or_default()),
+        deadline: control.deadline,
+    };
     let _sp_portfolio = anvil_trace::span("prove", "portfolio");
     // The PDR span stitches under the portfolio span by explicit id: the
     // thread-local parent stack does not cross the spawn boundary.
@@ -1023,30 +940,23 @@ pub fn prove_portfolio(
     let (symbolic, pdr) = std::thread::scope(|s| {
         let pdr = s.spawn(|| {
             let mut sp = anvil_trace::span_under("prove", "pdr", portfolio_span);
-            let r = run_pdr_inner(
-                &prep,
-                pdr_frame_budget(max_k),
-                Some(Arc::clone(&stop)),
-                deadline,
-            );
+            let r = run_pdr_inner(&prep, pdr_frame_budget(max_k), control.clone());
             finish_engine(
                 &mut sp,
                 r.as_ref().map(|run| (&run.result, &run.stats)),
                 r.as_ref().ok().map(|run| &run.pdr),
-                &stop,
-                deadline,
+                &control,
             );
             r
         });
         let mut sp = anvil_trace::span("prove", "symbolic");
-        let engine = Engine::new(Arc::clone(&prep), Some(Arc::clone(&stop)), deadline);
+        let engine = Engine::new(Arc::clone(&prep), control.clone());
         let symbolic = engine.run(max_k + 1, true);
         finish_engine(
             &mut sp,
             symbolic.as_ref().map(|(r, s)| (r, s)),
             None,
-            &stop,
-            deadline,
+            &control,
         );
         drop(sp);
         let pdr = pdr
@@ -1110,7 +1020,13 @@ pub fn prove_portfolio(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+
     use super::*;
+
+    fn blast(m: &Module) -> AigCircuit {
+        AigCircuit::from_module(m).unwrap()
+    }
 
     /// A counter with a shallow bug (same design as the explicit-state
     /// BMC tests): `q != 3` fails after three enabled cycles.
@@ -1151,7 +1067,7 @@ mod tests {
     #[test]
     fn falsifies_shallow_bug_at_minimal_depth() {
         let (m, a) = shallow_bug();
-        let (result, stats) = prove(&m, &a, 10).unwrap();
+        let (result, stats) = prove(&blast(&m), &a, 10).unwrap();
         let ProveResult::Falsified { depth, trace } = result else {
             panic!("expected falsification, got {result:?}");
         };
@@ -1171,7 +1087,7 @@ mod tests {
     #[test]
     fn proves_saturating_counter_by_induction() {
         let (m, a) = saturating_counter();
-        let (result, stats) = prove(&m, &a, 8).unwrap();
+        let (result, stats) = prove(&blast(&m), &a, 8).unwrap();
         assert_eq!(result, ProveResult::Proved { k: 1 });
         // The optimize pipeline ran: the post-rewrite graph is no larger
         // than the blasted one.
@@ -1182,7 +1098,7 @@ mod tests {
     #[test]
     fn bounded_mode_reports_unknown_without_induction() {
         let (m, a) = saturating_counter();
-        let (result, _) = prove_bounded(&m, &a, 6).unwrap();
+        let (result, _) = prove_bounded(&blast(&m), &a, 6).unwrap();
         assert_eq!(result, ProveResult::Unknown { depth: 6 });
     }
 
@@ -1196,9 +1112,9 @@ mod tests {
         let o = m.output("o", 1);
         m.assign(o, Expr::Signal(ok));
         let a = Expr::Signal(m.find("ok").unwrap());
-        let (result, _) = prove_bounded(&m, &a, 0).unwrap();
+        let (result, _) = prove_bounded(&blast(&m), &a, 0).unwrap();
         assert_eq!(result, ProveResult::Unknown { depth: 0 });
-        let (result, _) = prove_bounded(&m, &a, 1).unwrap();
+        let (result, _) = prove_bounded(&blast(&m), &a, 1).unwrap();
         assert!(matches!(result, ProveResult::Falsified { depth: 1, .. }));
     }
 
@@ -1210,10 +1126,10 @@ mod tests {
         m.assign(o, Expr::Signal(a).eq(Expr::Signal(a)));
         // Both modes conclude without any unrolling: k = 0 marks the
         // combinationally-constant case.
-        let (result, stats) = prove(&m, &Expr::lit(1, 1), 4).unwrap();
+        let (result, stats) = prove(&blast(&m), &Expr::lit(1, 1), 4).unwrap();
         assert_eq!(result, ProveResult::Proved { k: 0 });
         assert_eq!(stats.frames, 0);
-        let (result, _) = prove_bounded(&m, &Expr::lit(1, 1), 4).unwrap();
+        let (result, _) = prove_bounded(&blast(&m), &Expr::lit(1, 1), 4).unwrap();
         assert_eq!(result, ProveResult::Proved { k: 0 });
     }
 
@@ -1226,7 +1142,7 @@ mod tests {
         let o = m.output("o", 1);
         m.assign(o, Expr::Signal(ok));
         let a = Expr::Signal(m.find("ok").unwrap());
-        let (result, _) = prove(&m, &a, 4).unwrap();
+        let (result, _) = prove(&blast(&m), &a, 4).unwrap();
         let ProveResult::Falsified { depth, trace } = result else {
             panic!("expected falsification, got {result:?}");
         };
@@ -1237,7 +1153,7 @@ mod tests {
     #[test]
     fn pdr_proves_saturating_counter() {
         let (m, a) = saturating_counter();
-        let (result, stats) = prove_pdr(&m, &a, 32).unwrap();
+        let (result, stats) = prove_pdr(&blast(&m), &a, 32).unwrap();
         assert!(matches!(result, ProveResult::Proved { .. }), "{result:?}");
         assert!(stats.frames >= 1);
     }
@@ -1245,7 +1161,7 @@ mod tests {
     #[test]
     fn pdr_falsifies_shallow_bug_at_minimal_depth() {
         let (m, a) = shallow_bug();
-        let (result, _) = prove_pdr(&m, &a, 32).unwrap();
+        let (result, _) = prove_pdr(&blast(&m), &a, 32).unwrap();
         let ProveResult::Falsified { depth, trace } = result else {
             panic!("expected falsification, got {result:?}");
         };
@@ -1264,9 +1180,9 @@ mod tests {
         // to the unoptimized design — this is what the proof cache
         // replays on a warm hit.
         let (m, a) = saturating_counter();
-        let circuit = AigCircuit::from_module(&m).unwrap();
+        let circuit = blast(&m);
         let prep = Prepared::new(&circuit, &a).unwrap();
-        let run = run_pdr_inner(&prep, 32, None, Deadline::none()).unwrap();
+        let run = run_pdr_inner(&prep, 32, Control::none()).unwrap();
         assert!(matches!(run.result, ProveResult::Proved { .. }));
         let cert = ProofCert {
             kind: CertKind::Inductive {
@@ -1281,11 +1197,11 @@ mod tests {
     #[test]
     fn falsified_certificate_replays_and_stale_certificate_is_rejected() {
         let (m, a) = shallow_bug();
-        let (result, _) = prove(&m, &a, 10).unwrap();
+        let (result, _) = prove(&blast(&m), &a, 10).unwrap();
         let ProveResult::Falsified { depth, trace } = result else {
             panic!("expected falsification");
         };
-        let circuit = AigCircuit::from_module(&m).unwrap();
+        let circuit = blast(&m);
         let cert = ProofCert {
             kind: CertKind::Falsified {
                 depth,
@@ -1316,13 +1232,7 @@ mod tests {
     #[test]
     fn portfolio_agrees_with_all_engines() {
         let (m, a) = shallow_bug();
-        let out = prove_portfolio(
-            &AigCircuit::from_module(&m).unwrap(),
-            &a,
-            8,
-            &Control::none(),
-        )
-        .unwrap();
+        let out = prove_portfolio(&blast(&m), &a, 8, &Control::none()).unwrap();
         let ProveResult::Falsified { depth, .. } = out.result else {
             panic!("expected falsification, got {:?}", out.result);
         };
@@ -1331,7 +1241,7 @@ mod tests {
         assert!(out.certificate.is_some());
 
         let (m, a) = saturating_counter();
-        let circuit = AigCircuit::from_module(&m).unwrap();
+        let circuit = blast(&m);
         let out = prove_portfolio(&circuit, &a, 8, &Control::none()).unwrap();
         assert!(matches!(out.result, ProveResult::Proved { .. }));
         assert!(matches!(out.winner, Some(Prover::Symbolic | Prover::Pdr)));
@@ -1342,9 +1252,28 @@ mod tests {
     }
 
     #[test]
+    fn portfolio_with_a_raised_stop_answers_unknown() {
+        // Holds at reset and needs induction, so neither engine can
+        // conclude before its first poll of the control.
+        let (m, a) = saturating_counter();
+        let control = Control {
+            stop: Some(Arc::new(AtomicBool::new(true))),
+            ..Control::none()
+        };
+        let out = prove_portfolio(&blast(&m), &a, 8, &control).unwrap();
+        assert!(
+            matches!(out.result, ProveResult::Unknown { .. }),
+            "{:?}",
+            out.result
+        );
+        assert_eq!(out.winner, None);
+        assert!(out.certificate.is_none());
+    }
+
+    #[test]
     fn render_trace_is_stable() {
         let (m, a) = shallow_bug();
-        let (result, _) = prove(&m, &a, 10).unwrap();
+        let (result, _) = prove(&blast(&m), &a, 10).unwrap();
         let ProveResult::Falsified { trace, .. } = result else {
             panic!("expected falsification");
         };

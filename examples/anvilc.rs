@@ -34,7 +34,7 @@ use std::process::exit;
 use std::time::Duration;
 
 use anvil::anvil_trace::{chrome_trace, Capture, SpanRecord};
-use anvil::verify::{prove_with_circuit, render_trace, ProveResult};
+use anvil::verify::{prove, render_trace, ProveResult};
 use anvil::{Control, Expr, Session};
 
 struct Args {
@@ -356,7 +356,7 @@ fn prove_mode(args: &Args, source: &str) -> i32 {
             exit(2);
         };
         let assertion = Expr::Signal(sig);
-        match prove_with_circuit(&circuit, &assertion, args.max_k) {
+        match prove(&circuit, &assertion, args.max_k) {
             Ok((result, stats)) => {
                 let dt = t.elapsed();
                 match &result {

@@ -20,7 +20,8 @@
 //! * [`anvil_verify`] — safety oracle, explicit-state BMC (the
 //!   Appendix A reproduction), rule scheduler, and the symbolic
 //!   [`verify::prove()`] engine and [`verify::prove_portfolio`], which
-//!   races k-induction against PDR,
+//!   races k-induction against PDR under one [`Control`]; every prove
+//!   entry point takes a blasted [`AigCircuit`],
 //! * [`anvil_designs`] — the ten evaluation designs (and their safety
 //!   properties, `anvil_designs::props`),
 //! * [`anvil_trace`] — hierarchical span tracing and the process-wide
@@ -40,6 +41,8 @@
 //! assert!(out.systemverilog.contains("module blink"));
 //! # Ok::<(), anvil::CompileError>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use anvil_core::{
     CacheStats, CodegenDiag, CompileError, CompileOutput, Control, FlatAig, Options, PassStats,

@@ -88,7 +88,7 @@ fn assert_engines_agree(seed: u64, depth: usize) -> Result<(), TestCaseError> {
         !matches!(explicit, BmcResult::ExhaustedStates { .. }),
         "state budget must not truncate the differential harness"
     );
-    let (symbolic, _) = prove_bounded(&m, &a, depth).unwrap();
+    let (symbolic, _) = prove_bounded(&AigCircuit::from_module(&m).unwrap(), &a, depth).unwrap();
 
     match (&explicit, &symbolic) {
         (
@@ -192,7 +192,7 @@ fn assert_optimize_is_bit_identical(seed: u64, word_seed: u64) -> Result<(), Tes
 fn assert_pdr_agrees(seed: u64, depth: usize) -> Result<(), TestCaseError> {
     let (m, a) = random_design(seed);
     let (explicit, _) = bmc_with_backend(&m, &a, depth, 1_000_000, Backend::Compiled).unwrap();
-    let (pdr, _) = prove_pdr(&m, &a, 24).unwrap();
+    let (pdr, _) = prove_pdr(&AigCircuit::from_module(&m).unwrap(), &a, 24).unwrap();
     match (&explicit, &pdr) {
         (BmcResult::Violation { depth: ed, .. }, ProveResult::Falsified { depth: pd, trace }) => {
             prop_assert_eq!(ed, pd, "PDR depth diverged on seed {}", seed);
@@ -319,8 +319,12 @@ fn pdr_falsifies_seeded_bugs_at_known_depths() {
     let seeded = anvil_designs::props::seeded_violations();
     assert_eq!(seeded.len(), expected.len());
     for (prop, want) in seeded.iter().zip(expected) {
-        let (result, _) = prove_pdr(&prop.module, &prop.assertion, 32)
-            .unwrap_or_else(|e| panic!("PDR failed on `{}`: {e}", prop.design));
+        let (result, _) = prove_pdr(
+            &AigCircuit::from_module(&prop.module).unwrap(),
+            &prop.assertion,
+            32,
+        )
+        .unwrap_or_else(|e| panic!("PDR failed on `{}`: {e}", prop.design));
         let ProveResult::Falsified { depth, trace } = result else {
             panic!("PDR missed `{}`: {result:?}", prop.design);
         };
@@ -350,7 +354,12 @@ fn seeded_violations_agree_across_engines() {
             Backend::Compiled,
         )
         .unwrap();
-        let (symbolic, _) = prove_bounded(&prop.module, &prop.assertion, 16).unwrap();
+        let (symbolic, _) = prove_bounded(
+            &AigCircuit::from_module(&prop.module).unwrap(),
+            &prop.assertion,
+            16,
+        )
+        .unwrap();
         let BmcResult::Violation { depth: ed, .. } = explicit else {
             panic!("explicit BMC missed `{}`", prop.design);
         };

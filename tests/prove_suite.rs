@@ -22,8 +22,12 @@ const MAX_K: usize = 8;
 fn suite_properties_prove_for_all_time() {
     let mut proved = 0;
     for prop in suite_properties() {
-        let (result, stats) = prove(&prop.module, &prop.assertion, MAX_K)
-            .unwrap_or_else(|e| panic!("prove failed on `{}`: {e}", prop.design));
+        let (result, stats) = prove(
+            &AigCircuit::from_module(&prop.module).unwrap(),
+            &prop.assertion,
+            MAX_K,
+        )
+        .unwrap_or_else(|e| panic!("prove failed on `{}`: {e}", prop.design));
         match result {
             ProveResult::Proved { k } => {
                 assert!(k <= MAX_K, "`{}` needed k={k}", prop.design);
@@ -92,8 +96,12 @@ fn explicit_state_bmc_cannot_conclude_on_proved_properties() {
 #[test]
 fn seeded_violations_falsify_and_replay_on_both_backends() {
     for prop in seeded_violations() {
-        let (result, _) = prove(&prop.module, &prop.assertion, 16)
-            .unwrap_or_else(|e| panic!("prove failed on `{}`: {e}", prop.design));
+        let (result, _) = prove(
+            &AigCircuit::from_module(&prop.module).unwrap(),
+            &prop.assertion,
+            16,
+        )
+        .unwrap_or_else(|e| panic!("prove failed on `{}`: {e}", prop.design));
         let ProveResult::Falsified { depth, trace } = result else {
             panic!("`{}`: expected falsification, got {result:?}", prop.design);
         };
@@ -116,7 +124,12 @@ fn counterexample_lane_dumps_to_vcd() {
     // A falsified trace drives one lane of a SimBatch and is dumped to
     // VCD — the waveform-inspection path for sweep/proof counterexamples.
     let prop = &seeded_violations()[0];
-    let (result, _) = prove(&prop.module, &prop.assertion, 16).unwrap();
+    let (result, _) = prove(
+        &AigCircuit::from_module(&prop.module).unwrap(),
+        &prop.assertion,
+        16,
+    )
+    .unwrap();
     let ProveResult::Falsified { depth, trace } = result else {
         panic!("expected falsification");
     };
@@ -280,7 +293,7 @@ fn fifo_monitor_search_is_pinned_exactly() {
     assert_eq!(search, (530, 25_164, 150_454, 1_261_341, 530), "{s:?}");
 
     let (circuit, mon) = fifo_monitor();
-    let (result, kind) = prove(circuit.module(), &Expr::Signal(mon), 12).unwrap();
+    let (result, kind) = prove(&circuit, &Expr::Signal(mon), 12).unwrap();
     assert!(
         matches!(result, ProveResult::Unknown { depth: 13 }),
         "{result:?}"

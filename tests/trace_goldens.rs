@@ -8,14 +8,19 @@
 //! and hence the reconstructed trace — never changes run to run.
 
 use anvil_designs::props::seeded_violations;
-use anvil_verify::{prove, render_trace, ProveResult};
+use anvil_verify::{prove, render_trace, AigCircuit, ProveResult};
 
 fn rendered_trace(design: &str) -> String {
     let prop = seeded_violations()
         .into_iter()
         .find(|p| p.design == design)
         .unwrap_or_else(|| panic!("seeded violation `{design}`"));
-    let (result, _) = prove(&prop.module, &prop.assertion, 16).unwrap();
+    let (result, _) = prove(
+        &AigCircuit::from_module(&prop.module).unwrap(),
+        &prop.assertion,
+        16,
+    )
+    .unwrap();
     let ProveResult::Falsified { trace, .. } = result else {
         panic!("`{design}` should falsify, got {result:?}");
     };
